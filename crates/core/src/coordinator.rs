@@ -31,73 +31,40 @@ use cpm_control::PidGains;
 use cpm_obs::{ControlPhase, EventPayload, PhaseProfiler, Recorder, Registry, SpanId};
 use cpm_power::variation::VariationMap;
 use cpm_power::EnergyAccount;
+use cpm_sim::memo::Memo;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig, InjectionSeam, TimeSeries};
 use cpm_thermal::HotspotTracker;
 use cpm_units::{Celsius, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::{Mix, WorkloadAssignment};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
-/// Locks a memo cache, recovering a poisoned lock. Both caches are only
-/// mutated by whole-entry inserts of already-computed values, so a
-/// probe/sweep panicking elsewhere can never leave an entry half-written;
-/// wedging every later coordinator over an already-propagated panic would
-/// turn one failed cell into a process-wide outage.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Test support: panics *while holding* each memo lock (caught here),
-/// leaving them poisoned exactly as a prober dying mid-lookup would.
+/// Test support: leaves each coordinator memo lock (probe, calibration
+/// sweep) poisoned, exactly as a prober dying mid-lookup would.
 /// Subsequent probes and calibration sweeps must recover, not wedge.
 #[doc(hidden)]
 pub fn poison_memo_caches_for_tests() {
-    let cases: [fn(); 2] = [
-        || {
-            let _guard = PROBE_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning probe memo");
-        },
-        || {
-            let _guard = CALIB_SWEEP_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning calib sweep memo");
-        },
-    ];
-    for poison in cases {
-        let _ = std::panic::catch_unwind(poison);
-    }
+    PROBE_MEMO.poison_for_tests();
+    CALIB_SWEEP_MEMO.poison_for_tests();
 }
 
-// Reference-power probe memoization. The probe is a pure function of the
-// chip's construction inputs (config, workload assignment, variation map):
-// it runs on a clone of the freshly built chip, so sweep cells that differ
-// only in budget or scheme re-measure the identical value. The memo key is
-// the exact `Debug` rendering of those inputs (`{:?}` for `f64` is
-// round-trip exact), so a cached value is always bit-identical to
-// recomputation and the workers=1 vs workers=4 byte-determinism gate is
-// unaffected by which thread populates the cache first.
-static PROBE_MEMO: OnceLock<Mutex<HashMap<String, Watts>>> = OnceLock::new();
-static PROBE_HITS: AtomicU64 = AtomicU64::new(0);
-static PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
+// Both memos are keyed by the chip's construction inputs (config, workload
+// assignment, variation map): the probe runs on a clone of the fresh chip and
+// the sweep is open loop, so cells differing in budget or scheme share entries.
+static PROBE_MEMO: Memo<Watts> = Memo::new();
 
 /// A completed transducer-calibration sweep: the chip state it left behind
 /// and the per-step `(capacity utilization, power)` observation rows it fed
 /// the PICs (one row per observed interval, islands in order). The sweep is
 /// open loop — a fixed DVFS schedule on the freshly built chip, no
-/// controller in the loop — so it is a pure function of the same
-/// construction key the probe memo uses. A cache hit restores the exact
-/// post-sweep chip state and replays the identical observation sequence
-/// into this coordinator's own PICs, making it bit-identical to re-running
-/// the sweep.
-#[derive(Clone)]
+/// controller in the loop — so it is a pure function of the construction
+/// key. Replaying the rows into a coordinator's own PICs and adopting the
+/// post-sweep chip is bit-identical to re-running the sweep.
 struct CalibSweep {
     chip: Chip,
     rows: Vec<Vec<(Ratio, Watts)>>,
 }
 
-static CALIB_SWEEP_MEMO: OnceLock<Mutex<HashMap<String, CalibSweep>>> = OnceLock::new();
-static CALIB_SWEEP_HITS: AtomicU64 = AtomicU64::new(0);
-static CALIB_SWEEP_MISSES: AtomicU64 = AtomicU64::new(0);
+static CALIB_SWEEP_MEMO: Memo<Arc<CalibSweep>> = Memo::new();
 
 /// How the PIC senses power (re-exported for the public API).
 pub type SensorMode = PicSensor;
@@ -433,26 +400,16 @@ impl Coordinator {
             None => VariationMap::uniform(cfg.cmp.islands()),
         };
         let chip = Chip::with_variation(cfg.cmp.clone(), &assignment, variation);
-        let memo_key = format!(
-            "{:?}|{:?}|{:?}",
-            chip.config(),
-            assignment,
-            chip.variation()
-        );
+        let memo_key = format!("{:?}|{assignment:?}|{:?}", chip.config(), chip.variation());
         let (reference_power, probe_cache_hit) =
-            Self::probe_reference_power_memoized(&memo_key, &chip);
+            PROBE_MEMO.get_or_compute(&memo_key, || Self::probe_reference_power_uncached(&chip));
         let budget = cfg.budget_fraction * reference_power;
-        let ranges = Self::island_ranges(&chip);
-        let floor: Watts = ranges.iter().map(|r| r.floor).sum();
-        if budget < floor {
-            return Err(ConfigError::InfeasibleBudget(format!(
-                "budget {budget} below chip idle floor {floor}"
-            )));
-        }
+        Self::check_budget(&chip, budget)?;
 
         let manager = match &cfg.scheme {
             ManagementScheme::Cpm(kind) => {
                 let islands = cfg.cmp.islands();
+                let ranges = Self::island_ranges(&chip);
                 let policy: Box<dyn ProvisioningPolicy + Send> = match kind {
                     PolicyKind::Performance => Box::new(PerformanceAware::new()),
                     PolicyKind::Thermal(c) => Box::new(ThermalAware::new(
@@ -472,7 +429,6 @@ impl Coordinator {
                         Box::new(QosAware::new(classes.clone()))
                     }
                 };
-                let gpm = GlobalPowerManager::new(budget, policy, ranges.clone());
                 let pics = (0..islands)
                     .map(|i| {
                         let pic = PerIslandController::new(
@@ -490,6 +446,7 @@ impl Coordinator {
                         }
                     })
                     .collect();
+                let gpm = GlobalPowerManager::new(budget, policy, ranges);
                 Manager::Cpm { gpm, pics }
             }
             ManagementScheme::MaxBips => Manager::MaxBips {
@@ -593,27 +550,10 @@ impl Coordinator {
         self.profiler = Some(profiler);
     }
 
-    /// Memoized front end for the reference-power probe. Returns the probe
-    /// value and whether it came from the cache.
-    fn probe_reference_power_memoized(key: &str, chip: &Chip) -> (Watts, bool) {
-        let memo = PROBE_MEMO.get_or_init(Default::default);
-        if let Some(&w) = lock_recover(memo).get(key) {
-            PROBE_HITS.fetch_add(1, Ordering::Relaxed);
-            return (w, true);
-        }
-        PROBE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let w = Self::probe_reference_power_uncached(chip);
-        lock_recover(memo).insert(key.to_owned(), w);
-        (w, false)
-    }
-
     /// Cumulative (hits, misses) of the reference-power probe memo cache
     /// for this process.
     pub fn probe_cache_stats() -> (u64, u64) {
-        (
-            PROBE_HITS.load(Ordering::Relaxed),
-            PROBE_MISSES.load(Ordering::Relaxed),
-        )
+        PROBE_MEMO.stats()
     }
 
     /// Measures the chip's *required* power: a deterministic unmanaged
@@ -706,6 +646,18 @@ impl Coordinator {
             .collect()
     }
 
+    /// Rejects a budget below the chip's idle floor, the least budget any
+    /// allocation can meet (every island idle at the bottom operating point).
+    fn check_budget(chip: &Chip, budget: Watts) -> Result<(), ConfigError> {
+        let floor: Watts = Self::island_ranges(chip).iter().map(|r| r.floor).sum();
+        if budget < floor {
+            return Err(ConfigError::InfeasibleBudget(format!(
+                "budget {budget} below chip idle floor {floor}"
+            )));
+        }
+        Ok(())
+    }
+
     /// The chip under management (read access for experiments).
     pub fn chip(&self) -> &Chip {
         &self.chip
@@ -723,13 +675,15 @@ impl Coordinator {
 
     /// Changes the chip budget at runtime (e.g. a rack-level manager
     /// re-provisioned this socket). Takes effect at the next GPM
-    /// invocation. Panics if the new budget falls below the chip's idle
-    /// floor.
+    /// invocation. Panics, before changing anything, on a budget that
+    /// [`Self::new`] would reject as [`ConfigError::InfeasibleBudget`].
     pub fn set_budget_fraction(&mut self, fraction: Ratio) {
         assert!(fraction.value() > 0.0, "budget fraction must be positive");
+        let budget = fraction * self.reference_power;
+        Self::check_budget(&self.chip, budget).expect("runtime budget change");
         self.cfg.budget_fraction = fraction;
         if let Manager::Cpm { gpm, .. } = &mut self.manager {
-            gpm.set_budget(fraction * self.reference_power);
+            gpm.set_budget(budget);
         }
     }
 
@@ -748,95 +702,62 @@ impl Coordinator {
         if self.cfg.sensor == SensorMode::Oracle {
             return;
         }
-        // The sweep below is open loop (fixed DVFS schedule, fresh chip),
-        // so its chip trajectory and observation rows are a pure function
-        // of the construction key. Replay a cached sweep when one exists.
-        let memo = CALIB_SWEEP_MEMO.get_or_init(Default::default);
-        let cached = lock_recover(memo).get(&self.memo_key).cloned();
-        if let Some(sweep) = cached {
-            CALIB_SWEEP_HITS.fetch_add(1, Ordering::Relaxed);
-            self.calib_sweep_hit = Some(true);
-            for row in &sweep.rows {
-                for (pic, &(u, p)) in pics.iter_mut().zip(row) {
-                    pic.observe_calibration(u, p);
+        // A miss runs the open-loop sweep in place on this chip; a hit adopts
+        // the cached post-sweep chip. Either way the PICs replay the rows.
+        let (sweep, hit) = CALIB_SWEEP_MEMO.get_or_compute(&self.memo_key, || {
+            let (cmp, chip) = (&self.cfg.cmp, &mut self.chip);
+            let levels = cmp.dvfs.len();
+            // A schedule of (level, settling intervals, observed intervals).
+            // Warm the die to operating temperature first: leakage is strongly
+            // temperature-dependent, so a cold-die calibration would bias the
+            // transducer low and every island would drift above its target.
+            // ~20 GPM intervals at an upper-mid operating point approaches the
+            // thermal steady state the managed run will live at.
+            let warm = ((3 * levels) / 4, 20 * cmp.pics_per_gpm(), 0);
+            // Then three sweeps over all levels (down, up, down): multiple
+            // phase states per level average the workload noise out of the
+            // fit. The first interval at each level absorbs the transition
+            // freeze; the two following (clean) ones are observed. Finally
+            // return to the top point so every run starts there.
+            let sweeps = (0..levels).rev().chain(0..levels).chain((0..levels).rev());
+            let sweeps = sweeps.map(|level| (level, 1, 2));
+            let schedule = [warm].into_iter().chain(sweeps).chain([(levels - 1, 1, 0)]);
+            let (mut snap, mut rows) = (ChipSnapshot::empty(), Vec::new());
+            for (level, settle, observe) in schedule {
+                for i in 0..cmp.islands() {
+                    chip.set_island_dvfs(IslandId(i), level);
+                }
+                for _ in 0..settle {
+                    chip.step_pic_into(&mut snap);
+                }
+                for _ in 0..observe {
+                    chip.step_pic_into(&mut snap);
+                    let row = snap.islands.iter();
+                    rows.push(row.map(|i| (i.capacity_utilization, i.power)).collect());
                 }
             }
-            for pic in pics.iter_mut() {
-                pic.reset();
-            }
-            self.chip = sweep.chip;
-            return;
+            let chip = chip.clone();
+            Arc::new(CalibSweep { chip, rows })
+        });
+        self.calib_sweep_hit = Some(hit);
+        if hit {
+            self.chip = sweep.chip.clone();
         }
-        CALIB_SWEEP_MISSES.fetch_add(1, Ordering::Relaxed);
-        self.calib_sweep_hit = Some(false);
-        let mut rows: Vec<Vec<(Ratio, Watts)>> = Vec::new();
-        let levels = self.cfg.cmp.dvfs.len();
-        // Warm the die to operating temperature first: leakage is strongly
-        // temperature-dependent, so a cold-die calibration would bias the
-        // transducer low and every island would drift above its target.
-        // ~20 GPM intervals at an upper-mid operating point approaches the
-        // thermal steady state the managed run will live at.
-        let warm_level = (3 * levels) / 4;
-        let mut snap = ChipSnapshot::empty();
-        for i in 0..self.cfg.cmp.islands() {
-            self.chip.set_island_dvfs(IslandId(i), warm_level);
-        }
-        for _ in 0..20 * self.cfg.cmp.pics_per_gpm() {
-            self.chip.step_pic_into(&mut snap);
-        }
-        // Three sweeps over all levels: multiple phase states per level
-        // average the workload noise out of the fit.
-        for round in 0..3 {
-            for step in 0..levels {
-                let level = if round % 2 == 0 {
-                    levels - 1 - step
-                } else {
-                    step
-                };
-                for i in 0..self.cfg.cmp.islands() {
-                    self.chip.set_island_dvfs(IslandId(i), level);
-                }
-                // First interval absorbs the transition freeze; observe the
-                // two following (clean) ones.
-                self.chip.step_pic_into(&mut snap);
-                for _ in 0..2 {
-                    self.chip.step_pic_into(&mut snap);
-                    for (pic, isl) in pics.iter_mut().zip(&snap.islands) {
-                        pic.observe_calibration(isl.capacity_utilization, isl.power);
-                    }
-                    rows.push(
-                        snap.islands
-                            .iter()
-                            .map(|isl| (isl.capacity_utilization, isl.power))
-                            .collect(),
-                    );
-                }
+        for row in &sweep.rows {
+            for (pic, &(u, p)) in pics.iter_mut().zip(row) {
+                pic.observe_calibration(u, p);
             }
         }
-        // Return to the top point and give every PIC a clean start.
-        for i in 0..self.cfg.cmp.islands() {
-            self.chip.set_island_dvfs(IslandId(i), levels - 1);
-        }
-        self.chip.step_pic_into(&mut snap);
+        // Give every PIC a clean start.
         for pic in pics.iter_mut() {
             pic.reset();
         }
-        lock_recover(memo).insert(
-            self.memo_key.clone(),
-            CalibSweep {
-                chip: self.chip.clone(),
-                rows,
-            },
-        );
     }
 
     /// Cumulative (hits, misses) of the calibration-sweep memo cache for
     /// this process.
     pub fn calib_sweep_cache_stats() -> (u64, u64) {
-        (
-            CALIB_SWEEP_HITS.load(Ordering::Relaxed),
-            CALIB_SWEEP_MISSES.load(Ordering::Relaxed),
-        )
+        CALIB_SWEEP_MEMO.stats()
     }
 
     /// Settle-in: one unrecorded GPM interval during which the PICs pull
@@ -1434,6 +1355,49 @@ mod tests {
             Coordinator::new(cfg),
             Err(ConfigError::InfeasibleBudget(_))
         ));
+    }
+
+    fn paper_coordinator(scheme: ManagementScheme) -> Coordinator {
+        Coordinator::new(ExperimentConfig::paper_default().with_scheme(scheme)).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "below chip idle floor")]
+    fn cpm_rejects_a_runtime_budget_below_the_idle_floor() {
+        let mut coord = paper_coordinator(ManagementScheme::Cpm(PolicyKind::Performance));
+        coord.set_budget_fraction(Ratio::from_percent(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "below chip idle floor")]
+    fn maxbips_rejects_a_runtime_budget_below_the_idle_floor() {
+        let mut coord = paper_coordinator(ManagementScheme::MaxBips);
+        coord.set_budget_fraction(Ratio::from_percent(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "below chip idle floor")]
+    fn no_management_rejects_a_runtime_budget_below_the_idle_floor() {
+        let mut coord = paper_coordinator(ManagementScheme::NoManagement);
+        coord.set_budget_fraction(Ratio::from_percent(1.0));
+    }
+
+    #[test]
+    fn a_feasible_runtime_budget_change_takes_effect_under_every_scheme() {
+        let cpm = ManagementScheme::Cpm(PolicyKind::Performance);
+        for scheme in [
+            cpm,
+            ManagementScheme::MaxBips,
+            ManagementScheme::NoManagement,
+        ] {
+            let mut coord = paper_coordinator(scheme);
+            coord.set_budget_fraction(Ratio::from_percent(65.0));
+            let expected = Ratio::from_percent(65.0) * coord.reference_power();
+            assert_eq!(coord.budget(), expected);
+            if let Manager::Cpm { gpm, .. } = &coord.manager {
+                assert_eq!(gpm.budget(), expected);
+            }
+        }
     }
 
     #[test]

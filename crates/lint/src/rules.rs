@@ -189,7 +189,7 @@ pub(crate) const TIMING_CRATES: [&str; 2] = ["cpm-bench", "cpm-runtime"];
 /// own CLI.
 pub(crate) const ENV_CRATES: [&str; 3] = ["cpm-bench", "cpm-runtime", "cpm-lint"];
 /// The only crate that may create threads; everything else borrows its
-/// pool (or `scoped_map`) so the race surface stays in one audited place.
+/// pool so the race surface stays in one audited place.
 pub(crate) const THREAD_CRATES: [&str; 1] = ["cpm-runtime"];
 /// Library crates that own a seed-derivation contract and may construct
 /// RNG streams: the RNG crate itself, workload synthesis (per-cell child
@@ -503,10 +503,7 @@ pub fn check_file(ctx: &FileContext, toks: &[Tok<'_>], raw_lines: &[&str]) -> Ve
                     push(
                         RuleId::ThreadSpawn,
                         t.line,
-                        format!(
-                            "`thread::{}` outside cpm-runtime; use the pool or `scoped_map`",
-                            f.text
-                        ),
+                        format!("`thread::{}` outside cpm-runtime; use the pool", f.text),
                     );
                 }
             }

@@ -18,8 +18,6 @@
 //!   finished. Callers *help execute* queued jobs while they wait, which
 //!   makes nested `parallel_map` calls deadlock-free (an experiment job
 //!   can fan out its own cells on the same pool).
-//! * [`scoped_map`] — a scoped-thread variant for borrowing closures,
-//!   used where cells naturally reference caller-owned data.
 //!
 //! The worker count comes from the `CPM_WORKERS` environment variable
 //! (default: all hardware threads). `CPM_WORKERS=1` runs every job inline
@@ -421,12 +419,6 @@ impl Pool {
         })
     }
 
-    /// Publishes the current utilization snapshot onto a metrics
-    /// registry; see [`PoolStats::export`].
-    pub fn export_metrics(&self, registry: &cpm_obs::Registry) {
-        self.stats().export(registry);
-    }
-
     /// Utilization snapshot since the pool started.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -479,43 +471,6 @@ where
     F: Fn(T) -> R + Send + Sync + 'static,
 {
     Pool::global().parallel_map(items, f)
-}
-
-/// Scoped-thread map for borrowing closures: runs `f` over `items` with
-/// dynamic load balancing (an atomic cursor over the item list) and
-/// returns results in input order. Spawns at most `min(workers, len)`
-/// scoped threads; with one worker it runs inline and serially.
-pub fn scoped_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = Pool::global().workers().min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    return;
-                }
-                *lock_recover(&slots[i]) = Some(f(&items[i]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("slot filled")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -605,13 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_map_borrows_and_orders() {
-        let data: Vec<String> = (0..50).map(|i| format!("s{i}")).collect();
-        let lens = scoped_map(&data, |s| s.len());
-        assert_eq!(lens, data.iter().map(|s| s.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn panics_in_jobs_propagate_not_hang() {
         // A panicking cell must neither kill its worker thread nor strand
         // the waiting caller: the captured payload re-raises verbatim via
@@ -697,7 +645,7 @@ mod tests {
         let pool = Pool::new(2);
         pool.parallel_map((0..40u32).collect(), |x| x + 1);
         let registry = cpm_obs::Registry::new();
-        pool.export_metrics(&registry);
+        pool.stats().export(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.gauges["pool.jobs_total"], 40.0);
         assert_eq!(snap.gauges["pool.workers"], 2.0);
@@ -715,7 +663,7 @@ mod tests {
         assert_eq!(util_min, expect, "utilization_min must be the floor");
         // Re-export refreshes rather than double-counts.
         pool.parallel_map((0..10u32).collect(), |x| x);
-        pool.export_metrics(&registry);
+        pool.stats().export(&registry);
         assert_eq!(registry.snapshot().gauges["pool.jobs_total"], 50.0);
     }
 

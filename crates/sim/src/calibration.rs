@@ -8,12 +8,10 @@
 //! actually produce the claimed cache behaviour — and is compared against
 //! the constants in tests and in an ablation bench.
 
-use crate::cache::{Cache, Hierarchy};
+use crate::cache::Hierarchy;
 use crate::config::CacheConfig;
+use crate::memo::Memo;
 use cpm_workloads::{AddressStream, BenchmarkProfile};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Memory references per kilo-instruction assumed by the calibrator
 /// (≈ 30 % loads+stores — the standard x86 integer mix).
@@ -37,92 +35,33 @@ pub struct MeasuredRates {
     pub l2_miss_ratio: f64,
 }
 
-// ---------------------------------------------------------------------------
-// Memoization
-//
-// Calibration is a pure function of (profile, cache config, seed): the
-// address stream is seeded deterministically and the hierarchy starts cold.
-// Sweep cells that differ only in budget re-run the identical calibration,
-// so we memoize process-wide. The memo key is the exact `Debug` rendering of
-// the inputs — Rust's `{:?}` for `f64` is round-trip exact, so two keys are
-// equal iff the inputs are bit-identical, and a cached value is always
-// bit-identical to recomputation (the workers=1 vs workers=4 byte-
-// determinism gate is unaffected by which thread populates the cache first).
-// The computation runs *outside* the lock; a racing double-compute writes
-// the same bits.
-// ---------------------------------------------------------------------------
+/// Calibration is a pure function of (profile, cache config, seed): the
+/// address stream is seeded deterministically and the hierarchy starts
+/// cold, so sweep cells that differ only in budget share one entry.
+static CALIBRATE_MEMO: Memo<MeasuredRates> = Memo::new();
 
-static CALIBRATE_MEMO: OnceLock<Mutex<HashMap<String, MeasuredRates>>> = OnceLock::new();
-static SHARED_MEMO: OnceLock<Mutex<HashMap<String, Vec<MeasuredRates>>>> = OnceLock::new();
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Locks a memo cache, recovering a poisoned lock. The caches are only
-/// mutated by whole-entry inserts of already-computed values, so a
-/// panicking prober can never leave a key half-written; treating poison
-/// as fatal would wedge every calibration for the rest of the process
-/// over a panic that already propagated to its own caller.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Test support: panics *while holding* both memo locks (the panic is
-/// caught here), leaving them poisoned exactly as a prober dying
-/// mid-lookup would. Subsequent lookups must recover, not wedge.
+/// Test support: leaves the calibration memo lock poisoned, exactly as a
+/// prober dying mid-lookup would. Subsequent lookups must recover.
 #[doc(hidden)]
 pub fn poison_memo_caches_for_tests() {
-    let cases: [fn(); 2] = [
-        || {
-            let _guard = CALIBRATE_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning calibrate memo");
-        },
-        || {
-            let _guard = SHARED_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning shared memo");
-        },
-    ];
-    for poison in cases {
-        let _ = std::panic::catch_unwind(poison);
-    }
+    CALIBRATE_MEMO.poison_for_tests();
 }
 
-/// Cumulative (hits, misses) across both calibration memo caches for this
-/// process — exported to the metrics registry by the sweep and trace
-/// drivers so artifacts show the memoization working.
+/// Cumulative (hits, misses) of the calibration memo for this process —
+/// exported to the metrics registry by the sweep and trace drivers so
+/// artifacts show the memoization working.
 pub fn cache_stats() -> (u64, u64) {
-    (
-        MEMO_HITS.load(Ordering::Relaxed),
-        MEMO_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-fn private_key(profile: &BenchmarkProfile, cache: &CacheConfig, seed: u64) -> String {
-    format!("{profile:?}|{cache:?}|{seed}")
-}
-
-fn shared_key(profiles: &[BenchmarkProfile], cache: &CacheConfig, seed: u64) -> String {
-    let mut key = String::new();
-    for p in profiles {
-        key.push_str(&format!("{p:?};"));
-    }
-    key.push_str(&format!("|{cache:?}|{seed}"));
-    key
+    CALIBRATE_MEMO.stats()
 }
 
 /// Runs `profile`'s address stream through a fresh hierarchy and reports
 /// measured miss rates. Memoized on (profile, cache config, seed); the
 /// cached value is bit-identical to [`calibrate_uncached`].
 pub fn calibrate(profile: &BenchmarkProfile, cache: &CacheConfig, seed: u64) -> MeasuredRates {
-    let memo = CALIBRATE_MEMO.get_or_init(Default::default);
-    let key = private_key(profile, cache, seed);
-    if let Some(&rates) = lock_recover(memo).get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return rates;
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let rates = calibrate_uncached(profile, cache, seed);
-    lock_recover(memo).insert(key, rates);
-    rates
+    let key = format!("{profile:?}|{cache:?}|{seed}");
+    CALIBRATE_MEMO
+        .get_or_compute(&key, || calibrate_uncached(profile, cache, seed))
+        .0
 }
 
 /// The memo-free calibration path: always re-drives the cache simulator.
@@ -148,97 +87,6 @@ pub fn calibrate_uncached(
         l1_miss_ratio: l1_ratio,
         l2_miss_ratio: l2_ratio,
     }
-}
-
-/// Calibrates a *co-running group* that shares one physically-unified L2:
-/// each core keeps its private L1, but all L1 misses compete for a single
-/// L2 of `l2_bytes_per_core × n` bytes. Streams are interleaved
-/// round-robin (the per-interval interleaving a real shared cache sees),
-/// so cache-hungry neighbours evict each other's lines — the destructive
-/// interference a per-core-slice model cannot show.
-///
-/// Address streams are offset per core so distinct cores never alias the
-/// same lines.
-///
-/// Memoized on (profiles, cache config, seed); the cached vector is
-/// bit-identical to [`calibrate_shared_uncached`].
-pub fn calibrate_shared(
-    profiles: &[BenchmarkProfile],
-    cache: &CacheConfig,
-    seed: u64,
-) -> Vec<MeasuredRates> {
-    let memo = SHARED_MEMO.get_or_init(Default::default);
-    let key = shared_key(profiles, cache, seed);
-    if let Some(rates) = lock_recover(memo).get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return rates.clone();
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let rates = calibrate_shared_uncached(profiles, cache, seed);
-    lock_recover(memo).insert(key, rates.clone());
-    rates
-}
-
-/// The memo-free shared-L2 calibration path.
-pub fn calibrate_shared_uncached(
-    profiles: &[BenchmarkProfile],
-    cache: &CacheConfig,
-    seed: u64,
-) -> Vec<MeasuredRates> {
-    assert!(!profiles.is_empty(), "need at least one co-runner");
-    let n = profiles.len();
-    let shared_l2_bytes = cache.l2_bytes_per_core * n;
-    let mut l1s: Vec<Cache> = (0..n)
-        .map(|_| Cache::new(cache.l1_bytes, cache.l1_ways, cache.line_bytes))
-        .collect();
-    let mut l2 = Cache::new(shared_l2_bytes, cache.l2_ways, cache.line_bytes);
-    let mut streams: Vec<AddressStream> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| AddressStream::new(p, seed.wrapping_add(i as u64)))
-        .collect();
-    // Each core's addresses live in a disjoint 1 TiB region so distinct
-    // cores never alias the same lines.
-    let place = |i: usize, a: u64| a + ((i as u64) << 40);
-    // Track per-core L2 stats by hand (the shared cache's counters mix
-    // everyone together).
-    let mut l1_miss = vec![0u64; n];
-    let mut l2_miss = vec![0u64; n];
-    let mut refs = vec![0u64; n];
-    let total = (WARMUP_REFS + MEASURE_REFS) * n;
-    for k in 0..total {
-        let i = k % n;
-        let addr = place(i, streams[i].next_address());
-        let warm = k < WARMUP_REFS * n;
-        if !warm {
-            refs[i] += 1;
-        }
-        if !l1s[i].access(addr) {
-            let hit = l2.access(addr);
-            if !warm {
-                l1_miss[i] += 1;
-                if !hit {
-                    l2_miss[i] += 1;
-                }
-            }
-        }
-    }
-    (0..n)
-        .map(|i| {
-            let l1_ratio = l1_miss[i] as f64 / refs[i].max(1) as f64;
-            let l2_local = if l1_miss[i] == 0 {
-                0.0
-            } else {
-                l2_miss[i] as f64 / l1_miss[i] as f64
-            };
-            MeasuredRates {
-                l1_mpki: REFS_PER_KILO_INSTRUCTION * l1_ratio,
-                l2_mpki: REFS_PER_KILO_INSTRUCTION * l1_ratio * l2_local,
-                l1_miss_ratio: l1_ratio,
-                l2_miss_ratio: l2_local,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -285,42 +133,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.l2_miss_ratio));
             assert!(r.l1_mpki <= REFS_PER_KILO_INSTRUCTION);
         }
-    }
-
-    #[test]
-    fn shared_l2_interference_hurts_the_small_working_set() {
-        // blackscholes solo vs blackscholes co-running with three copies of
-        // native canneal in one shared L2: the hog evicts the victim's
-        // resident set and its DRAM traffic rises.
-        let cfg = cfg();
-        let victim = parsec::blackscholes();
-        let hog = parsec::canneal().with_input(InputSet::Native);
-        let solo = calibrate_shared(std::slice::from_ref(&victim), &cfg, 5)[0];
-        let together = calibrate_shared(&[victim, hog.clone(), hog.clone(), hog], &cfg, 5)[0];
-        // LRU protects the victim's frequently re-touched hot set fairly
-        // well, so the interference is measurable but not catastrophic.
-        assert!(
-            together.l2_mpki > 1.08 * solo.l2_mpki,
-            "co-running L2 MPKI {} vs solo {}",
-            together.l2_mpki,
-            solo.l2_mpki
-        );
-    }
-
-    #[test]
-    fn shared_calibration_of_one_matches_private_shape() {
-        // A single "co-runner" sees the same geometry as the private-slice
-        // path; measured rates should land close.
-        let cfg = cfg();
-        let p = parsec::freqmine();
-        let private = calibrate(&p, &cfg, 9);
-        let shared = calibrate_shared(&[p], &cfg, 9)[0];
-        assert!(
-            (shared.l1_miss_ratio - private.l1_miss_ratio).abs() < 0.05,
-            "L1 ratios diverge: {} vs {}",
-            shared.l1_miss_ratio,
-            private.l1_miss_ratio
-        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! * [`calibration`] — the profile↔cache-simulator consistency layer,
 //! * [`core_model`] — per-core CPI-stack execution,
 //! * [`island`] — V/F island state and actuation,
+//! * [`memo`] — the process-wide memo table behind the pure set-up caches,
 //! * [`chip`] — the full chip: cores + islands + thermal grid + power,
 //! * [`injection`] — fault-injection seams on the sense/actuate paths,
 //! * [`stats`] — interval snapshots and time-series reduction.
@@ -26,6 +27,7 @@ pub mod config;
 pub mod core_model;
 pub mod injection;
 pub mod island;
+pub mod memo;
 pub mod soa;
 pub mod stats;
 

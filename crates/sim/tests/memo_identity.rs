@@ -1,4 +1,4 @@
-//! The calibration memo caches must be *bit-identical* to recomputation.
+//! The calibration memo cache must be *bit-identical* to recomputation.
 //!
 //! The sweep's byte-determinism gate (workers=1 vs workers=4 stdout diff)
 //! only survives memoization if a cached value is indistinguishable from a
@@ -6,7 +6,7 @@
 //! with `f64 ==` throughout, so any divergence fails these tests exactly.
 
 use cpm_sim::{calibration, CmpConfig};
-use cpm_workloads::{parsec, InputSet};
+use cpm_workloads::parsec;
 
 #[test]
 fn memoized_calibration_is_bit_identical_for_every_parsec_profile() {
@@ -22,20 +22,4 @@ fn memoized_calibration_is_bit_identical_for_every_parsec_profile() {
         let again = calibration::calibrate(&profile, &cache, 99);
         assert_eq!(again, direct, "{}: cached != direct", profile.name);
     }
-}
-
-#[test]
-fn memoized_shared_calibration_is_bit_identical() {
-    let cache = CmpConfig::paper_default().cache;
-    let group = [
-        parsec::blackscholes(),
-        parsec::canneal().with_input(InputSet::Native),
-        parsec::freqmine(),
-        parsec::vips(),
-    ];
-    let memoized = calibration::calibrate_shared(&group, &cache, 17);
-    let direct = calibration::calibrate_shared_uncached(&group, &cache, 17);
-    assert_eq!(memoized, direct, "shared memo != direct");
-    let again = calibration::calibrate_shared(&group, &cache, 17);
-    assert_eq!(again, direct, "shared cached != direct");
 }

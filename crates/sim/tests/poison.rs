@@ -20,16 +20,3 @@ fn poisoned_private_memo_recovers_and_stays_bit_identical() {
     let direct = calibration::calibrate_uncached(&profile, &cache, 7);
     assert_eq!(after, direct, "post-poison lookup != memo-free path");
 }
-
-#[test]
-fn poisoned_shared_memo_recovers_and_stays_bit_identical() {
-    let cache = CmpConfig::paper_default().cache;
-    let group = [parsec::blackscholes(), parsec::vips()];
-
-    let before = calibration::calibrate_shared(&group, &cache, 17);
-    calibration::poison_memo_caches_for_tests();
-    let after = calibration::calibrate_shared(&group, &cache, 17);
-    assert_eq!(before, after, "shared cache entry lost by poisoning");
-    let direct = calibration::calibrate_shared_uncached(&group, &cache, 17);
-    assert_eq!(after, direct, "post-poison shared lookup != memo-free path");
-}

@@ -18,7 +18,8 @@
 //!   lane with the payload as `args`.
 
 use crate::event::{Event, EventPayload};
-use crate::export::num;
+use crate::export::{boolean, int, label, real};
+use crate::fixed::{push_fixed, push_u64};
 use std::collections::BTreeSet;
 
 /// Thread-id lane for an island's PIC.
@@ -31,14 +32,11 @@ fn worker_tid(worker: u32) -> u64 {
     1000 + worker as u64
 }
 
-/// Microsecond timestamp with fixed sub-µs precision.
-fn us(time_s: f64) -> String {
-    let v = time_s * 1e6;
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
+/// Appends seconds as microseconds with fixed sub-µs precision
+/// (`{:.3}`; non-finite renders as `0.000`).
+fn push_us(s: &mut String, seconds: f64) {
+    let v = seconds * 1e6;
+    push_fixed(s, if v.is_finite() { v } else { 0.0 }, 3);
 }
 
 /// The lane an event renders on (`tid 0` for chip-wide events).
@@ -61,211 +59,219 @@ fn tid_of(event: &Event) -> u64 {
     }
 }
 
+/// Appends a trace event's opening: `{"ph": "<ph>", "pid": 0, "tid": <tid>`.
+fn open(s: &mut String, ph: &str, tid: u64) {
+    s.push_str("{\"ph\": \"");
+    s.push_str(ph);
+    s.push_str("\", \"pid\": 0, \"tid\": ");
+    push_u64(s, tid);
+}
+
+/// Appends an instant event's head up to the opening of its `args`
+/// object; its name is `name` followed by `suffix`.
+fn instant(s: &mut String, e: &Event, scope: &str, name: &str, suffix: &str) {
+    open(s, "i", tid_of(e));
+    s.push_str(", \"ts\": ");
+    push_us(s, e.time_s);
+    s.push_str(", \"s\": \"");
+    s.push_str(scope);
+    s.push_str("\", \"name\": \"");
+    s.push_str(name);
+    s.push_str(suffix);
+    s.push_str("\", \"args\": {");
+}
+
+/// Appends one event as a single trace-event line (no separator).
+fn write_trace_event(s: &mut String, e: &Event) {
+    match e.payload {
+        EventPayload::WorkerSpan {
+            label: name,
+            start_s,
+            end_s,
+            ..
+        } => {
+            open(s, "X", tid_of(e));
+            s.push_str(", \"ts\": ");
+            push_us(s, start_s);
+            let dur = ((end_s - start_s) * 1e6).max(0.0);
+            s.push_str(", \"dur\": ");
+            push_fixed(s, if dur.is_finite() { dur } else { 0.0 }, 3);
+            label(s, ", \"name\": ", name);
+            int(s, ", \"args\": {\"seq\": ", e.seq);
+        }
+        EventPayload::GpmAllocation {
+            round,
+            island,
+            allocated_w,
+            actual_w,
+            ..
+        } => {
+            open(s, "C", tid_of(e));
+            s.push_str(", \"ts\": ");
+            push_us(s, e.time_s);
+            int(s, ", \"name\": \"island", island);
+            real(s, " power_w\", \"args\": {\"allocated\": ", allocated_w);
+            real(s, ", \"actual\": ", actual_w);
+            int(s, ", \"round\": ", round);
+        }
+        EventPayload::GpmRound {
+            span,
+            round,
+            budget_w,
+            actual_w,
+            islands,
+        } => {
+            instant(s, e, "p", "GpmRound", "");
+            int(s, "\"span\": ", span);
+            int(s, ", \"round\": ", round);
+            real(s, ", \"budget_w\": ", budget_w);
+            real(s, ", \"actual_w\": ", actual_w);
+            int(s, ", \"islands\": ", islands);
+        }
+        EventPayload::PicDecision {
+            span,
+            parent,
+            round,
+            step,
+            island,
+            sensed_w,
+            target_w,
+            error,
+            output,
+            dvfs_index,
+            ..
+        } => {
+            instant(s, e, "t", "PicDecision", "");
+            int(s, "\"span\": ", span);
+            int(s, ", \"parent\": ", parent);
+            int(s, ", \"round\": ", round);
+            int(s, ", \"step\": ", step);
+            int(s, ", \"island\": ", island);
+            real(s, ", \"sensed_w\": ", sensed_w);
+            real(s, ", \"target_w\": ", target_w);
+            real(s, ", \"error\": ", error);
+            real(s, ", \"output\": ", output);
+            int(s, ", \"dvfs\": ", dvfs_index);
+        }
+        EventPayload::Actuation {
+            span,
+            parent,
+            island,
+            from_dvfs,
+            requested_dvfs,
+            to_dvfs,
+            granted,
+        } => {
+            instant(s, e, "t", "Actuation", "");
+            int(s, "\"span\": ", span);
+            int(s, ", \"parent\": ", parent);
+            int(s, ", \"island\": ", island);
+            int(s, ", \"from\": ", from_dvfs);
+            int(s, ", \"requested\": ", requested_dvfs);
+            int(s, ", \"to\": ", to_dvfs);
+            boolean(s, ", \"granted\": ", granted);
+        }
+        EventPayload::TransducerRezero {
+            island,
+            residual_w,
+            offset_w,
+        } => {
+            instant(s, e, "t", "TransducerRezero", "");
+            int(s, "\"island\": ", island);
+            real(s, ", \"residual_w\": ", residual_w);
+            real(s, ", \"offset_w\": ", offset_w);
+        }
+        EventPayload::ThermalViolation {
+            source,
+            island,
+            partner,
+            value,
+            limit,
+        } => {
+            instant(s, e, "t", "ThermalViolation", "");
+            label(s, "\"source\": ", source.as_str());
+            int(s, ", \"island\": ", island);
+            if partner != u32::MAX {
+                int(s, ", \"partner\": ", partner);
+            }
+            real(s, ", \"value\": ", value);
+            real(s, ", \"limit\": ", limit);
+        }
+        EventPayload::PolicyHoldReversal {
+            island,
+            level,
+            epi_now,
+            epi_prev,
+            hold_intervals,
+        } => {
+            instant(s, e, "t", "PolicyHoldReversal", "");
+            int(s, "\"island\": ", island);
+            real(s, ", \"level\": ", level);
+            real(s, ", \"epi_now\": ", epi_now);
+            real(s, ", \"epi_prev\": ", epi_prev);
+            int(s, ", \"hold_intervals\": ", hold_intervals);
+        }
+        EventPayload::Injection {
+            label: name,
+            island,
+            active,
+            value,
+        } => {
+            instant(s, e, "g", "Injection ", name);
+            boolean(s, "\"active\": ", active);
+            real(s, ", \"value\": ", value);
+            if island != u32::MAX {
+                int(s, ", \"island\": ", island);
+            }
+        }
+        EventPayload::Alarm {
+            monitor,
+            island,
+            round,
+            value,
+            threshold,
+        } => {
+            instant(s, e, "g", "Alarm ", monitor);
+            int(s, "\"round\": ", round);
+            real(s, ", \"value\": ", value);
+            real(s, ", \"threshold\": ", threshold);
+            if island != u32::MAX {
+                int(s, ", \"island\": ", island);
+            }
+        }
+    }
+    s.push_str("}}");
+}
+
 /// Renders a drained event slice as a Chrome `trace_event` JSON
 /// document (object form, one trace-event per line).
 pub fn events_to_chrome(events: &[Event]) -> String {
     let mut s = String::with_capacity(events.len() * 160 + 256);
     s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |s: &mut String, line: &str| {
-        if !std::mem::take(&mut first) {
-            s.push_str(",\n");
-        }
-        s.push_str(line);
-    };
-
     // Metadata first: name the process and every lane in use.
-    push(
-        &mut s,
+    s.push_str(
         "{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"process_name\", \
          \"args\": {\"name\": \"cpm-chip\"}}",
     );
     let tids: BTreeSet<u64> = events.iter().map(tid_of).collect();
     for tid in tids {
-        let lane = if tid == 0 {
-            "gpm".to_string()
+        s.push_str(",\n");
+        open(&mut s, "M", tid);
+        s.push_str(", \"name\": \"thread_name\", \"args\": {\"name\": \"");
+        if tid == 0 {
+            s.push_str("gpm");
         } else if tid >= 1000 {
-            format!("worker{}", tid - 1000)
+            s.push_str("worker");
+            push_u64(&mut s, tid - 1000);
         } else {
-            format!("island{}", tid - 1)
-        };
-        push(
-            &mut s,
-            &format!(
-                "{{\"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": \"{lane}\"}}}}"
-            ),
-        );
+            s.push_str("island");
+            push_u64(&mut s, tid - 1);
+        }
+        s.push_str("\"}}");
     }
-
     for e in events {
-        let tid = tid_of(e);
-        let ts = us(e.time_s);
-        let line = match e.payload {
-            EventPayload::WorkerSpan {
-                label,
-                start_s,
-                end_s,
-                ..
-            } => {
-                let dur = ((end_s - start_s) * 1e6).max(0.0);
-                format!(
-                    "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"ts\": {}, \
-                     \"dur\": {:.3}, \"name\": \"{label}\", \"args\": {{\"seq\": {}}}}}",
-                    us(start_s),
-                    if dur.is_finite() { dur } else { 0.0 },
-                    e.seq
-                )
-            }
-            EventPayload::GpmAllocation {
-                round,
-                island,
-                allocated_w,
-                actual_w,
-                ..
-            } => format!(
-                "{{\"ph\": \"C\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \
-                 \"name\": \"island{island} power_w\", \"args\": {{\"allocated\": {}, \
-                 \"actual\": {}, \"round\": {round}}}}}",
-                num(allocated_w),
-                num(actual_w)
-            ),
-            EventPayload::GpmRound {
-                span,
-                round,
-                budget_w,
-                actual_w,
-                islands,
-            } => format!(
-                "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"p\", \
-                 \"name\": \"GpmRound\", \"args\": {{\"span\": {span}, \"round\": {round}, \
-                 \"budget_w\": {}, \"actual_w\": {}, \"islands\": {islands}}}}}",
-                num(budget_w),
-                num(actual_w)
-            ),
-            EventPayload::PicDecision {
-                span,
-                parent,
-                round,
-                step,
-                island,
-                sensed_w,
-                target_w,
-                error,
-                output,
-                dvfs_index,
-                ..
-            } => format!(
-                "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"t\", \
-                 \"name\": \"PicDecision\", \"args\": {{\"span\": {span}, \"parent\": {parent}, \
-                 \"round\": {round}, \"step\": {step}, \"island\": {island}, \"sensed_w\": {}, \
-                 \"target_w\": {}, \"error\": {}, \"output\": {}, \"dvfs\": {dvfs_index}}}}}",
-                num(sensed_w),
-                num(target_w),
-                num(error),
-                num(output)
-            ),
-            EventPayload::Actuation {
-                span,
-                parent,
-                island,
-                from_dvfs,
-                requested_dvfs,
-                to_dvfs,
-                granted,
-            } => format!(
-                "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"t\", \
-                 \"name\": \"Actuation\", \"args\": {{\"span\": {span}, \"parent\": {parent}, \
-                 \"island\": {island}, \"from\": {from_dvfs}, \"requested\": {requested_dvfs}, \
-                 \"to\": {to_dvfs}, \"granted\": {granted}}}}}"
-            ),
-            EventPayload::TransducerRezero {
-                island,
-                residual_w,
-                offset_w,
-            } => format!(
-                "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"t\", \
-                 \"name\": \"TransducerRezero\", \"args\": {{\"island\": {island}, \
-                 \"residual_w\": {}, \"offset_w\": {}}}}}",
-                num(residual_w),
-                num(offset_w)
-            ),
-            EventPayload::ThermalViolation {
-                source,
-                island,
-                partner,
-                value,
-                limit,
-            } => {
-                let partner_arg = if partner != u32::MAX {
-                    format!(", \"partner\": {partner}")
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"t\", \
-                     \"name\": \"ThermalViolation\", \"args\": {{\"source\": \"{}\", \
-                     \"island\": {island}{partner_arg}, \"value\": {}, \"limit\": {}}}}}",
-                    source.as_str(),
-                    num(value),
-                    num(limit)
-                )
-            }
-            EventPayload::PolicyHoldReversal {
-                island,
-                level,
-                epi_now,
-                epi_prev,
-                hold_intervals,
-            } => format!(
-                "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"t\", \
-                 \"name\": \"PolicyHoldReversal\", \"args\": {{\"island\": {island}, \
-                 \"level\": {}, \"epi_now\": {}, \"epi_prev\": {}, \
-                 \"hold_intervals\": {hold_intervals}}}}}",
-                num(level),
-                num(epi_now),
-                num(epi_prev)
-            ),
-            EventPayload::Injection {
-                label,
-                island,
-                active,
-                value,
-            } => {
-                let island_arg = if island != u32::MAX {
-                    format!(", \"island\": {island}")
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"g\", \
-                     \"name\": \"Injection {label}\", \"args\": {{\"active\": {active}, \
-                     \"value\": {}{island_arg}}}}}",
-                    num(value)
-                )
-            }
-            EventPayload::Alarm {
-                monitor,
-                island,
-                round,
-                value,
-                threshold,
-            } => {
-                let island_arg = if island != u32::MAX {
-                    format!(", \"island\": {island}")
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"s\": \"g\", \
-                     \"name\": \"Alarm {monitor}\", \"args\": {{\"round\": {round}, \
-                     \"value\": {}, \"threshold\": {}{island_arg}}}}}",
-                    num(value),
-                    num(threshold)
-                )
-            }
-        };
-        push(&mut s, &line);
+        s.push_str(",\n");
+        write_trace_event(&mut s, e);
     }
     s.push_str("\n]}\n");
     s

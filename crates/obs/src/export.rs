@@ -1,38 +1,52 @@
 //! Exporters: JSONL event traces and CSV time-series.
 //!
 //! Both formats are rendered with a **stable field order and fixed
-//! decimal precision** (`{:.6}`), because the CI determinism lane diffs
-//! exported artifacts byte-for-byte across worker counts. All numbers in
-//! events are finite by construction; non-finite values render as `0.0`
-//! rather than producing invalid JSON.
+//! decimal precision** (six decimals, byte-identical to `{:.6}`, through
+//! the crate's `fixed` formatter), because the CI determinism lane diffs
+//! exported artifacts byte-for-byte across worker counts. Every renderer
+//! appends to one caller-owned buffer: no per-event or per-number
+//! `String`. All numbers in events are finite by construction; non-finite
+//! values render as `0.0` rather than producing invalid JSON.
 
 use crate::event::{Event, EventPayload};
-use std::fmt::Write as _;
+use crate::fixed::{push_num, push_u64};
 use std::io::{self, Write};
 
-/// Fixed-precision float formatting shared by the exporters and the
-/// SLO/Chrome renderers.
-pub(crate) fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
+/// Appends `key` (a literal `, "name": ` fragment) and an integer.
+pub(crate) fn int(s: &mut String, key: &str, v: impl Into<u64>) {
+    s.push_str(key);
+    push_u64(s, v.into());
 }
 
-/// Renders one event as a single JSONL line (no trailing newline).
+/// Appends `key` and a fixed-precision number.
+pub(crate) fn real(s: &mut String, key: &str, x: f64) {
+    s.push_str(key);
+    push_num(s, x);
+}
+
+/// Appends `key` and a boolean.
+pub(crate) fn boolean(s: &mut String, key: &str, b: bool) {
+    s.push_str(key);
+    s.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends `key` and a quoted label (labels are static identifiers and
+/// need no escaping).
+pub(crate) fn label(s: &mut String, key: &str, text: &str) {
+    s.push_str(key);
+    s.push('"');
+    s.push_str(text);
+    s.push('"');
+}
+
+/// Appends one event as a single JSONL line (no trailing newline) to `s`.
 ///
 /// Field order is fixed: `seq`, `t`, `kind`, then payload fields in
 /// declaration order.
-pub fn event_to_jsonl(event: &Event) -> String {
-    let mut s = String::with_capacity(160);
-    let _ = write!(
-        s,
-        "{{\"seq\": {}, \"t\": {}, \"kind\": \"{}\"",
-        event.seq,
-        num(event.time_s),
-        event.kind().as_str()
-    );
+pub fn write_event_jsonl(s: &mut String, event: &Event) {
+    int(s, "{\"seq\": ", event.seq);
+    real(s, ", \"t\": ", event.time_s);
+    label(s, ", \"kind\": ", event.kind().as_str());
     match event.payload {
         EventPayload::GpmRound {
             span,
@@ -41,12 +55,11 @@ pub fn event_to_jsonl(event: &Event) -> String {
             actual_w,
             islands,
         } => {
-            let _ = write!(
-                s,
-                ", \"span\": {span}, \"round\": {round}, \"budget_w\": {}, \"actual_w\": {}, \"islands\": {islands}",
-                num(budget_w),
-                num(actual_w)
-            );
+            int(s, ", \"span\": ", span);
+            int(s, ", \"round\": ", round);
+            real(s, ", \"budget_w\": ", budget_w);
+            real(s, ", \"actual_w\": ", actual_w);
+            int(s, ", \"islands\": ", islands);
         }
         EventPayload::GpmAllocation {
             round,
@@ -55,13 +68,11 @@ pub fn event_to_jsonl(event: &Event) -> String {
             actual_w,
             budget_w,
         } => {
-            let _ = write!(
-                s,
-                ", \"round\": {round}, \"island\": {island}, \"allocated_w\": {}, \"actual_w\": {}, \"budget_w\": {}",
-                num(allocated_w),
-                num(actual_w),
-                num(budget_w)
-            );
+            int(s, ", \"round\": ", round);
+            int(s, ", \"island\": ", island);
+            real(s, ", \"allocated_w\": ", allocated_w);
+            real(s, ", \"actual_w\": ", actual_w);
+            real(s, ", \"budget_w\": ", budget_w);
         }
         EventPayload::PicDecision {
             span,
@@ -80,18 +91,21 @@ pub fn event_to_jsonl(event: &Event) -> String {
             dvfs_index,
             saturated,
         } => {
-            let _ = write!(
-                s,
-                ", \"span\": {span}, \"parent\": {parent}, \"round\": {round}, \"step\": {step}, \"island\": {island}, \"sensed_w\": {}, \"utilization\": {}, \"target_w\": {}, \"error\": {}, \"p\": {}, \"i\": {}, \"d\": {}, \"output\": {}, \"dvfs\": {dvfs_index}, \"saturated\": {saturated}",
-                num(sensed_w),
-                num(utilization),
-                num(target_w),
-                num(error),
-                num(p_term),
-                num(i_term),
-                num(d_term),
-                num(output)
-            );
+            int(s, ", \"span\": ", span);
+            int(s, ", \"parent\": ", parent);
+            int(s, ", \"round\": ", round);
+            int(s, ", \"step\": ", step);
+            int(s, ", \"island\": ", island);
+            real(s, ", \"sensed_w\": ", sensed_w);
+            real(s, ", \"utilization\": ", utilization);
+            real(s, ", \"target_w\": ", target_w);
+            real(s, ", \"error\": ", error);
+            real(s, ", \"p\": ", p_term);
+            real(s, ", \"i\": ", i_term);
+            real(s, ", \"d\": ", d_term);
+            real(s, ", \"output\": ", output);
+            int(s, ", \"dvfs\": ", dvfs_index);
+            boolean(s, ", \"saturated\": ", saturated);
         }
         EventPayload::Actuation {
             span,
@@ -102,22 +116,22 @@ pub fn event_to_jsonl(event: &Event) -> String {
             to_dvfs,
             granted,
         } => {
-            let _ = write!(
-                s,
-                ", \"span\": {span}, \"parent\": {parent}, \"island\": {island}, \"from_dvfs\": {from_dvfs}, \"requested_dvfs\": {requested_dvfs}, \"to_dvfs\": {to_dvfs}, \"granted\": {granted}"
-            );
+            int(s, ", \"span\": ", span);
+            int(s, ", \"parent\": ", parent);
+            int(s, ", \"island\": ", island);
+            int(s, ", \"from_dvfs\": ", from_dvfs);
+            int(s, ", \"requested_dvfs\": ", requested_dvfs);
+            int(s, ", \"to_dvfs\": ", to_dvfs);
+            boolean(s, ", \"granted\": ", granted);
         }
         EventPayload::TransducerRezero {
             island,
             residual_w,
             offset_w,
         } => {
-            let _ = write!(
-                s,
-                ", \"island\": {island}, \"residual_w\": {}, \"offset_w\": {}",
-                num(residual_w),
-                num(offset_w)
-            );
+            int(s, ", \"island\": ", island);
+            real(s, ", \"residual_w\": ", residual_w);
+            real(s, ", \"offset_w\": ", offset_w);
         }
         EventPayload::ThermalViolation {
             source,
@@ -126,15 +140,13 @@ pub fn event_to_jsonl(event: &Event) -> String {
             value,
             limit,
         } => {
-            let _ = write!(
-                s,
-                ", \"source\": \"{}\", \"island\": {island}",
-                source.as_str()
-            );
+            label(s, ", \"source\": ", source.as_str());
+            int(s, ", \"island\": ", island);
             if partner != u32::MAX {
-                let _ = write!(s, ", \"partner\": {partner}");
+                int(s, ", \"partner\": ", partner);
             }
-            let _ = write!(s, ", \"value\": {}, \"limit\": {}", num(value), num(limit));
+            real(s, ", \"value\": ", value);
+            real(s, ", \"limit\": ", limit);
         }
         EventPayload::PolicyHoldReversal {
             island,
@@ -143,38 +155,35 @@ pub fn event_to_jsonl(event: &Event) -> String {
             epi_prev,
             hold_intervals,
         } => {
-            let _ = write!(
-                s,
-                ", \"island\": {island}, \"level\": {}, \"epi_now\": {}, \"epi_prev\": {}, \"hold_intervals\": {hold_intervals}",
-                num(level),
-                num(epi_now),
-                num(epi_prev)
-            );
+            int(s, ", \"island\": ", island);
+            real(s, ", \"level\": ", level);
+            real(s, ", \"epi_now\": ", epi_now);
+            real(s, ", \"epi_prev\": ", epi_prev);
+            int(s, ", \"hold_intervals\": ", hold_intervals);
         }
         EventPayload::WorkerSpan {
             worker,
-            label,
+            label: name,
             start_s,
             end_s,
         } => {
-            let _ = write!(
-                s,
-                ", \"worker\": {worker}, \"label\": \"{label}\", \"start_s\": {}, \"end_s\": {}",
-                num(start_s),
-                num(end_s)
-            );
+            int(s, ", \"worker\": ", worker);
+            label(s, ", \"label\": ", name);
+            real(s, ", \"start_s\": ", start_s);
+            real(s, ", \"end_s\": ", end_s);
         }
         EventPayload::Injection {
-            label,
+            label: name,
             island,
             active,
             value,
         } => {
-            let _ = write!(s, ", \"label\": \"{label}\"");
+            label(s, ", \"label\": ", name);
             if island != u32::MAX {
-                let _ = write!(s, ", \"island\": {island}");
+                int(s, ", \"island\": ", island);
             }
-            let _ = write!(s, ", \"active\": {active}, \"value\": {}", num(value));
+            boolean(s, ", \"active\": ", active);
+            real(s, ", \"value\": ", value);
         }
         EventPayload::Alarm {
             monitor,
@@ -183,20 +192,16 @@ pub fn event_to_jsonl(event: &Event) -> String {
             value,
             threshold,
         } => {
-            let _ = write!(s, ", \"monitor\": \"{monitor}\"");
+            label(s, ", \"monitor\": ", monitor);
             if island != u32::MAX {
-                let _ = write!(s, ", \"island\": {island}");
+                int(s, ", \"island\": ", island);
             }
-            let _ = write!(
-                s,
-                ", \"round\": {round}, \"value\": {}, \"threshold\": {}",
-                num(value),
-                num(threshold)
-            );
+            int(s, ", \"round\": ", round);
+            real(s, ", \"value\": ", value);
+            real(s, ", \"threshold\": ", threshold);
         }
     }
     s.push('}');
-    s
 }
 
 /// Renders a slice of events as a JSONL document (one event per line,
@@ -204,7 +209,7 @@ pub fn event_to_jsonl(event: &Event) -> String {
 pub fn events_to_jsonl(events: &[Event]) -> String {
     let mut s = String::new();
     for e in events {
-        s.push_str(&event_to_jsonl(e));
+        write_event_jsonl(&mut s, e);
         s.push('\n');
     }
     s
@@ -260,7 +265,7 @@ impl CsvSeries {
                     s.push(',');
                 }
                 if let Some(v) = row.get(i) {
-                    s.push_str(&num(*v));
+                    push_num(&mut s, *v);
                 }
             }
             s.push('\n');
@@ -287,10 +292,32 @@ mod tests {
         }
     }
 
+    fn render(event: &Event) -> String {
+        let mut s = String::new();
+        write_event_jsonl(&mut s, event);
+        s
+    }
+
+    #[test]
+    fn write_event_jsonl_appends_to_the_buffer() {
+        let e = at(
+            1,
+            0.0005,
+            EventPayload::TransducerRezero {
+                island: 0,
+                residual_w: 0.2,
+                offset_w: 0.08,
+            },
+        );
+        let mut s = String::from("prefix|");
+        write_event_jsonl(&mut s, &e);
+        assert_eq!(s, format!("prefix|{}", render(&e)));
+    }
+
     #[test]
     fn pic_decision_line_has_stable_field_order() {
         let span = crate::SpanId::pic_decision(2, 1, 3);
-        let line = event_to_jsonl(&at(
+        let line = render(&at(
             3,
             0.0015,
             EventPayload::PicDecision {
@@ -328,7 +355,7 @@ mod tests {
     #[test]
     fn actuation_and_round_lines_carry_span_links() {
         let round = crate::SpanId::gpm_round(14);
-        let line = event_to_jsonl(&at(
+        let line = render(&at(
             10,
             0.07,
             EventPayload::GpmRound {
@@ -349,7 +376,7 @@ mod tests {
             )
         );
         let act = crate::SpanId::actuation(14, 2, 7);
-        let line = event_to_jsonl(&at(
+        let line = render(&at(
             11,
             0.0735,
             EventPayload::Actuation {
@@ -376,7 +403,7 @@ mod tests {
 
     #[test]
     fn chip_wide_alarm_omits_island_targeted_alarm_keeps_it() {
-        let chip_wide = event_to_jsonl(&at(
+        let chip_wide = render(&at(
             5,
             0.05,
             EventPayload::Alarm {
@@ -393,7 +420,7 @@ mod tests {
              \"monitor\": \"budget-overshoot\", \"round\": 9, \"value\": 0.081000, \
              \"threshold\": 0.050000}"
         );
-        let targeted = event_to_jsonl(&at(
+        let targeted = render(&at(
             6,
             0.05,
             EventPayload::Alarm {
@@ -409,7 +436,7 @@ mod tests {
 
     #[test]
     fn pair_violation_includes_partner_single_omits_it() {
-        let pair = event_to_jsonl(&at(
+        let pair = render(&at(
             0,
             0.01,
             EventPayload::ThermalViolation {
@@ -421,7 +448,7 @@ mod tests {
             },
         ));
         assert!(pair.contains("\"partner\": 3"), "{pair}");
-        let single = event_to_jsonl(&at(
+        let single = render(&at(
             1,
             0.01,
             EventPayload::ThermalViolation {
@@ -471,7 +498,7 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_zero() {
-        let line = event_to_jsonl(&at(
+        let line = render(&at(
             0,
             f64::NAN,
             EventPayload::WorkerSpan {

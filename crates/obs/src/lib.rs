@@ -1,6 +1,6 @@
 //! `cpm-obs` — the observability substrate for the CPM stack.
 //!
-//! Four pieces, all std-only (the workspace builds with zero external
+//! Its pieces, all std-only (the workspace builds with zero external
 //! crates):
 //!
 //! * **Flight recorder** ([`Recorder`], [`FlightRecorder`]) — a
@@ -13,6 +13,9 @@
 //! * **Exporters** ([`export`]) — JSONL event traces and CSV time-series
 //!   with stable field order and fixed decimal precision, so CI can diff
 //!   artifacts byte-for-byte across worker counts.
+//! * **Fixed-precision formatter** (crate-internal) — `{:.N}`-identical
+//!   decimal rendering straight into the caller's buffer, shared by
+//!   every exporter.
 //! * **Digests** ([`digest`]) — FNV-1a 64 fingerprints of rendered JSONL
 //!   traces, the currency of the scenario harness's committed golden
 //!   trajectories.
@@ -39,6 +42,7 @@ pub mod chrome;
 pub mod digest;
 pub mod event;
 pub mod export;
+mod fixed;
 pub mod recorder;
 pub mod registry;
 pub mod slo;
@@ -47,7 +51,7 @@ pub mod span;
 pub use chrome::{events_to_chrome, validate_chrome_trace};
 pub use digest::{digest_events, digest_str, fnv1a64, format_digest, Fnv1a64};
 pub use event::{Event, EventKind, EventPayload, ThermalSource};
-pub use export::{event_to_jsonl, events_to_jsonl, write_jsonl, CsvSeries};
+pub use export::{events_to_jsonl, write_event_jsonl, write_jsonl, CsvSeries};
 pub use recorder::{FlightRecorder, Recorder};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use slo::{

@@ -9,6 +9,7 @@
 //! every snapshot renders in a stable, sorted order — a requirement for
 //! the byte-identical artifacts the CI determinism gates diff.
 
+use crate::fixed::{num, push_num};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,15 +240,6 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Formats a finite f64 for JSON (6 decimal places; non-finite becomes 0).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl Snapshot {
     /// Renders the snapshot as a JSON document (hand-rolled — the
     /// workspace builds with zero external crates).
@@ -265,7 +257,9 @@ impl Snapshot {
         s.push_str("  \"gauges\": {");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             let sep = if i + 1 < self.gauges.len() { "," } else { "" };
-            let _ = write!(s, "\n    \"{k}\": {}{sep}", jnum(*v));
+            let _ = write!(s, "\n    \"{k}\": ");
+            push_num(&mut s, *v);
+            s.push_str(sep);
         }
         s.push_str(if self.gauges.is_empty() {
             "},\n"
@@ -279,14 +273,14 @@ impl Snapshot {
             } else {
                 ""
             };
-            let bounds: Vec<String> = h.bounds.iter().map(|b| jnum(*b)).collect();
+            let bounds: Vec<String> = h.bounds.iter().map(|b| num(*b)).collect();
             let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
             let _ = write!(
                 s,
                 "\n    \"{k}\": {{\"bounds\": [{}], \"counts\": [{}], \"sum\": {}}}{sep}",
                 bounds.join(", "),
                 counts.join(", "),
-                jnum(h.sum)
+                num(h.sum)
             );
         }
         s.push_str(if self.histograms.is_empty() {
@@ -310,17 +304,17 @@ impl Snapshot {
         if !self.gauges.is_empty() {
             s.push_str("gauges:\n");
             for (k, v) in &self.gauges {
-                let _ = writeln!(s, "  {k:<44} {}", jnum(*v));
+                let _ = writeln!(s, "  {k:<44} {}", num(*v));
             }
         }
         if !self.histograms.is_empty() {
             s.push_str("histograms:\n");
             for (k, h) in &self.histograms {
-                let mean = h.mean().map_or("-".to_string(), jnum);
+                let mean = h.mean().map_or("-".to_string(), num);
                 let _ = writeln!(s, "  {k:<44} n={} mean={mean}", h.count());
                 for (i, c) in h.counts.iter().enumerate() {
                     let label = if i < h.bounds.len() {
-                        format!("≤{}", jnum(h.bounds[i]))
+                        format!("≤{}", num(h.bounds[i]))
                     } else {
                         "overflow".to_string()
                     };

@@ -27,7 +27,8 @@
 //! not violation duration.
 
 use crate::event::{Event, EventPayload};
-use crate::export::num;
+use crate::export::{int, label, real};
+use crate::fixed::num;
 use crate::span::SpanId;
 use std::fmt::Write as _;
 
@@ -454,14 +455,11 @@ impl HealthReport {
         let _ = writeln!(s, "  \"verdict\": \"{}\",", self.verdict());
         s.push_str("  \"monitors\": [\n");
         for (i, m) in self.monitors.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"monitor\": \"{}\", \"alarms\": {}, \"worst_value\": {}, \"threshold\": {}}}",
-                m.monitor.as_str(),
-                m.alarms,
-                num(m.worst_value),
-                num(m.threshold)
-            );
+            label(&mut s, "    {\"monitor\": ", m.monitor.as_str());
+            int(&mut s, ", \"alarms\": ", m.alarms);
+            real(&mut s, ", \"worst_value\": ", m.worst_value);
+            real(&mut s, ", \"threshold\": ", m.threshold);
+            s.push('}');
             s.push_str(if i + 1 < self.monitors.len() {
                 ",\n"
             } else {

@@ -2,14 +2,16 @@
 //!
 //! The unit tests in `export.rs`/`chrome.rs` pin individual event lines;
 //! this suite covers the degenerate inputs the renderers must survive
-//! (empty streams, single rows, ring-buffer truncation) and pins one
-//! full Chrome `trace_event` document byte-for-byte, so any change to
-//! the envelope, metadata ordering, or per-event field order shows up as
-//! a fixture diff rather than a silently re-shaped artifact.
+//! (empty streams, single rows, ring-buffer truncation) and pins two
+//! full Chrome `trace_event` documents byte-for-byte, with the JSONL of
+//! the variant fixture, so any change to the envelope, metadata ordering,
+//! or per-event field order shows up as a fixture diff rather than a
+//! silently re-shaped artifact. Between them the two fixtures cover
+//! every payload variant.
 
 use cpm_obs::{
     events_to_chrome, events_to_jsonl, validate_chrome_trace, CsvSeries, Event, EventPayload,
-    Recorder, SpanId,
+    Recorder, SpanId, ThermalSource,
 };
 
 #[test]
@@ -189,6 +191,134 @@ fn chrome_trace_matches_the_pinned_fixture() {
     );
     assert_eq!(
         doc, expected,
+        "Chrome exporter drifted from the pinned fixture"
+    );
+}
+
+/// The payload variants the first Chrome fixture lacks: a rezero, a
+/// pair and a single-island thermal violation, a hold reversal, a
+/// chip-wide and a targeted injection (the latter with a non-finite
+/// value), and a targeted alarm.
+fn variant_events() -> Vec<Event> {
+    let ev = |seq: u64, time_s: f64, payload: EventPayload| Event {
+        seq,
+        time_s,
+        payload,
+    };
+    vec![
+        ev(
+            0,
+            0.0125,
+            EventPayload::TransducerRezero {
+                island: 1,
+                residual_w: 0.3125,
+                offset_w: -0.0421875,
+            },
+        ),
+        ev(
+            1,
+            0.015,
+            EventPayload::ThermalViolation {
+                source: ThermalSource::AdjacentPairCap,
+                island: 2,
+                partner: 3,
+                value: 18.0625,
+                limit: 17.6,
+            },
+        ),
+        ev(
+            2,
+            0.015,
+            EventPayload::ThermalViolation {
+                source: ThermalSource::DieThreshold,
+                island: 0,
+                partner: u32::MAX,
+                value: 85.123456789,
+                limit: 85.0,
+            },
+        ),
+        ev(
+            3,
+            0.02,
+            EventPayload::PolicyHoldReversal {
+                island: 3,
+                level: 0.875,
+                epi_now: 1.2345678e-9,
+                epi_prev: -1.5e-9,
+                hold_intervals: 4,
+            },
+        ),
+        ev(
+            4,
+            0.0205,
+            EventPayload::Injection {
+                label: "budget-step",
+                island: u32::MAX,
+                active: true,
+                value: 0.7,
+            },
+        ),
+        ev(
+            5,
+            0.025,
+            EventPayload::Injection {
+                label: "sensor-noise",
+                island: 2,
+                active: false,
+                value: f64::NAN,
+            },
+        ),
+        ev(
+            6,
+            0.0300000005,
+            EventPayload::Alarm {
+                monitor: "stale-sensor",
+                island: 1,
+                round: 6,
+                value: 8.0,
+                threshold: 6.0,
+            },
+        ),
+    ]
+}
+
+/// The second pinned fixture: the payload variants the first one lacks,
+/// in both renderers. The expected bytes were rendered by the
+/// `format!`-based exporters this crate used before the in-place writers.
+#[test]
+fn every_payload_variant_matches_its_pinned_jsonl_and_chrome() {
+    let events = variant_events();
+    let expected_jsonl = concat!(
+        "{\"seq\": 0, \"t\": 0.012500, \"kind\": \"TransducerRezero\", \"island\": 1, \"residual_w\": 0.312500, \"offset_w\": -0.042188}\n",
+        "{\"seq\": 1, \"t\": 0.015000, \"kind\": \"ThermalViolation\", \"source\": \"adjacent_pair_cap\", \"island\": 2, \"partner\": 3, \"value\": 18.062500, \"limit\": 17.600000}\n",
+        "{\"seq\": 2, \"t\": 0.015000, \"kind\": \"ThermalViolation\", \"source\": \"die_threshold\", \"island\": 0, \"value\": 85.123457, \"limit\": 85.000000}\n",
+        "{\"seq\": 3, \"t\": 0.020000, \"kind\": \"PolicyHoldReversal\", \"island\": 3, \"level\": 0.875000, \"epi_now\": 0.000000, \"epi_prev\": -0.000000, \"hold_intervals\": 4}\n",
+        "{\"seq\": 4, \"t\": 0.020500, \"kind\": \"Injection\", \"label\": \"budget-step\", \"active\": true, \"value\": 0.700000}\n",
+        "{\"seq\": 5, \"t\": 0.025000, \"kind\": \"Injection\", \"label\": \"sensor-noise\", \"island\": 2, \"active\": false, \"value\": 0.0}\n",
+        "{\"seq\": 6, \"t\": 0.030000, \"kind\": \"Alarm\", \"monitor\": \"stale-sensor\", \"island\": 1, \"round\": 6, \"value\": 8.000000, \"threshold\": 6.000000}\n",
+    );
+    assert_eq!(events_to_jsonl(&events), expected_jsonl);
+    let doc = events_to_chrome(&events);
+    validate_chrome_trace(&doc).expect("fixture validates");
+    let expected_chrome = concat!(
+        "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \"cpm-chip\"}},\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"thread_name\", \"args\": {\"name\": \"gpm\"}},\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 1, \"name\": \"thread_name\", \"args\": {\"name\": \"island0\"}},\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 2, \"name\": \"thread_name\", \"args\": {\"name\": \"island1\"}},\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 3, \"name\": \"thread_name\", \"args\": {\"name\": \"island2\"}},\n",
+        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 4, \"name\": \"thread_name\", \"args\": {\"name\": \"island3\"}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 2, \"ts\": 12500.000, \"s\": \"t\", \"name\": \"TransducerRezero\", \"args\": {\"island\": 1, \"residual_w\": 0.312500, \"offset_w\": -0.042188}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 3, \"ts\": 15000.000, \"s\": \"t\", \"name\": \"ThermalViolation\", \"args\": {\"source\": \"adjacent_pair_cap\", \"island\": 2, \"partner\": 3, \"value\": 18.062500, \"limit\": 17.600000}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 1, \"ts\": 15000.000, \"s\": \"t\", \"name\": \"ThermalViolation\", \"args\": {\"source\": \"die_threshold\", \"island\": 0, \"value\": 85.123457, \"limit\": 85.000000}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 4, \"ts\": 20000.000, \"s\": \"t\", \"name\": \"PolicyHoldReversal\", \"args\": {\"island\": 3, \"level\": 0.875000, \"epi_now\": 0.000000, \"epi_prev\": -0.000000, \"hold_intervals\": 4}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 0, \"ts\": 20500.000, \"s\": \"g\", \"name\": \"Injection budget-step\", \"args\": {\"active\": true, \"value\": 0.700000}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 3, \"ts\": 25000.000, \"s\": \"g\", \"name\": \"Injection sensor-noise\", \"args\": {\"active\": false, \"value\": 0.0, \"island\": 2}},\n",
+        "{\"ph\": \"i\", \"pid\": 0, \"tid\": 2, \"ts\": 30000.000, \"s\": \"g\", \"name\": \"Alarm stale-sensor\", \"args\": {\"round\": 6, \"value\": 8.000000, \"threshold\": 6.000000, \"island\": 1}}\n",
+        "]}\n",
+    );
+    assert_eq!(
+        doc, expected_chrome,
         "Chrome exporter drifted from the pinned fixture"
     );
 }

@@ -18,8 +18,7 @@
 use cpm_core::coordinator::PolicyKind;
 use cpm_core::{ExperimentConfig, ManagementScheme, Outcome, ThermalConstraints};
 use cpm_obs::{
-    append_alarm_events, digest_str, events_to_chrome, events_to_jsonl, Event, EventKind,
-    HealthReport, Recorder, SloPolicy,
+    append_alarm_events, events_to_chrome, Event, EventKind, HealthReport, Recorder, SloPolicy,
 };
 use cpm_units::IslandId;
 use cpm_workloads::Mix;
@@ -114,9 +113,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     let policy = SloPolicy::default();
     let slo_alarms = cpm_obs::slo::scan(&events, policy);
     append_alarm_events(&mut events, &slo_alarms);
-    let jsonl = events_to_jsonl(&events);
-    let digest = digest_str(&jsonl);
-    let golden = GoldenDoc::from_jsonl(scenario.name, &jsonl);
+    let (jsonl, golden) = GoldenDoc::render_events(scenario.name, &events);
+    let digest = golden.digest.clone();
     let checks = (scenario.checks)(&outcome, &events);
     let health = HealthReport::new(scenario.name, &events, &slo_alarms, &policy);
     Ok(ScenarioRun {

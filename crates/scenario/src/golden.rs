@@ -16,7 +16,7 @@
 //! nondeterminism (two runs disagreeing with *each other*) and then
 //! anchors the behavioral change at the first diverging event.
 
-use cpm_obs::digest_str;
+use cpm_obs::{format_digest, write_event_jsonl, Event, Fnv1a64};
 
 /// Events per golden block. Small enough to localize a divergence to a
 /// couple of GPM rounds, large enough that goldens stay a few dozen
@@ -64,30 +64,101 @@ pub struct Divergence {
     pub actual_first_line: String,
 }
 
+/// The one fingerprint walker behind [`GoldenDoc::from_jsonl`] and
+/// [`GoldenDoc::render_events`]. Fed one line at a time, it folds each
+/// line into the whole-stream digest and its block's digest in the same
+/// loop, with no per-block copy of the text.
+struct Fingerprint {
+    whole: Fnv1a64,
+    block: Fnv1a64,
+    events: usize,
+    blocks: Vec<GoldenBlock>,
+}
+
+impl Fingerprint {
+    /// A walker for a stream of `events` lines (0 when unknown). Sizing
+    /// the block list up front keeps its reallocations from interleaving
+    /// with the growth of the JSONL buffer, which measured about 100 KB
+    /// lower peak RSS on the scenario pass (DESIGN.md §3c).
+    fn new(events: usize) -> Self {
+        Self {
+            whole: Fnv1a64::new(),
+            block: Fnv1a64::new(),
+            events: 0,
+            blocks: Vec::with_capacity(events.div_ceil(BLOCK_EVENTS)),
+        }
+    }
+
+    /// Seals the open block's digest.
+    fn seal(&mut self) {
+        if let Some(b) = self.blocks.last_mut() {
+            b.digest = format_digest(self.block.finish());
+        }
+    }
+
+    /// Folds one raw line of the stream: its bytes as they appear,
+    /// terminator included when there is one. The whole digest hashes
+    /// those bytes. The line itself follows `str::lines` (no `\n` or
+    /// `\r\n`), and the block digest hashes it plus `\n`, also where the
+    /// text has `\r\n` or no final newline.
+    fn feed(&mut self, raw: &str) {
+        let line = match raw.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => raw,
+        };
+        if self.events % BLOCK_EVENTS == 0 {
+            self.seal();
+            self.block = Fnv1a64::new();
+            self.blocks.push(GoldenBlock {
+                digest: String::new(),
+                first_line: line.to_string(),
+            });
+        }
+        self.events += 1;
+        // `raw` is exactly `line` plus `\n`: both chains take the same bytes.
+        if raw.len() == line.len() + 1 {
+            self.whole.update_pair(&mut self.block, raw.as_bytes());
+        } else {
+            self.whole.update(raw.as_bytes());
+            self.block.update(line.as_bytes());
+            self.block.update(b"\n");
+        }
+    }
+
+    fn finish(mut self, scenario: &str) -> GoldenDoc {
+        self.seal();
+        GoldenDoc {
+            scenario: scenario.to_string(),
+            events: self.events,
+            digest: format_digest(self.whole.finish()),
+            blocks: self.blocks,
+        }
+    }
+}
+
 impl GoldenDoc {
     /// Fingerprints a rendered JSONL trajectory.
     pub fn from_jsonl(scenario: &str, jsonl: &str) -> Self {
-        let lines: Vec<&str> = jsonl.lines().collect();
-        let blocks = lines
-            .chunks(BLOCK_EVENTS)
-            .map(|chunk| {
-                let mut body = String::new();
-                for line in chunk {
-                    body.push_str(line);
-                    body.push('\n');
-                }
-                GoldenBlock {
-                    digest: digest_str(&body),
-                    first_line: chunk.first().map_or(String::new(), |l| l.to_string()),
-                }
-            })
-            .collect();
-        Self {
-            scenario: scenario.to_string(),
-            events: lines.len(),
-            digest: digest_str(jsonl),
-            blocks,
+        let mut fp = Fingerprint::new(0);
+        for raw in jsonl.split_inclusive('\n') {
+            fp.feed(raw);
         }
+        fp.finish(scenario)
+    }
+
+    /// Renders `events` as JSONL and fingerprints each line as it is
+    /// written: `(events_to_jsonl(events), from_jsonl(scenario, ..))` in
+    /// one pass over the text.
+    pub fn render_events(scenario: &str, events: &[Event]) -> (String, Self) {
+        let mut jsonl = String::new();
+        let mut fp = Fingerprint::new(events.len());
+        for e in events {
+            let start = jsonl.len();
+            write_event_jsonl(&mut jsonl, e);
+            jsonl.push('\n');
+            fp.feed(&jsonl[start..]);
+        }
+        (jsonl, fp.finish(scenario))
     }
 
     /// Renders the committed text form.
@@ -297,6 +368,80 @@ mod tests {
             s.push_str(&format!("{{\"seq\": {i}, \"kind\": \"PicDecision\"}}\n"));
         }
         s
+    }
+
+    /// The original definition, kept as the oracle: split with
+    /// `lines()`, copy each block into a `String`, hash it, then hash the
+    /// whole text again.
+    fn from_jsonl_oracle(scenario: &str, jsonl: &str) -> GoldenDoc {
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let blocks = lines
+            .chunks(BLOCK_EVENTS)
+            .map(|chunk| {
+                let mut body = String::new();
+                for line in chunk {
+                    body.push_str(line);
+                    body.push('\n');
+                }
+                GoldenBlock {
+                    digest: cpm_obs::digest_str(&body),
+                    first_line: chunk.first().map_or(String::new(), |l| l.to_string()),
+                }
+            })
+            .collect();
+        GoldenDoc {
+            scenario: scenario.to_string(),
+            events: lines.len(),
+            digest: cpm_obs::digest_str(jsonl),
+            blocks,
+        }
+    }
+
+    #[test]
+    fn streaming_fingerprint_matches_the_oracle() {
+        let full = jsonl(BLOCK_EVENTS);
+        let texts = [
+            String::new(),
+            "\n".to_string(),
+            "{\"seq\": 0}".to_string(),
+            jsonl(3).trim_end().to_string(),
+            "{\"seq\": 0}\n\n{\"seq\": 2}\n".to_string(),
+            "{\"seq\": 0}\r\n{\"seq\": 1}\r\n".to_string(),
+            full.clone(),
+            full.trim_end().to_string(),
+            jsonl(BLOCK_EVENTS + 1),
+            jsonl(BLOCK_EVENTS + 1).trim_end().to_string(),
+            jsonl(3 * BLOCK_EVENTS + 7),
+        ];
+        for text in &texts {
+            assert_eq!(
+                GoldenDoc::from_jsonl("s", text),
+                from_jsonl_oracle("s", text),
+                "text of {} bytes",
+                text.len()
+            );
+        }
+    }
+
+    #[test]
+    fn render_events_matches_render_then_fingerprint() {
+        use cpm_obs::EventPayload;
+        let events: Vec<Event> = (0..BLOCK_EVENTS as u32 + 3)
+            .map(|i| Event {
+                seq: u64::from(i),
+                time_s: f64::from(i) * 5e-4,
+                payload: EventPayload::TransducerRezero {
+                    island: i % 4,
+                    residual_w: f64::from(i) / 3.0,
+                    offset_w: -0.01,
+                },
+            })
+            .collect();
+        for n in [0, 1, BLOCK_EVENTS, events.len()] {
+            let (text, doc) = GoldenDoc::render_events("s", &events[..n]);
+            assert_eq!(text, cpm_obs::events_to_jsonl(&events[..n]));
+            assert_eq!(doc, from_jsonl_oracle("s", &text));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use cpm::core::coordinator::PolicyKind;
 use cpm::core::policies::thermal::ThermalConstraints;
-use cpm::obs::{event_to_jsonl, EventKind, Recorder, Registry};
+use cpm::obs::{write_event_jsonl, EventKind, Recorder, Registry};
 use cpm::prelude::*;
 use cpm::units::Celsius;
 
@@ -62,10 +62,9 @@ fn main() {
         .iter()
         .find(|e| e.kind() == EventKind::ThermalViolation)
         .expect("the tight budget and low watchdog threshold force one");
-    println!(
-        "\nfirst thermal violation:\n  {}",
-        event_to_jsonl(violation)
-    );
+    let mut line = String::new();
+    write_event_jsonl(&mut line, violation);
+    println!("\nfirst thermal violation:\n  {line}");
 
     // The registry's one-page report: counters and gauges the coordinator
     // published at the end of the measurement.

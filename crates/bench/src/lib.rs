@@ -26,6 +26,7 @@ pub mod scenario;
 pub mod schema;
 pub mod trace;
 
+use cpm_obs::json_num;
 use experiments as ex;
 
 /// All experiment ids in paper order.
@@ -137,25 +138,7 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
     let stats = pool.stats();
     stats.export(&registry);
 
-    // Memoization effectiveness across the whole sweep: the process-wide
-    // probe / calibration-sweep / cache-simulator caches count hits and
-    // misses; publishing them here makes the artifact show the caches
-    // actually carrying load. Absolute values depend on worker count and
-    // process history — the artifact is schema-checked, not byte-diffed.
-    for (name, (hits, misses)) in [
-        (
-            "memo.probe",
-            cpm_core::coordinator::Coordinator::probe_cache_stats(),
-        ),
-        (
-            "memo.calib_sweep",
-            cpm_core::coordinator::Coordinator::calib_sweep_cache_stats(),
-        ),
-        ("memo.calibration", cpm_sim::calibration::cache_stats()),
-    ] {
-        registry.counter(&format!("{name}.hits")).add(hits);
-        registry.counter(&format!("{name}.misses")).add(misses);
-    }
+    publish_memo_stats(&registry);
 
     SweepOutcome {
         reports,
@@ -166,6 +149,22 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
     }
 }
 
+/// Publishes the cumulative hits and misses of the process-wide memo
+/// tables (`memo.probe.*`, `memo.calib_sweep.*`) to `registry`, so the
+/// sweep artifact shows the caches carrying load. Absolute values depend
+/// on worker count and process history — the artifact is schema-checked,
+/// not byte-diffed.
+pub fn publish_memo_stats(registry: &cpm_obs::Registry) {
+    use cpm_core::coordinator::Coordinator;
+    for (name, (hits, misses)) in [
+        ("memo.probe", Coordinator::probe_cache_stats()),
+        ("memo.calib_sweep", Coordinator::calib_sweep_cache_stats()),
+    ] {
+        registry.counter(&format!("{name}.hits")).add(hits);
+        registry.counter(&format!("{name}.misses")).add(misses);
+    }
+}
+
 /// Renders a sweep's telemetry as a JSON document (the
 /// `BENCH_experiments.json` artifact): per-experiment wall-clock plus
 /// per-worker jobs / steals / busy-time / utilization.
@@ -173,18 +172,11 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
 /// Hand-rolled writer — the workspace builds with zero external crates,
 /// so no serde. All emitted numbers are finite.
 pub fn sweep_json(sweep: &SweepOutcome) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.6}")
-        } else {
-            "0.0".to_string()
-        }
-    }
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"workers\": {},\n", sweep.stats.workers));
     s.push_str(&format!(
         "  \"total_seconds\": {},\n",
-        num(sweep.total_seconds)
+        json_num(sweep.total_seconds, 6)
     ));
     s.push_str("  \"experiments\": [\n");
     for (k, t) in sweep.timings.iter().enumerate() {
@@ -192,13 +184,13 @@ pub fn sweep_json(sweep: &SweepOutcome) -> String {
         s.push_str(&format!(
             "    {{\"id\": \"{}\", \"seconds\": {}}}{sep}\n",
             t.id,
-            num(t.seconds)
+            json_num(t.seconds, 6)
         ));
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
         "  \"pool\": {{\n    \"elapsed_seconds\": {},\n    \"total_jobs\": {},\n    \"contexts\": [\n",
-        num(sweep.stats.elapsed.as_secs_f64()),
+        json_num(sweep.stats.elapsed.as_secs_f64(), 6),
         sweep.stats.total_jobs()
     ));
     let n = sweep.stats.per_context.len();
@@ -209,8 +201,8 @@ pub fn sweep_json(sweep: &SweepOutcome) -> String {
             "      {{\"context\": {k}, \"role\": \"{role}\", \"jobs\": {}, \"steals\": {}, \"busy_seconds\": {}, \"utilization\": {}}}{sep}\n",
             c.jobs,
             c.steals,
-            num(c.busy.as_secs_f64()),
-            num(sweep.stats.utilization(k))
+            json_num(c.busy.as_secs_f64(), 6),
+            json_num(sweep.stats.utilization(k), 6)
         ));
     }
     s.push_str("    ]\n  },\n");

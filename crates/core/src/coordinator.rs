@@ -366,11 +366,8 @@ pub struct Coordinator {
     /// (`None` until a transducer calibration actually runs).
     calib_sweep_hit: Option<bool>,
     memo_published: bool,
-    /// Calibration-memo process totals at the last publish, so repeated
-    /// measurements add deltas, not running totals.
-    cal_stats_baseline: (u64, u64),
-    /// Recorder drop count at the last publish (delta semantics, like the
-    /// memo baselines).
+    /// Recorder drop count at the last publish, so repeated measurements
+    /// add deltas, not running totals.
     dropped_baseline: u64,
     /// Provenance round counter for schemes without a GPM invocation
     /// ordinal (MaxBIPS, no-management); cumulative across measurements.
@@ -472,7 +469,6 @@ impl Coordinator {
             probe_cache_hit,
             calib_sweep_hit: None,
             memo_published: false,
-            cal_stats_baseline: cpm_sim::calibration::cache_stats(),
             dropped_baseline: 0,
             prov_round: 0,
             profiler: None,
@@ -1176,8 +1172,8 @@ impl Coordinator {
     /// Publishes run-level instruments to the registry (called once per
     /// measurement, never on the hot path).
     fn publish_metrics(&mut self, out: &Outcome, rounds: u64, gpm_before: u64, pic_before: u64) {
-        // Memoization instruments: this coordinator's probe outcome (once),
-        // plus calibration-memo activity since the last publish.
+        // Memoization instruments: this coordinator's probe and
+        // calibration-sweep outcomes (once).
         if !self.memo_published {
             self.memo_published = true;
             let (h, m) = if self.probe_cache_hit { (1, 0) } else { (0, 1) };
@@ -1189,15 +1185,6 @@ impl Coordinator {
                 self.registry.counter("memo.calib_sweep.misses").add(m);
             }
         }
-        let (cal_hits, cal_misses) = cpm_sim::calibration::cache_stats();
-        let (base_hits, base_misses) = self.cal_stats_baseline;
-        self.cal_stats_baseline = (cal_hits, cal_misses);
-        self.registry
-            .counter("memo.calibration.hits")
-            .add(cal_hits.saturating_sub(base_hits));
-        self.registry
-            .counter("memo.calibration.misses")
-            .add(cal_misses.saturating_sub(base_misses));
         // Recorder overflow surfaces as a counter so truncated histories
         // are visible in every metrics snapshot (delta since last publish).
         let dropped = self.recorder.dropped();

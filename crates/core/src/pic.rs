@@ -258,7 +258,24 @@ impl PerIslandController {
 
     /// One control invocation: sense, compute the error, run the PID, move
     /// the frequency state, and return the DVFS index to apply.
+    ///
+    /// A non-finite reading on the configured sensor's input (true power
+    /// for the oracle, capacity utilization for the transducer) holds the
+    /// island instead: the frequency state, the PID and the gain estimator
+    /// stay untouched, no decision is recorded, and the current index is
+    /// returned. Left through, one NaN would survive every clamp into the
+    /// frequency state and park the island at its bottom operating point.
     pub fn invoke(&mut self, capacity_utilization: Ratio, true_power: Watts) -> usize {
+        let reading = match self.sensor {
+            PicSensor::Transducer => capacity_utilization.value(),
+            PicSensor::Oracle => true_power.value(),
+        };
+        if !reading.is_finite() {
+            // The interval still passes: later decisions keep the step
+            // ordinal the coordinator stamps on their actuations.
+            self.step_in_round += 1;
+            return self.current_index();
+        }
         let measured = self.sense(capacity_utilization, true_power);
         if self.adaptive {
             self.learn_gain(measured);
@@ -458,6 +475,48 @@ mod tests {
             (tail_mean - 15.0).abs() < 1.5,
             "transducer loop steady at {tail_mean}, want ≈15"
         );
+    }
+
+    #[test]
+    fn one_non_finite_power_reading_is_held_not_latched() {
+        let mut pic = controller(PicSensor::Oracle);
+        let mut island = FakeIsland::new();
+        let table = DvfsTable::pentium_m();
+        pic.set_target(Watts::new(14.0));
+        run_loop(&mut pic, &mut island, 60);
+        let settled = pic.current_index();
+        assert!(
+            settled > 0,
+            "the 14 W target settles above the bottom point"
+        );
+        let held = pic.invoke(island.capacity_utilization(), Watts::new(f64::NAN));
+        assert_eq!(held, settled, "a NaN reading must hold the island");
+        island.apply(held, &table);
+        run_loop(&mut pic, &mut island, 200);
+        assert_eq!(pic.current_index(), settled, "back at the settled point");
+    }
+
+    #[test]
+    fn non_finite_utilization_holds_a_transducer_island() {
+        let mut pic = controller(PicSensor::Transducer);
+        let mut island = FakeIsland::new();
+        let table = DvfsTable::pentium_m();
+        for idx in 0..table.len() {
+            island.apply(idx, &table);
+            pic.observe_calibration(island.capacity_utilization(), island.power());
+        }
+        island.apply(7, &table);
+        pic.set_target(Watts::new(15.0));
+        run_loop(&mut pic, &mut island, 40);
+        let before = pic.current_index();
+        assert!(
+            before > 0 && before + 1 < table.len(),
+            "settles mid-range, got {before}"
+        );
+        let f_norm = pic.f_norm;
+        let held = pic.invoke(Ratio::new(f64::NAN), island.power());
+        assert_eq!(held, before, "a NaN utilization must hold the island");
+        assert_eq!(pic.f_norm.to_bits(), f_norm.to_bits(), "state untouched");
     }
 
     #[test]

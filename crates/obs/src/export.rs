@@ -21,7 +21,7 @@ pub(crate) fn int(s: &mut String, key: &str, v: impl Into<u64>) {
 /// Appends `key` and a fixed-precision number.
 pub(crate) fn real(s: &mut String, key: &str, x: f64) {
     s.push_str(key);
-    push_num(s, x);
+    push_num(s, x, 6);
 }
 
 /// Appends `key` and a boolean.
@@ -265,7 +265,7 @@ impl CsvSeries {
                     s.push(',');
                 }
                 if let Some(v) = row.get(i) {
-                    push_num(&mut s, *v);
+                    push_num(&mut s, *v, 6);
                 }
             }
             s.push('\n');

@@ -80,21 +80,22 @@ pub(crate) fn push_fixed(out: &mut String, x: f64, prec: usize) {
     }
 }
 
-/// Appends `x` with six decimals, the exporters' precision; non-finite
-/// values render as `0.0` so the output stays valid JSON.
-pub(crate) fn push_num(out: &mut String, x: f64) {
+/// Appends `x` with `prec` decimals; non-finite values render as `0.0`
+/// so the output stays valid JSON.
+pub(crate) fn push_num(out: &mut String, x: f64, prec: usize) {
     if x.is_finite() {
-        push_fixed(out, x, 6);
+        push_fixed(out, x, prec);
     } else {
         out.push_str("0.0");
     }
 }
 
-/// [`push_num`] into a fresh `String`, for cold renderers that pad or
-/// join their numbers.
-pub(crate) fn num(x: f64) -> String {
+/// An artifact number: `x` with `prec` decimals, byte for byte as
+/// `format!("{x:.prec$}")` renders it, and `0.0` for non-finite values so
+/// the output stays valid JSON.
+pub fn json_num(x: f64, prec: usize) -> String {
     let mut s = String::with_capacity(16);
-    push_num(&mut s, x);
+    push_num(&mut s, x, prec);
     s
 }
 
@@ -272,9 +273,21 @@ mod tests {
 
     #[test]
     fn num_renders_non_finite_as_zero() {
-        assert_eq!(num(f64::NAN), "0.0");
-        assert_eq!(num(f64::NEG_INFINITY), "0.0");
-        assert_eq!(num(-0.042_187_5), "-0.042188");
+        assert_eq!(json_num(f64::NAN, 6), "0.0");
+        assert_eq!(json_num(f64::NEG_INFINITY, 6), "0.0");
+        assert_eq!(json_num(-0.042_187_5, 6), "-0.042188");
+    }
+
+    #[test]
+    fn json_num_at_precision_three() {
+        assert_eq!(json_num(1234.5, 3), "1234.500");
+        assert_eq!(json_num(0.0625, 3), "0.062");
+        assert_eq!(json_num(-2.0, 3), "-2.000");
+        assert_eq!(json_num(f64::INFINITY, 3), "0.0");
+        assert_eq!(json_num(f64::NAN, 3), "0.0");
+        for x in [0.0005, 1e-9, 17.25, 98_765.432_1] {
+            assert_eq!(json_num(x, 3), format!("{x:.3}"));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! every snapshot renders in a stable, sorted order — a requirement for
 //! the byte-identical artifacts the CI determinism gates diff.
 
-use crate::fixed::{num, push_num};
+use crate::fixed::{json_num, push_num};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,7 +258,7 @@ impl Snapshot {
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             let sep = if i + 1 < self.gauges.len() { "," } else { "" };
             let _ = write!(s, "\n    \"{k}\": ");
-            push_num(&mut s, *v);
+            push_num(&mut s, *v, 6);
             s.push_str(sep);
         }
         s.push_str(if self.gauges.is_empty() {
@@ -273,14 +273,14 @@ impl Snapshot {
             } else {
                 ""
             };
-            let bounds: Vec<String> = h.bounds.iter().map(|b| num(*b)).collect();
+            let bounds: Vec<String> = h.bounds.iter().map(|b| json_num(*b, 6)).collect();
             let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
             let _ = write!(
                 s,
                 "\n    \"{k}\": {{\"bounds\": [{}], \"counts\": [{}], \"sum\": {}}}{sep}",
                 bounds.join(", "),
                 counts.join(", "),
-                num(h.sum)
+                json_num(h.sum, 6)
             );
         }
         s.push_str(if self.histograms.is_empty() {
@@ -304,17 +304,17 @@ impl Snapshot {
         if !self.gauges.is_empty() {
             s.push_str("gauges:\n");
             for (k, v) in &self.gauges {
-                let _ = writeln!(s, "  {k:<44} {}", num(*v));
+                let _ = writeln!(s, "  {k:<44} {}", json_num(*v, 6));
             }
         }
         if !self.histograms.is_empty() {
             s.push_str("histograms:\n");
             for (k, h) in &self.histograms {
-                let mean = h.mean().map_or("-".to_string(), num);
+                let mean = h.mean().map_or("-".to_string(), |m| json_num(m, 6));
                 let _ = writeln!(s, "  {k:<44} n={} mean={mean}", h.count());
                 for (i, c) in h.counts.iter().enumerate() {
                     let label = if i < h.bounds.len() {
-                        format!("≤{}", num(h.bounds[i]))
+                        format!("≤{}", json_num(h.bounds[i], 6))
                     } else {
                         "overflow".to_string()
                     };

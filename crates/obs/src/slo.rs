@@ -28,7 +28,7 @@
 
 use crate::event::{Event, EventPayload};
 use crate::export::{int, label, real};
-use crate::fixed::num;
+use crate::fixed::json_num;
 use crate::span::SpanId;
 use std::fmt::Write as _;
 
@@ -488,8 +488,8 @@ impl HealthReport {
                 "  {:<17} alarms={:<3} worst={} threshold={}",
                 m.monitor.as_str(),
                 m.alarms,
-                num(m.worst_value),
-                num(m.threshold)
+                json_num(m.worst_value, 6),
+                json_num(m.threshold, 6)
             );
         }
         s

@@ -98,20 +98,6 @@ impl LeakageModel {
         self.p_nominal * (multiplier * v_term * t_term)
     }
 
-    /// The libm-backed accuracy twin of [`Self::power_with_v_term`]: the
-    /// same expression with the host `exp`. Exists so the accuracy suite
-    /// can bound the deterministic kernel against a libm build of the
-    /// leakage model — never used by the simulator; its direct libm call
-    /// carries the one `math-scope` lint waiver in this crate.
-    pub fn power_with_v_term_reference(&self, v_term: f64, t: Celsius, multiplier: f64) -> Watts {
-        assert!(multiplier > 0.0, "variation multiplier must be positive");
-        let tk = t.value() + 273.15;
-        let inv_tk0 = 1.0 / (self.t_nominal.value() + 273.15);
-        let t_term =
-            (tk * inv_tk0).powi(2) * ((t.value() - self.t_nominal.value()) * self.beta_t).exp();
-        self.p_nominal * (multiplier * v_term * t_term)
-    }
-
     /// Lane-chunked [`Self::power_with_v_term`]: leakage for `L` cores
     /// sharing one island's hoisted voltage factor and variation
     /// multiplier, with temperatures given in °C.
@@ -162,6 +148,15 @@ mod tests {
 
     fn model() -> LeakageModel {
         LeakageModel::paper_default()
+    }
+
+    /// The libm accuracy oracle for [`LeakageModel::power_with_v_term`]:
+    /// the same expression with the host `exp`.
+    fn power_with_v_term_libm(m: &LeakageModel, v_term: f64, t: Celsius, multiplier: f64) -> Watts {
+        let tk = t.value() + 273.15;
+        let inv_tk0 = 1.0 / (m.t_nominal.value() + 273.15);
+        let t_term = (tk * inv_tk0).powi(2) * ((t.value() - m.t_nominal.value()) * m.beta_t).exp();
+        m.p_nominal * (multiplier * v_term * t_term)
     }
 
     #[test]
@@ -230,7 +225,7 @@ mod tests {
             for t in (30..=110).step_by(5) {
                 for mult in [1.0, 1.2, 1.5, 2.0] {
                     let det = m.power_with_v_term(vt, Celsius::new(t as f64), mult);
-                    let lib = m.power_with_v_term_reference(vt, Celsius::new(t as f64), mult);
+                    let lib = power_with_v_term_libm(&m, vt, Celsius::new(t as f64), mult);
                     let rel = (det.value() - lib.value()).abs() / lib.value();
                     assert!(rel < 1e-14, "V={v:?} T={t} m={mult}: rel err {rel}");
                 }

@@ -1,16 +1,15 @@
 //! Profile ↔ cache-simulator calibration.
 //!
-//! A [`crate::core_model::CoreModel`] can source its miss rates either from
-//! the profile's paper-shaped constants (deterministic, the default for
-//! experiments) or from *measurement*: running the benchmark's synthetic
-//! address stream through the real cache hierarchy. The measured path keeps
-//! the substrate honest — the working-set and locality parameters must
-//! actually produce the claimed cache behaviour — and is compared against
-//! the constants in tests and in an ablation bench.
+//! A core's miss rates can come either from the profile's paper-shaped
+//! constants (deterministic, the default for experiments) or from
+//! *measurement*: running the benchmark's synthetic address stream through
+//! the real cache hierarchy. The measured path keeps the substrate
+//! honest — the working-set and locality parameters must actually produce
+//! the claimed cache behaviour — and is compared against the constants in
+//! tests and in an ablation bench.
 
 use crate::cache::Hierarchy;
 use crate::config::CacheConfig;
-use crate::memo::Memo;
 use cpm_workloads::{AddressStream, BenchmarkProfile};
 
 /// Memory references per kilo-instruction assumed by the calibrator
@@ -35,41 +34,10 @@ pub struct MeasuredRates {
     pub l2_miss_ratio: f64,
 }
 
-/// Calibration is a pure function of (profile, cache config, seed): the
-/// address stream is seeded deterministically and the hierarchy starts
-/// cold, so sweep cells that differ only in budget share one entry.
-static CALIBRATE_MEMO: Memo<MeasuredRates> = Memo::new();
-
-/// Test support: leaves the calibration memo lock poisoned, exactly as a
-/// prober dying mid-lookup would. Subsequent lookups must recover.
-#[doc(hidden)]
-pub fn poison_memo_caches_for_tests() {
-    CALIBRATE_MEMO.poison_for_tests();
-}
-
-/// Cumulative (hits, misses) of the calibration memo for this process —
-/// exported to the metrics registry by the sweep and trace drivers so
-/// artifacts show the memoization working.
-pub fn cache_stats() -> (u64, u64) {
-    CALIBRATE_MEMO.stats()
-}
-
 /// Runs `profile`'s address stream through a fresh hierarchy and reports
-/// measured miss rates. Memoized on (profile, cache config, seed); the
-/// cached value is bit-identical to [`calibrate_uncached`].
+/// measured miss rates. A pure function of (profile, cache config,
+/// seed): the address stream is seeded and the hierarchy starts cold.
 pub fn calibrate(profile: &BenchmarkProfile, cache: &CacheConfig, seed: u64) -> MeasuredRates {
-    let key = format!("{profile:?}|{cache:?}|{seed}");
-    CALIBRATE_MEMO
-        .get_or_compute(&key, || calibrate_uncached(profile, cache, seed))
-        .0
-}
-
-/// The memo-free calibration path: always re-drives the cache simulator.
-pub fn calibrate_uncached(
-    profile: &BenchmarkProfile,
-    cache: &CacheConfig,
-    seed: u64,
-) -> MeasuredRates {
     let mut h = Hierarchy::new(cache);
     let mut stream = AddressStream::new(profile, seed);
     for _ in 0..WARMUP_REFS {

@@ -14,52 +14,15 @@
 //! with `f`: raising frequency buys little for memory-bound phases, which
 //! is the asymmetry the whole power-management problem rides on.
 
-use cpm_units::{Hertz, Ratio, Seconds};
-use cpm_workloads::{BenchmarkProfile, PhaseGenerator, PhaseSample};
-
-/// What a core did during one control interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreIntervalStats {
-    /// Instructions retired.
-    pub instructions: f64,
-    /// Fraction of the interval spent on useful on-chip work (the "CPU
-    /// utilization" visible to performance counters, net of DRAM stalls
-    /// and DVFS-transition freeze time).
-    pub utilization: Ratio,
-    /// Average functional-unit activity factor over the interval (drives
-    /// dynamic power; includes the freeze dead-time).
-    pub activity: Ratio,
-    /// Core cycles elapsed while clocked.
-    pub cycles: f64,
-    /// Bytes of DRAM traffic generated (L2 misses × line size).
-    pub dram_bytes: f64,
-}
-
-/// One core executing one benchmark through its phase sequence.
-#[derive(Debug, Clone)]
-pub struct CoreModel {
-    profile: BenchmarkProfile,
-    phase: PhaseGenerator,
-    l1_mpki: f64,
-    l2_mpki: f64,
-    /// `l1_mpki/1000 · L2_HIT_CYCLES`: the on-chip miss term per unit of
-    /// `mem_scale`. The per-`mpki` constants fold into per-core factors at
-    /// construction so the hot CPI expression — here and in the SoA twin —
-    /// is pure multiply-add with a single divide (the CPI reciprocal).
-    l1_term: f64,
-    /// `l2_mpki/1000 · DRAM_LATENCY_S`: the DRAM-seconds term per unit of
-    /// `mem_scale` (multiplied by `f` in the step).
-    l2_dram: f64,
-    /// `l2_mpki/1000 · 64`: DRAM bytes per instruction per unit of
-    /// `mem_scale`.
-    l2_bytes: f64,
-    total_instructions: f64,
-    total_time: Seconds,
-}
+use cpm_workloads::BenchmarkProfile;
 
 /// The hoisted per-core factors of the CPI stack for miss rates
-/// `(l1_mpki, l2_mpki)` — shared by [`CoreModel`] and the SoA segment so
-/// both derive bit-identical columns from the same expressions.
+/// `(l1_mpki, l2_mpki)`: the on-chip miss term per unit of `mem_scale`
+/// (`l1_mpki/1000 · L2_HIT_CYCLES`), the DRAM-seconds term per unit of
+/// `mem_scale` (multiplied by `f` in the step), and the DRAM bytes per
+/// instruction per unit of `mem_scale` (`l2_mpki/1000 · 64`). The SoA
+/// segment and the scalar test oracle derive their columns from these
+/// same expressions, so both are bit-identical.
 pub(crate) fn miss_terms(l1_mpki: f64, l2_mpki: f64) -> (f64, f64, f64) {
     (
         l1_mpki / 1000.0 * BenchmarkProfile::L2_HIT_CYCLES,
@@ -68,123 +31,153 @@ pub(crate) fn miss_terms(l1_mpki: f64, l2_mpki: f64) -> (f64, f64, f64) {
     )
 }
 
-impl CoreModel {
-    /// Creates a core running `profile`, with phase randomness derived from
-    /// `(seed, stream)`.
-    pub fn new(profile: BenchmarkProfile, seed: u64, stream: u64) -> Self {
-        let phase = PhaseGenerator::new(&profile, seed, stream);
-        let (l1, l2) = (profile.l1_mpki, profile.l2_mpki);
-        let (l1_term, l2_dram, l2_bytes) = miss_terms(l1, l2);
-        Self {
-            profile,
-            phase,
-            l1_mpki: l1,
-            l2_mpki: l2,
-            l1_term,
-            l2_dram,
-            l2_bytes,
-            total_instructions: 0.0,
-            total_time: Seconds::ZERO,
-        }
-    }
-
-    /// Overrides the miss rates with externally calibrated values (e.g.
-    /// from [`crate::calibration::calibrate`]).
-    pub fn with_rates(mut self, l1_mpki: f64, l2_mpki: f64) -> Self {
-        assert!(l1_mpki >= 0.0 && l2_mpki >= 0.0 && l1_mpki >= l2_mpki);
-        self.l1_mpki = l1_mpki;
-        self.l2_mpki = l2_mpki;
-        let (l1_term, l2_dram, l2_bytes) = miss_terms(l1_mpki, l2_mpki);
-        self.l1_term = l1_term;
-        self.l2_dram = l2_dram;
-        self.l2_bytes = l2_bytes;
-        self
-    }
-
-    /// The benchmark this core runs.
-    pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
-    }
-
-    /// Cumulative instructions retired.
-    pub fn total_instructions(&self) -> f64 {
-        self.total_instructions
-    }
-
-    /// Cumulative simulated time.
-    pub fn total_time(&self) -> Seconds {
-        self.total_time
-    }
-
-    /// Effective CPI for a given frequency and phase sample.
-    fn cpi_parts(&self, f: Hertz, s: PhaseSample) -> (f64, f64) {
-        let on_chip = self.profile.base_cpi * s.cpi_scale + self.l1_term * s.mem_scale;
-        let dram = self.l2_dram * s.mem_scale * f.value();
-        (on_chip, dram)
-    }
-
-    /// Advances the core one interval of `dt` at frequency `f`, with
-    /// `frozen` of that interval lost to a DVFS transition (no instructions
-    /// retire while frozen), under an uncontended memory system.
-    pub fn step(&mut self, f: Hertz, dt: Seconds, frozen: Seconds) -> CoreIntervalStats {
-        self.step_contended(f, dt, frozen, 1.0)
-    }
-
-    /// Like [`CoreModel::step`], with the effective DRAM latency inflated
-    /// by `dram_latency_mult ≥ 1` (memory-controller queueing under
-    /// bandwidth contention; the chip supplies last interval's factor).
-    pub fn step_contended(
-        &mut self,
-        f: Hertz,
-        dt: Seconds,
-        frozen: Seconds,
-        dram_latency_mult: f64,
-    ) -> CoreIntervalStats {
-        assert!(f.value() > 0.0, "core clock must be positive");
-        assert!(
-            frozen.value() >= 0.0 && frozen <= dt,
-            "freeze within interval"
-        );
-        assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
-        let sample = self.phase.advance(dt);
-        let avail = dt - frozen;
-        let (on_chip, dram_base) = self.cpi_parts(f, sample);
-        let dram = dram_base * dram_latency_mult;
-        let cpi = on_chip + dram;
-        let cycles = f.cycles_in(avail);
-        // One reciprocal feeds both quotients: cycles/cpi and on_chip/cpi
-        // as two divides would double the slowest f64 op in the loop.
-        let inv_cpi = 1.0 / cpi;
-        let instructions = cycles * inv_cpi;
-        let avail_frac = avail.value() / dt.value();
-        let busy_frac = on_chip * inv_cpi;
-        let utilization = Ratio::new(busy_frac * avail_frac).clamped();
-        let activity =
-            Ratio::new(self.profile.activity * sample.activity_scale * busy_frac * avail_frac)
-                .clamped();
-        self.total_instructions += instructions;
-        self.total_time += dt;
-        let dram_bytes = instructions * self.l2_bytes * sample.mem_scale;
-        CoreIntervalStats {
-            instructions,
-            utilization,
-            activity,
-            cycles,
-            dram_bytes,
-        }
-    }
-
-    /// Phase-free instruction rate at frequency `f` (for quick estimates).
-    pub fn nominal_ips(&self, f: Hertz) -> f64 {
-        let (on_chip, dram) = self.cpi_parts(f, PhaseSample::NEUTRAL);
-        f.value() / (on_chip + dram)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use cpm_workloads::{parsec, InputSet};
+    use cpm_rng::{check, Xoshiro256pp};
+    use cpm_units::{Hertz, Ratio, Seconds};
+    use cpm_workloads::{parsec, InputSet, PhaseGenerator, PhaseSample};
+
+    /// What a core did during one control interval.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) struct CoreIntervalStats {
+        /// Instructions retired.
+        pub instructions: f64,
+        /// Fraction of the interval spent on useful on-chip work (the "CPU
+        /// utilization" visible to performance counters, net of DRAM stalls
+        /// and DVFS-transition freeze time).
+        pub utilization: Ratio,
+        /// Average functional-unit activity factor over the interval (drives
+        /// dynamic power; includes the freeze dead-time).
+        pub activity: Ratio,
+        /// Core cycles elapsed while clocked.
+        pub cycles: f64,
+        /// Bytes of DRAM traffic generated (L2 misses × line size).
+        pub dram_bytes: f64,
+    }
+
+    /// One core executing one benchmark through its phase sequence: the
+    /// scalar oracle that `CoreBank`'s SoA step is checked against, bit for
+    /// bit.
+    #[derive(Debug, Clone)]
+    pub(crate) struct CoreModel {
+        profile: BenchmarkProfile,
+        phase: PhaseGenerator,
+        /// The three factors of [`miss_terms`].
+        l1_term: f64,
+        l2_dram: f64,
+        l2_bytes: f64,
+        total_instructions: f64,
+        total_time: Seconds,
+    }
+
+    impl CoreModel {
+        /// Creates a core running `profile`, with phase randomness derived from
+        /// `(seed, stream)`.
+        pub(crate) fn new(profile: BenchmarkProfile, seed: u64, stream: u64) -> Self {
+            let phase = PhaseGenerator::new(&profile, seed, stream);
+            let (l1_term, l2_dram, l2_bytes) = miss_terms(profile.l1_mpki, profile.l2_mpki);
+            Self {
+                profile,
+                phase,
+                l1_term,
+                l2_dram,
+                l2_bytes,
+                total_instructions: 0.0,
+                total_time: Seconds::ZERO,
+            }
+        }
+
+        /// Overrides the miss rates with externally calibrated values (e.g.
+        /// from `calibration::calibrate`).
+        pub(crate) fn with_rates(mut self, l1_mpki: f64, l2_mpki: f64) -> Self {
+            assert!(l1_mpki >= 0.0 && l2_mpki >= 0.0 && l1_mpki >= l2_mpki);
+            let (l1_term, l2_dram, l2_bytes) = miss_terms(l1_mpki, l2_mpki);
+            self.l1_term = l1_term;
+            self.l2_dram = l2_dram;
+            self.l2_bytes = l2_bytes;
+            self
+        }
+
+        /// The benchmark this core runs.
+        pub(crate) fn profile(&self) -> &BenchmarkProfile {
+            &self.profile
+        }
+
+        /// Cumulative instructions retired.
+        pub(crate) fn total_instructions(&self) -> f64 {
+            self.total_instructions
+        }
+
+        /// Cumulative simulated time.
+        pub(crate) fn total_time(&self) -> Seconds {
+            self.total_time
+        }
+
+        /// Effective CPI for a given frequency and phase sample.
+        fn cpi_parts(&self, f: Hertz, s: PhaseSample) -> (f64, f64) {
+            let on_chip = self.profile.base_cpi * s.cpi_scale + self.l1_term * s.mem_scale;
+            let dram = self.l2_dram * s.mem_scale * f.value();
+            (on_chip, dram)
+        }
+
+        /// Advances the core one interval of `dt` at frequency `f`, with
+        /// `frozen` of that interval lost to a DVFS transition (no instructions
+        /// retire while frozen), under an uncontended memory system.
+        pub(crate) fn step(&mut self, f: Hertz, dt: Seconds, frozen: Seconds) -> CoreIntervalStats {
+            self.step_contended(f, dt, frozen, 1.0)
+        }
+
+        /// Like [`CoreModel::step`], with the effective DRAM latency inflated
+        /// by `dram_latency_mult ≥ 1` (memory-controller queueing under
+        /// bandwidth contention; the chip supplies last interval's factor).
+        pub(crate) fn step_contended(
+            &mut self,
+            f: Hertz,
+            dt: Seconds,
+            frozen: Seconds,
+            dram_latency_mult: f64,
+        ) -> CoreIntervalStats {
+            assert!(f.value() > 0.0, "core clock must be positive");
+            assert!(
+                frozen.value() >= 0.0 && frozen <= dt,
+                "freeze within interval"
+            );
+            assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
+            let sample = self.phase.advance(dt);
+            let avail = dt - frozen;
+            let (on_chip, dram_base) = self.cpi_parts(f, sample);
+            let dram = dram_base * dram_latency_mult;
+            let cpi = on_chip + dram;
+            let cycles = f.cycles_in(avail);
+            // One reciprocal feeds both quotients: cycles/cpi and on_chip/cpi
+            // as two divides would double the slowest f64 op in the loop.
+            let inv_cpi = 1.0 / cpi;
+            let instructions = cycles * inv_cpi;
+            let avail_frac = avail.value() / dt.value();
+            let busy_frac = on_chip * inv_cpi;
+            let utilization = Ratio::new(busy_frac * avail_frac).clamped();
+            let activity =
+                Ratio::new(self.profile.activity * sample.activity_scale * busy_frac * avail_frac)
+                    .clamped();
+            self.total_instructions += instructions;
+            self.total_time += dt;
+            let dram_bytes = instructions * self.l2_bytes * sample.mem_scale;
+            CoreIntervalStats {
+                instructions,
+                utilization,
+                activity,
+                cycles,
+                dram_bytes,
+            }
+        }
+
+        /// Phase-free instruction rate at frequency `f` (for quick estimates).
+        pub(crate) fn nominal_ips(&self, f: Hertz) -> f64 {
+            let (on_chip, dram) = self.cpi_parts(f, PhaseSample::NEUTRAL);
+            f.value() / (on_chip + dram)
+        }
+    }
 
     fn cpu_core(seed: u64) -> CoreModel {
         CoreModel::new(parsec::blackscholes(), seed, 0)
@@ -370,5 +363,117 @@ mod tests {
             .sum::<f64>()
             / 50.0;
         assert!(ac > am, "cpu-bound activity {ac} vs memory-bound {am}");
+    }
+
+    fn any_profile(rng: &mut Xoshiro256pp) -> BenchmarkProfile {
+        let l2 = rng.f64_in(0.0, 20.0);
+        BenchmarkProfile {
+            name: "prop",
+            short: "prop",
+            description: "generated",
+            input: InputSet::SimLarge,
+            base_cpi: rng.f64_in(0.5, 2.0),
+            l1_mpki: l2 + rng.f64_in(0.0, 30.0),
+            l2_mpki: l2,
+            activity: rng.f64_in(0.3, 1.0),
+            working_set: 4 << 20,
+            stream_fraction: 0.3,
+            phase_period: 0.05,
+            variability: rng.f64_in(0.0, 0.3),
+        }
+    }
+
+    #[test]
+    fn core_instructions_monotone_in_frequency() {
+        check::forall_cases("instructions monotone in f", 64, |rng| {
+            // Same seed → same phases; higher clock must never retire fewer
+            // instructions over the same wall-clock window.
+            let profile = any_profile(rng);
+            let seed = rng.below(1000);
+            let dt = Seconds::from_ms(0.5);
+            let mut totals = Vec::new();
+            for mhz in [600.0, 1200.0, 2000.0] {
+                let mut core = CoreModel::new(profile.clone(), seed, 0);
+                let t: f64 = (0..20)
+                    .map(|_| {
+                        core.step(Hertz::from_mhz(mhz), dt, Seconds::ZERO)
+                            .instructions
+                    })
+                    .sum();
+                totals.push(t);
+            }
+            assert!(totals[0] < totals[1] && totals[1] < totals[2], "{totals:?}");
+        });
+    }
+
+    #[test]
+    fn core_utilization_and_activity_stay_in_unit_range() {
+        check::forall_cases("core outputs in range", 64, |rng| {
+            let profile = any_profile(rng);
+            let seed = rng.below(1000);
+            let mhz = rng.f64_in(600.0, 2000.0);
+            let mut core = CoreModel::new(profile, seed, 1);
+            for _ in 0..50 {
+                let s = core.step(Hertz::from_mhz(mhz), Seconds::from_ms(0.5), Seconds::ZERO);
+                assert!((0.0..=1.0).contains(&s.utilization.value()));
+                assert!((0.0..=1.0).contains(&s.activity.value()));
+                assert!(s.instructions >= 0.0);
+            }
+        });
+    }
+
+    #[test]
+    fn freeze_reduces_instructions_proportionally() {
+        check::forall_cases("freeze proportional", 64, |rng| {
+            let profile = any_profile(rng);
+            let freeze_frac = rng.next_f64();
+            let dt = Seconds::from_ms(0.5);
+            let f = Hertz::from_ghz(1.0);
+            let mut a = CoreModel::new(profile.clone(), 7, 0);
+            let mut b = CoreModel::new(profile, 7, 0);
+            let sa = a.step(f, dt, Seconds::ZERO);
+            let sb = b.step(f, dt, dt * freeze_frac);
+            let expected = sa.instructions * (1.0 - freeze_frac);
+            assert!((sb.instructions - expected).abs() < 1e-6 * (1.0 + expected));
+        });
+    }
+
+    #[test]
+    fn calibrated_cache_rates_drive_the_core_model() {
+        // The real cache simulator's measured rates plug into the CPI stack
+        // and preserve the CPU/memory-bound contrast.
+        let cache = crate::CmpConfig::paper_default().cache;
+        let cpu = parsec::blackscholes();
+        let mem = parsec::canneal().with_input(InputSet::Native);
+        let cpu_rates = crate::calibration::calibrate(&cpu, &cache, 7);
+        let mem_rates = crate::calibration::calibrate(&mem, &cache, 7);
+
+        let mut cpu_core =
+            CoreModel::new(cpu, 1, 0).with_rates(cpu_rates.l1_mpki, cpu_rates.l2_mpki);
+        let mut mem_core =
+            CoreModel::new(mem, 1, 0).with_rates(mem_rates.l1_mpki, mem_rates.l2_mpki);
+
+        let dt = Seconds::from_ms(0.5);
+        let speedup = |core: &mut CoreModel| {
+            let lo: f64 = (0..40)
+                .map(|_| {
+                    core.step(Hertz::from_mhz(600.0), dt, Seconds::ZERO)
+                        .instructions
+                })
+                .sum();
+            let hi: f64 = (0..40)
+                .map(|_| {
+                    core.step(Hertz::from_ghz(2.0), dt, Seconds::ZERO)
+                        .instructions
+                })
+                .sum();
+            hi / lo
+        };
+        let s_cpu = speedup(&mut cpu_core);
+        let s_mem = speedup(&mut mem_core);
+        assert!(
+            s_cpu > s_mem + 0.3,
+            "measured-rate cores keep the class split: cpu {s_cpu} vs mem {s_mem}"
+        );
     }
 }

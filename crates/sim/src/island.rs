@@ -1,4 +1,6 @@
-//! Voltage/frequency island state and actuation.
+//! Voltage/frequency island state and actuation for one island: the
+//! scalar oracle that `IslandBank`'s actuation is checked against.
+//! Test-only; the chip runs on `IslandBank`.
 //!
 //! All cores of an island share one DVFS knob ("multiple CPUs share a
 //! common DVFS controller … all cores in an island are now restricted to
@@ -7,13 +9,11 @@
 //! the next interval.
 
 use cpm_power::dvfs::DvfsTable;
-use cpm_units::{CoreId, IslandId, Seconds};
+use cpm_units::Seconds;
 
 /// Runtime state of one island.
 #[derive(Debug, Clone)]
-pub struct IslandState {
-    id: IslandId,
-    cores: Vec<CoreId>,
+pub(crate) struct IslandState {
     dvfs_index: usize,
     /// Set when the operating point changed since the last interval — the
     /// next interval pays the freeze cost.
@@ -22,36 +22,24 @@ pub struct IslandState {
 }
 
 impl IslandState {
-    /// Creates an island over `cores` starting at `dvfs_index`.
-    pub fn new(id: IslandId, cores: Vec<CoreId>, dvfs_index: usize) -> Self {
-        assert!(!cores.is_empty(), "an island needs at least one core");
+    /// Creates an island of `cores` cores starting at `dvfs_index`.
+    pub(crate) fn new(cores: usize, dvfs_index: usize) -> Self {
+        assert!(cores > 0, "an island needs at least one core");
         Self {
-            id,
-            cores,
             dvfs_index,
             pending_transition: false,
             transitions: 0,
         }
     }
 
-    /// The island's id.
-    pub fn id(&self) -> IslandId {
-        self.id
-    }
-
-    /// The cores in this island.
-    pub fn cores(&self) -> &[CoreId] {
-        &self.cores
-    }
-
     /// Current operating-point index into the chip's DVFS table.
-    pub fn dvfs_index(&self) -> usize {
+    pub(crate) fn dvfs_index(&self) -> usize {
         self.dvfs_index
     }
 
     /// Requests a new operating point. A real change schedules a freeze for
     /// the next interval; requesting the current point is free.
-    pub fn set_dvfs_index(&mut self, idx: usize, table: &DvfsTable) {
+    pub(crate) fn set_dvfs_index(&mut self, idx: usize, table: &DvfsTable) {
         assert!(idx < table.len(), "operating point {idx} out of range");
         if idx != self.dvfs_index {
             self.dvfs_index = idx;
@@ -62,7 +50,7 @@ impl IslandState {
 
     /// Consumes the pending transition, returning the freeze time to charge
     /// against an interval of length `dt`.
-    pub fn take_freeze(&mut self, table: &DvfsTable, dt: Seconds) -> Seconds {
+    pub(crate) fn take_freeze(&mut self, table: &DvfsTable, dt: Seconds) -> Seconds {
         if self.pending_transition {
             self.pending_transition = false;
             dt * table.transition_overhead()
@@ -72,7 +60,7 @@ impl IslandState {
     }
 
     /// Total operating-point changes so far.
-    pub fn transitions(&self) -> u64 {
+    pub(crate) fn transitions(&self) -> u64 {
         self.transitions
     }
 }
@@ -82,7 +70,7 @@ mod tests {
     use super::*;
 
     fn island() -> IslandState {
-        IslandState::new(IslandId(0), vec![CoreId(0), CoreId(1)], 7)
+        IslandState::new(2, 7)
     }
 
     #[test]
@@ -132,6 +120,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn empty_island_rejected() {
-        IslandState::new(IslandId(0), vec![], 0);
+        IslandState::new(0, 0);
     }
 }

@@ -13,8 +13,9 @@
 //! * [`cache`] — a real set-associative LRU cache hierarchy, exercised by
 //!   synthetic address streams to calibrate miss rates,
 //! * [`calibration`] — the profile↔cache-simulator consistency layer,
-//! * [`core_model`] — per-core CPI-stack execution,
-//! * [`island`] — V/F island state and actuation,
+//! * [`core_model`] — the per-core CPI-stack factors,
+//! * [`soa`] — structure-of-arrays core and island state: the CPI-stack
+//!   step and V/F actuation the chip runs,
 //! * [`memo`] — the process-wide memo table behind the pure set-up caches,
 //! * [`chip`] — the full chip: cores + islands + thermal grid + power,
 //! * [`injection`] — fault-injection seams on the sense/actuate paths,
@@ -26,15 +27,16 @@ pub mod chip;
 pub mod config;
 pub mod core_model;
 pub mod injection;
-pub mod island;
 pub mod memo;
 pub mod soa;
 pub mod stats;
 
 pub use chip::{Chip, ChipSnapshot, IslandSnapshot};
 pub use config::CmpConfig;
-pub use core_model::CoreModel;
 pub use injection::{InjectionSeam, NoInjection};
-pub use island::IslandState;
 pub use soa::{CoreBank, CoreSegment, CoreView, IslandBank, IslandView, SegmentTotals};
 pub use stats::TimeSeries;
+
+// The scalar island oracle `IslandBank` is checked against.
+#[cfg(test)]
+mod island;

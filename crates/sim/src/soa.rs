@@ -1,12 +1,11 @@
 //! Structure-of-arrays chip state: the kilocore-scaling layout.
 //!
-//! [`crate::core_model::CoreModel`] and [`crate::island::IslandState`] are
-//! the right unit of *meaning* — one core, one island — but a 1024-core
-//! step over `Vec<CoreModel>` walks a thousand scattered structs. The
-//! banks here keep every hot scalar in its own contiguous `Vec<f64>` so
-//! [`crate::chip::Chip`] steps an island as one tight loop over a segment
-//! of parallel arrays, fusing the CPI model with the per-island V²f/leakage
-//! power terms.
+//! One core and one island are the right unit of *meaning*, but a
+//! 1024-core step over a thousand per-core structs walks scattered
+//! memory. The banks here keep every hot scalar in its own contiguous
+//! `Vec<f64>` so [`crate::chip::Chip`] steps an island as one tight loop
+//! over a segment of parallel arrays, fusing the CPI model of
+//! [`crate::core_model`] with the per-island V²f/leakage power terms.
 //!
 //! A [`CoreBank`] is a list of per-island [`CoreSegment`]s. Each segment
 //! owns its island's columns outright (including its cores' phase streams
@@ -20,14 +19,12 @@
 //! reassociates: the elementwise passes evaluate token-identical
 //! expressions per lane, and every accumulator (island totals, the
 //! chip-order DRAM sum) still receives its additions in the original core
-//! order — so the contract from PR 4 holds unchanged: a [`CoreBank`]
-//! stepped island-by-island is bit-identical to the same cores stepped one
-//! [`CoreModel::step_contended`](crate::core_model::CoreModel::step_contended)
-//! at a time, and an [`IslandBank`] mirrors
-//! [`IslandState`](crate::island::IslandState)'s actuation semantics
-//! exactly. The scalar structs stay the public single-entity API;
-//! [`CoreView`] / [`IslandView`] re-expose their read accessors over the
-//! banks.
+//! order. So a [`CoreBank`] stepped island-by-island is bit-identical to
+//! the same cores stepped one at a time through the scalar CPI walk, and
+//! an [`IslandBank`] has exactly the actuation semantics of one scalar
+//! island; the scalar oracles for both are test-only items of the
+//! `core_model` and `island` modules. [`CoreView`] / [`IslandView`]
+//! expose the read accessors of one core or island over the banks.
 
 use cpm_power::dvfs::DvfsTable;
 use cpm_power::{CorePowerModel, IslandPowerTerms};
@@ -68,9 +65,8 @@ struct StepCtx {
 
 /// One island's cores in structure-of-arrays form.
 ///
-/// Each index holds exactly the state a
-/// [`CoreModel`](crate::core_model::CoreModel) would: the profile's hot
-/// scalars, the (possibly calibrated) miss rates, lifetime accounting, and
+/// Each index holds exactly the state of one scalar core: the profile's
+/// hot scalars, the (possibly calibrated) miss rates, lifetime accounting, and
 /// the per-core phase sequence. The three `*_scale` arrays are scratch for
 /// the interval's phase samples, filled by [`CoreSegment::advance_phases`]
 /// and consumed by [`CoreSegment::step`]; `core_powers` / `dram_bytes`
@@ -84,7 +80,7 @@ pub struct CoreSegment {
     profiles: Vec<BenchmarkProfile>,
     base_cpi: Vec<f64>,
     activity: Vec<f64>,
-    /// The hoisted miss-rate factors of [`crate::core_model::miss_terms`]:
+    /// The hoisted miss-rate factors of `core_model::miss_terms`:
     /// `l1_mpki/1000·L2_HIT_CYCLES`, `l2_mpki/1000·DRAM_LATENCY_S`, and
     /// `l2_mpki/1000·64` — per-core constants, folded at push time so the
     /// CPI pass is multiply-add with a single reciprocal.
@@ -107,8 +103,8 @@ impl CoreSegment {
         Self::default()
     }
 
-    /// Appends the core [`CoreModel::new`](crate::core_model::CoreModel::new)
-    /// would build for `(profile, seed, stream)`.
+    /// Appends the core running `profile`, with phase randomness derived
+    /// from `(seed, stream)`.
     pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
         self.phases.push(&profile, seed, stream);
         self.base_cpi.push(profile.base_cpi);
@@ -172,9 +168,7 @@ impl CoreSegment {
     /// The loop runs in `LANES`-wide chunks of three passes — an
     /// elementwise CPI pass, the `cpm-power` lane kernels, a serial fold —
     /// with a scalar tail identical to the unchunked body. Every per-lane
-    /// expression matches
-    /// [`CoreModel::step_contended`](crate::core_model::CoreModel::step_contended)
-    /// token for token and every accumulator still sees its additions in
+    /// expression matches the scalar CPI walk token for token and every accumulator still sees its additions in
     /// core order, so results are bit-identical to the scalar walk.
     // A params struct would hide the token-for-token identity with the
     // scalar path's signature.
@@ -338,9 +332,9 @@ impl CoreBank {
         }
     }
 
-    /// Appends the core [`CoreModel::new`](crate::core_model::CoreModel::new)
-    /// would build for `(profile, seed, stream)`, opening a new segment at
-    /// every island boundary.
+    /// Appends the core running `profile`, with phase randomness derived
+    /// from `(seed, stream)`, opening a new segment at every island
+    /// boundary.
     pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
         if self.len() % self.width == 0 {
             self.segments.push(CoreSegment::new());
@@ -430,7 +424,7 @@ pub struct IslandBank {
     width: usize,
     dvfs_index: Vec<usize>,
     /// Set when the operating point changed since the last interval — the
-    /// next interval pays the freeze cost (see [`crate::island::IslandState`]).
+    /// next interval pays the freeze cost.
     pending_transition: Vec<bool>,
     transitions: Vec<u64>,
 }
@@ -473,9 +467,9 @@ impl IslandBank {
         self.dvfs_index[i]
     }
 
-    /// Requests a new operating point for island `i` — same semantics as
-    /// [`IslandState::set_dvfs_index`](crate::island::IslandState::set_dvfs_index): a real change schedules a freeze
-    /// for the next interval; requesting the current point is free.
+    /// Requests a new operating point for island `i`: a real change
+    /// schedules a freeze for the next interval; requesting the current
+    /// point is free.
     pub fn set_dvfs_index(&mut self, i: usize, idx: usize, table: &DvfsTable) {
         assert!(idx < table.len(), "operating point {idx} out of range");
         if idx != self.dvfs_index[i] {
@@ -486,8 +480,7 @@ impl IslandBank {
     }
 
     /// Consumes island `i`'s pending transition, returning the freeze time
-    /// to charge against an interval of length `dt` (see
-    /// [`IslandState::take_freeze`](crate::island::IslandState::take_freeze)).
+    /// to charge against an interval of length `dt`.
     pub fn take_freeze(&mut self, i: usize, table: &DvfsTable, dt: Seconds) -> Seconds {
         if self.pending_transition[i] {
             self.pending_transition[i] = false;
@@ -503,8 +496,8 @@ impl IslandBank {
     }
 }
 
-/// Read view of one core inside a [`CoreBank`] — the accessors
-/// [`CoreModel`](crate::core_model::CoreModel) offers, backed by the parallel arrays.
+/// Read view of one core inside a [`CoreBank`], backed by the parallel
+/// arrays.
 #[derive(Debug, Clone, Copy)]
 pub struct CoreView<'a> {
     bank: &'a CoreBank,
@@ -539,8 +532,8 @@ impl<'a> CoreView<'a> {
     }
 }
 
-/// Read view of one island inside an [`IslandBank`] — the accessors
-/// [`IslandState`](crate::island::IslandState) offers, backed by the parallel arrays.
+/// Read view of one island inside an [`IslandBank`], backed by the
+/// parallel arrays.
 #[derive(Debug, Clone, Copy)]
 pub struct IslandView<'a> {
     bank: &'a IslandBank,
@@ -580,7 +573,7 @@ impl<'a> IslandView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core_model::CoreModel;
+    use crate::core_model::tests::CoreModel;
     use crate::island::IslandState;
     use cpm_workloads::parsec;
 
@@ -707,9 +700,7 @@ mod tests {
         let table = DvfsTable::pentium_m();
         let dt = Seconds::from_ms(0.5);
         let mut bank = IslandBank::new(4, 2, 7);
-        let mut scalars: Vec<IslandState> = (0..4)
-            .map(|i| IslandState::new(IslandId(i), vec![CoreId(2 * i), CoreId(2 * i + 1)], 7))
-            .collect();
+        let mut scalars: Vec<IslandState> = (0..4).map(|_| IslandState::new(2, 7)).collect();
         let schedule = [3usize, 3, 7, 0, 5, 5, 7, 7, 1];
         for (k, &idx) in schedule.iter().enumerate() {
             let i = k % 4;

@@ -1,30 +1,10 @@
 //! Property-based tests for the simulator substrate, on the in-tree
 //! `cpm_rng::check` harness.
 
-use cpm_rng::{check, Xoshiro256pp};
+use cpm_rng::check;
 use cpm_sim::cache::Cache;
-use cpm_sim::core_model::CoreModel;
 use cpm_sim::stats::TimeSeries;
-use cpm_units::{Hertz, Seconds};
-use cpm_workloads::{BenchmarkProfile, InputSet};
-
-fn any_profile(rng: &mut Xoshiro256pp) -> BenchmarkProfile {
-    let l2 = rng.f64_in(0.0, 20.0);
-    BenchmarkProfile {
-        name: "prop",
-        short: "prop",
-        description: "generated",
-        input: InputSet::SimLarge,
-        base_cpi: rng.f64_in(0.5, 2.0),
-        l1_mpki: l2 + rng.f64_in(0.0, 30.0),
-        l2_mpki: l2,
-        activity: rng.f64_in(0.3, 1.0),
-        working_set: 4 << 20,
-        stream_fraction: 0.3,
-        phase_period: 0.05,
-        variability: rng.f64_in(0.0, 0.3),
-    }
-}
+use cpm_units::Seconds;
 
 #[test]
 fn cache_accounting_is_exact() {
@@ -65,61 +45,6 @@ fn resident_set_always_hits_after_warmup() {
             c.access(l * 64);
         }
         assert_eq!(c.misses(), 0);
-    });
-}
-
-#[test]
-fn core_instructions_monotone_in_frequency() {
-    check::forall_cases("instructions monotone in f", 64, |rng| {
-        // Same seed → same phases; higher clock must never retire fewer
-        // instructions over the same wall-clock window.
-        let profile = any_profile(rng);
-        let seed = rng.below(1000);
-        let dt = Seconds::from_ms(0.5);
-        let mut totals = Vec::new();
-        for mhz in [600.0, 1200.0, 2000.0] {
-            let mut core = CoreModel::new(profile.clone(), seed, 0);
-            let t: f64 = (0..20)
-                .map(|_| {
-                    core.step(Hertz::from_mhz(mhz), dt, Seconds::ZERO)
-                        .instructions
-                })
-                .sum();
-            totals.push(t);
-        }
-        assert!(totals[0] < totals[1] && totals[1] < totals[2], "{totals:?}");
-    });
-}
-
-#[test]
-fn core_utilization_and_activity_stay_in_unit_range() {
-    check::forall_cases("core outputs in range", 64, |rng| {
-        let profile = any_profile(rng);
-        let seed = rng.below(1000);
-        let mhz = rng.f64_in(600.0, 2000.0);
-        let mut core = CoreModel::new(profile, seed, 1);
-        for _ in 0..50 {
-            let s = core.step(Hertz::from_mhz(mhz), Seconds::from_ms(0.5), Seconds::ZERO);
-            assert!((0.0..=1.0).contains(&s.utilization.value()));
-            assert!((0.0..=1.0).contains(&s.activity.value()));
-            assert!(s.instructions >= 0.0);
-        }
-    });
-}
-
-#[test]
-fn freeze_reduces_instructions_proportionally() {
-    check::forall_cases("freeze proportional", 64, |rng| {
-        let profile = any_profile(rng);
-        let freeze_frac = rng.next_f64();
-        let dt = Seconds::from_ms(0.5);
-        let f = Hertz::from_ghz(1.0);
-        let mut a = CoreModel::new(profile.clone(), 7, 0);
-        let mut b = CoreModel::new(profile, 7, 0);
-        let sa = a.step(f, dt, Seconds::ZERO);
-        let sb = b.step(f, dt, dt * freeze_frac);
-        let expected = sa.instructions * (1.0 - freeze_frac);
-        assert!((sb.instructions - expected).abs() < 1e-6 * (1.0 + expected));
     });
 }
 

@@ -61,20 +61,14 @@ impl ThermalParams {
 
 /// The thermal state of the die: one temperature per core node.
 ///
-/// The lateral coupling graph is stored in CSR form (`neighbor_offsets` /
-/// `neighbor_links`) so the sub-stepped Euler loop walks one flat array
-/// instead of chasing a `Vec<Vec<usize>>` — and the integrator keeps a
+/// The lateral coupling is implicit in the floorplan's row-major grid, so
+/// the stencil needs no neighbour lists, and the integrator keeps a
 /// reusable `scratch` buffer so steady-state stepping never allocates.
 #[derive(Debug, Clone)]
 pub struct ThermalGrid {
     floorplan: Floorplan,
     params: ThermalParams,
     temperatures: Vec<f64>,
-    /// CSR row offsets: node `i`'s neighbours live at
-    /// `neighbor_links[neighbor_offsets[i]..neighbor_offsets[i + 1]]`.
-    neighbor_offsets: Vec<usize>,
-    /// CSR column indices, in the floorplan's neighbour order.
-    neighbor_links: Vec<usize>,
     /// Euler double-buffer, reused across steps.
     scratch: Vec<f64>,
 }
@@ -85,24 +79,10 @@ impl ThermalGrid {
         assert!(params.r_vertical > 0.0 && params.r_lateral > 0.0);
         assert!(params.capacitance > 0.0);
         let n = floorplan.cores();
-        let mut neighbor_offsets = Vec::with_capacity(n + 1);
-        let mut neighbor_links = Vec::new();
-        neighbor_offsets.push(0);
-        for i in 0..n {
-            neighbor_links.extend(
-                floorplan
-                    .neighbors(CoreId(i))
-                    .into_iter()
-                    .map(|c| c.index()),
-            );
-            neighbor_offsets.push(neighbor_links.len());
-        }
         Self {
             temperatures: vec![params.ambient.value(); n],
             floorplan,
             params,
-            neighbor_offsets,
-            neighbor_links,
             scratch: vec![0.0; n],
         }
     }
@@ -151,11 +131,11 @@ impl ThermalGrid {
     /// `LANES`-chunked row pass monomorphized over the row's up/down
     /// coupling (see `ThermalGrid::row_pass`), with the boundary columns
     /// peeled — so the interior is a branch-free elementwise stencil over
-    /// four fixed strides instead of a CSR gather, and LLVM autovectorizes
-    /// it. Flow terms accumulate in the floorplan's neighbour order (up,
-    /// down, left, right) with the same expressions as
-    /// [`ThermalGrid::step_reference`], so results are bit-identical to
-    /// the reference integrator.
+    /// four fixed strides instead of a neighbour-list gather, and LLVM
+    /// autovectorizes it. Flow terms accumulate in the floorplan's
+    /// neighbour order (up, down, left, right), so results are
+    /// bit-identical to a per-node walk over [`Floorplan::neighbors`] (the
+    /// oracle `cpm-sim`'s `thermal_identity` tests check it against).
     pub fn step(&mut self, powers: &[Watts], dt: Seconds) {
         assert_eq!(
             powers.len(),
@@ -256,38 +236,6 @@ impl ThermalGrid {
         if cols > 1 {
             Self::relax_node::<UP, DOWN>(temps, powers, next, base + cols - 1, true, false, ctx);
         }
-    }
-
-    /// The unfused CSR-gather integrator [`ThermalGrid::step`] replaced —
-    /// kept public as the bit-identity reference for the tiled stencil.
-    pub fn step_reference(&mut self, powers: &[Watts], dt: Seconds) {
-        assert_eq!(
-            powers.len(),
-            self.temperatures.len(),
-            "one power value per core required"
-        );
-        let p = &self.params;
-        let (substeps, h) = self.substep_schedule(dt);
-        // The same conductance/`h/C` hoists as the stencil's StencilCtx,
-        // expression for expression, to keep the twins bit-identical.
-        let g_v = 1.0 / p.r_vertical;
-        let g_l = 1.0 / p.r_lateral;
-        let h_over_cap = h / p.capacitance;
-        let mut next = std::mem::take(&mut self.scratch);
-        debug_assert_eq!(next.len(), self.temperatures.len());
-        for _ in 0..substeps {
-            for i in 0..self.temperatures.len() {
-                let t = self.temperatures[i];
-                let mut flow = powers[i].value() - (t - p.ambient.value()) * g_v;
-                let (lo, hi) = (self.neighbor_offsets[i], self.neighbor_offsets[i + 1]);
-                for &j in &self.neighbor_links[lo..hi] {
-                    flow -= (t - self.temperatures[j]) * g_l;
-                }
-                next[i] = t + h_over_cap * flow;
-            }
-            std::mem::swap(&mut self.temperatures, &mut next);
-        }
-        self.scratch = next;
     }
 
     /// Explicit-Euler stability bound on the nodal conductance sum: the
@@ -426,65 +374,6 @@ mod tests {
     #[should_panic(expected = "one power value per core")]
     fn wrong_power_length_panics() {
         grid_2x4().step(&[Watts::ZERO; 3], Seconds::from_ms(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "one power value per core")]
-    fn wrong_power_length_panics_in_reference() {
-        grid_2x4().step_reference(&[Watts::ZERO; 3], Seconds::from_ms(1.0));
-    }
-
-    /// The tiled stencil must agree with the CSR reference to the last bit,
-    /// on every grid shape the stencil specializes (single row, single
-    /// column, even/odd widths, the kilocore 32×32 floorplan).
-    #[test]
-    fn tiled_stencil_is_bit_identical_to_reference() {
-        use cpm_rng::Xoshiro256pp;
-        // Widths straddle the lane width: interiors of 0, 3, 9, and 15
-        // columns exercise the empty, tail-only, chunk+tail, and
-        // multi-chunk paths of the chunked row pass.
-        for &(rows, cols) in &[
-            (1, 1),
-            (1, 5),
-            (5, 1),
-            (2, 4),
-            (3, 3),
-            (3, 11),
-            (2, 17),
-            (4, 8),
-            (32, 32),
-        ] {
-            let params = ThermalParams::paper_default();
-            let mut tiled = ThermalGrid::new(Floorplan::grid(rows, cols), params);
-            let mut reference = tiled.clone();
-            let mut rng = Xoshiro256pp::seed_from_u64(rows as u64 * 1000 + cols as u64);
-            let n = rows * cols;
-            let mut powers = vec![Watts::ZERO; n];
-            for step in 0..50 {
-                for p in powers.iter_mut() {
-                    *p = Watts::new(rng.f64_in(0.0, 12.0));
-                }
-                // Mix substep counts: 0.5 ms runs one substep, 40 ms several.
-                let dt = if step % 7 == 0 {
-                    Seconds::from_ms(40.0)
-                } else {
-                    Seconds::from_ms(0.5)
-                };
-                tiled.step(&powers, dt);
-                reference.step_reference(&powers, dt);
-                for (i, (a, b)) in tiled
-                    .temperatures_deg()
-                    .iter()
-                    .zip(reference.temperatures_deg())
-                    .enumerate()
-                {
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{rows}×{cols} node {i} diverged at step {step}: {a} vs {b}"
-                    );
-                }
-            }
-        }
     }
 
     /// Analytic steady state at the kilocore scale: a uniformly powered

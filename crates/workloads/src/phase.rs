@@ -145,39 +145,6 @@ impl PhaseGenerator {
         }
     }
 
-    /// The libm-backed accuracy twin of [`Self::advance`]: the same
-    /// trajectory, expression for expression, except the periodic term
-    /// calls the host `sin`. Exists so the accuracy suite can bound how
-    /// far the deterministic kernel bends a whole *trajectory* (not just
-    /// one call) away from a libm build — it is never used by the
-    /// simulator, and its direct libm call carries the one `math-scope`
-    /// lint waiver in this crate.
-    pub fn advance_reference(&mut self, dt: Seconds) -> PhaseSample {
-        let dt = dt.value();
-        assert!(dt >= 0.0, "time cannot run backwards");
-        self.elapsed += dt;
-        let p_switch = (dt * self.inv_mean_dwell).min(1.0);
-        if self.rng.next_f64() < p_switch {
-            self.level = match self.rng.below(3) {
-                0 => Level::Low,
-                1 => Level::Nominal,
-                _ => Level::High,
-            };
-        }
-        let periodic = if self.tau_over_period > 0.0 {
-            (self.elapsed * self.tau_over_period + self.phase_offset).sin()
-        } else {
-            0.0
-        };
-        let jitter = self.rng.signed_unit() * 0.15;
-        let x = (0.50 * periodic + 0.35 * self.level.intensity() + jitter) * self.variability;
-        PhaseSample {
-            cpi_scale: (1.0 - 0.6 * x).max(0.2),
-            mem_scale: (1.0 + x).max(0.05),
-            activity_scale: (1.0 + 0.5 * x).clamp(0.2, 1.25),
-        }
-    }
-
     /// Total simulated time this generator has covered.
     pub fn elapsed(&self) -> Seconds {
         Seconds::new(self.elapsed)
@@ -516,6 +483,35 @@ mod tests {
         bank.advance_into(Seconds::from_ms(0.5), &mut [], &mut [], &mut []);
     }
 
+    /// The libm accuracy oracle for [`PhaseGenerator::advance`]: the same
+    /// trajectory, expression for expression, except the periodic term
+    /// calls the host `sin`.
+    fn advance_libm(g: &mut PhaseGenerator, dt: Seconds) -> PhaseSample {
+        let dt = dt.value();
+        assert!(dt >= 0.0, "time cannot run backwards");
+        g.elapsed += dt;
+        let p_switch = (dt * g.inv_mean_dwell).min(1.0);
+        if g.rng.next_f64() < p_switch {
+            g.level = match g.rng.below(3) {
+                0 => Level::Low,
+                1 => Level::Nominal,
+                _ => Level::High,
+            };
+        }
+        let periodic = if g.tau_over_period > 0.0 {
+            (g.elapsed * g.tau_over_period + g.phase_offset).sin()
+        } else {
+            0.0
+        };
+        let jitter = g.rng.signed_unit() * 0.15;
+        let x = (0.50 * periodic + 0.35 * g.level.intensity() + jitter) * g.variability;
+        PhaseSample {
+            cpi_scale: (1.0 - 0.6 * x).max(0.2),
+            mem_scale: (1.0 + x).max(0.05),
+            activity_scale: (1.0 + 0.5 * x).clamp(0.2, 1.25),
+        }
+    }
+
     #[test]
     fn deterministic_kernel_tracks_libm_reference_trajectory() {
         // The ≤ 1 ulp kernel difference must stay negligible when
@@ -528,7 +524,7 @@ mod tests {
             let mut libm = PhaseGenerator::new(p, 21, stream as u64);
             for _ in 0..2000 {
                 let a = det.advance(Seconds::from_ms(0.5));
-                let b = libm.advance_reference(Seconds::from_ms(0.5));
+                let b = advance_libm(&mut libm, Seconds::from_ms(0.5));
                 assert!(
                     (a.cpi_scale - b.cpi_scale).abs() < 1e-12
                         && (a.mem_scale - b.mem_scale).abs() < 1e-12

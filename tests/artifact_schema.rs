@@ -13,7 +13,7 @@ use cpm_bench::perf::{perf_json, PerfEntry, PerfReport};
 use cpm_bench::scaling::{scaling_json, ScalingPoint, ScalingReport};
 use cpm_bench::scenario::{run_scenario_suite, scenarios_json};
 use cpm_bench::schema::{check_schema, ArtifactKind};
-use cpm_bench::{sweep_json, ExperimentTiming, SweepOutcome};
+use cpm_bench::{publish_memo_stats, sweep_json, ExperimentTiming, SweepOutcome};
 
 fn assert_clean(kind: ArtifactKind, json: &str) {
     let problems = check_schema(kind, json);
@@ -55,6 +55,10 @@ fn health_artifact_passes_its_schema_gate() {
 
 #[test]
 fn experiments_artifact_passes_its_schema_gate() {
+    // The memo counters come from the sweep's own publisher, so a cache
+    // that stops reporting fails the gate here.
+    let registry = cpm_obs::Registry::new();
+    publish_memo_stats(&registry);
     let sweep = SweepOutcome {
         reports: vec![("table1", "report\n".into())],
         timings: vec![ExperimentTiming {
@@ -74,7 +78,7 @@ fn experiments_artifact_passes_its_schema_gate() {
                 3
             ],
         },
-        registry: cpm_obs::Registry::new(),
+        registry,
     };
     assert_clean(ArtifactKind::Experiments, &sweep_json(&sweep));
 }

@@ -1,13 +1,13 @@
 //! Cross-crate integration: the substrate pieces composed outside the
 //! coordinator — system identification against the simulator, PIC against
-//! the chip, cache calibration feeding the core model.
+//! the chip.
 
 use cpm::control::PidGains;
 use cpm::core::model;
 use cpm::core::pic::{PerIslandController, PicSensor};
-use cpm::sim::{calibration, Chip, CmpConfig, CoreModel};
-use cpm::workloads::{parsec, InputSet, Mix, WorkloadAssignment};
-use cpm_units::{Hertz, IslandId, Seconds};
+use cpm::sim::{Chip, CmpConfig};
+use cpm::workloads::{Mix, WorkloadAssignment};
+use cpm_units::IslandId;
 
 #[test]
 fn identified_gain_keeps_the_paper_controller_stable() {
@@ -53,43 +53,6 @@ fn pic_caps_a_real_simulated_island() {
     assert!(
         (mean - target.value()).abs() / target.value() < 0.10,
         "capped island mean {mean} vs target {target}"
-    );
-}
-
-#[test]
-fn calibrated_cache_rates_drive_the_core_model() {
-    // The real cache simulator's measured rates plug into the CPI stack
-    // and preserve the CPU/memory-bound contrast.
-    let cache = CmpConfig::paper_default().cache;
-    let cpu = parsec::blackscholes();
-    let mem = parsec::canneal().with_input(InputSet::Native);
-    let cpu_rates = calibration::calibrate(&cpu, &cache, 7);
-    let mem_rates = calibration::calibrate(&mem, &cache, 7);
-
-    let mut cpu_core = CoreModel::new(cpu, 1, 0).with_rates(cpu_rates.l1_mpki, cpu_rates.l2_mpki);
-    let mut mem_core = CoreModel::new(mem, 1, 0).with_rates(mem_rates.l1_mpki, mem_rates.l2_mpki);
-
-    let dt = Seconds::from_ms(0.5);
-    let speedup = |core: &mut CoreModel| {
-        let lo: f64 = (0..40)
-            .map(|_| {
-                core.step(Hertz::from_mhz(600.0), dt, Seconds::ZERO)
-                    .instructions
-            })
-            .sum();
-        let hi: f64 = (0..40)
-            .map(|_| {
-                core.step(Hertz::from_ghz(2.0), dt, Seconds::ZERO)
-                    .instructions
-            })
-            .sum();
-        hi / lo
-    };
-    let s_cpu = speedup(&mut cpu_core);
-    let s_mem = speedup(&mut mem_core);
-    assert!(
-        s_cpu > s_mem + 0.3,
-        "measured-rate cores keep the class split: cpu {s_cpu} vs mem {s_mem}"
     );
 }
 

@@ -1,15 +1,10 @@
-//! Minimal wall-clock micro-benchmark harness.
+//! The timing loop behind `experiments perf`, `experiments scaling` and
+//! the benchmark package's per-layer probes.
 //!
-//! The bench targets under `benches/` use `harness = false` and drive this
-//! module directly, so `cargo bench` works with zero external crates. The
-//! measurement loop is deliberately simple: calibrate a batch size that
-//! takes a few milliseconds, time an odd number of batches, report the
-//! median and minimum per-iteration cost. That is plenty to spot the
-//! order-of-magnitude regressions these benches exist to catch.
-//!
-//! CLI: any non-flag argument is a substring filter on bench names (cargo
-//! itself passes `--bench`, which is ignored). `CPM_BENCH_QUICK=1` cuts
-//! the per-bench budget ~10× for smoke runs.
+//! [`measure`] calibrates a batch size that takes a few milliseconds, times
+//! an odd number of batches, and reports the median and minimum
+//! per-iteration cost. That is plenty to spot the order-of-magnitude
+//! regressions the perf suite gates on, with zero external crates.
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -18,55 +13,6 @@ use std::time::{Duration, Instant};
 const BATCH_TARGET: Duration = Duration::from_millis(4);
 const WARMUP: Duration = Duration::from_millis(40);
 const SAMPLES: usize = 11;
-
-pub struct Bench {
-    filter: Vec<String>,
-    quick: bool,
-    ran: usize,
-}
-
-impl Bench {
-    /// Builds a runner from `std::env::args`, announcing the suite name.
-    pub fn new(suite: &str) -> Self {
-        let filter: Vec<String> = std::env::args()
-            .skip(1)
-            .filter(|a| !a.starts_with('-'))
-            .collect();
-        let quick = std::env::var("CPM_BENCH_QUICK").is_ok_and(|v| v != "0");
-        eprintln!("suite {suite}{}", if quick { " (quick)" } else { "" });
-        Bench {
-            filter,
-            quick,
-            ran: 0,
-        }
-    }
-
-    fn selected(&self, name: &str) -> bool {
-        self.filter.is_empty() || self.filter.iter().any(|f| name.contains(f))
-    }
-
-    /// Times `f`, printing `name  median/iter (min …, N iters)`.
-    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) {
-        if !self.selected(name) {
-            return;
-        }
-        self.ran += 1;
-        let m = measure(self.quick, f);
-        println!(
-            "{name:<44} {:>12}/iter  (min {}, {} iters/sample)",
-            fmt_ns(m.median_ns),
-            fmt_ns(m.min_ns),
-            m.batch
-        );
-    }
-
-    /// Prints the run count; call last so empty filters are noticeable.
-    pub fn finish(self) {
-        if self.ran == 0 {
-            eprintln!("no benches matched filter {:?}", self.filter);
-        }
-    }
-}
 
 /// One timed measurement: per-iteration cost and the calibrated batch size.
 #[derive(Debug, Clone, Copy)]
@@ -79,10 +25,9 @@ pub struct Measurement {
     pub batch: u64,
 }
 
-/// The numeric measurement core behind [`Bench::bench`]: warms `f` up,
-/// calibrates a batch size that fills a few milliseconds, times an odd
-/// number of batches, and returns the median/min per-iteration cost.
-/// `quick` cuts the time budget ~10× for smoke runs.
+/// Warms `f` up, calibrates a batch size that fills a few milliseconds,
+/// times an odd number of batches, and returns the median/min
+/// per-iteration cost. `quick` cuts the time budget ~10× for smoke runs.
 pub fn measure<R>(quick: bool, mut f: impl FnMut() -> R) -> Measurement {
     let scale = if quick { 10 } else { 1 };
 
@@ -114,30 +59,5 @@ pub fn measure<R>(quick: bool, mut f: impl FnMut() -> R) -> Measurement {
         median_ns: per_iter_ns[samples / 2],
         min_ns: per_iter_ns[0],
         batch,
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::fmt_ns;
-
-    #[test]
-    fn formats_across_scales() {
-        assert_eq!(fmt_ns(12.34), "12.3 ns");
-        assert_eq!(fmt_ns(12_340.0), "12.34 µs");
-        assert_eq!(fmt_ns(12_340_000.0), "12.34 ms");
-        assert_eq!(fmt_ns(2_500_000_000.0), "2.500 s");
     }
 }

@@ -8,8 +8,8 @@
 //! access, and one full cache-simulator calibration.
 //!
 //! Built on [`crate::microbench::measure`] — the same calibrated-batch
-//! protocol `cargo bench` uses, so numbers are comparable across both
-//! entry points.
+//! protocol `experiments scaling` and the benchmark package's probes use,
+//! so numbers are comparable across all three.
 
 use crate::microbench::{black_box, measure, Measurement};
 use cpm_control::PidGains;

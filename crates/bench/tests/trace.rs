@@ -133,3 +133,60 @@ fn two_island_trace_interleaves_gpm_every_ten_pic_steps() {
     let gpm = times(EventKind::GpmAllocation);
     assert!((gpm[2] - gpm[0] - 0.005).abs() < 1e-12, "GPM cadence");
 }
+
+/// The trace CSV is the outcome's own series, rendered: every PIC-interval
+/// cell is the matching `Outcome` sample at `{:.6}`, and each block of
+/// `pics_per_gpm` rows averages to the GPM-resolution chip power (Fig. 7's
+/// scale) to within that rounding.
+#[test]
+fn trace_csv_is_the_outcomes_series() {
+    let opts = TraceOptions {
+        rounds: 6,
+        ..TraceOptions::default()
+    };
+    let artifacts = run_trace("perf@80", &opts).expect("cell runs");
+    let out = &artifacts.outcome;
+    let mut lines = artifacts.csv.lines();
+    let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    let column = |name: &str| -> Vec<&str> {
+        let c = header.iter().position(|&h| h == name).expect(name);
+        rows.iter().map(|r| r[c]).collect()
+    };
+    let assert_series = |name: &str, series: &cpm_sim::TimeSeries| {
+        let rendered: Vec<String> = series
+            .samples()
+            .iter()
+            .map(|s| format!("{:.6}", s.value))
+            .collect();
+        assert_eq!(column(name), rendered, "column {name}");
+    };
+    assert_eq!(rows.len(), 6 * 10, "one row per PIC interval");
+    assert_series("chip_power_pct", &out.chip_power_percent);
+    assert_series("peak_temp_c", &out.peak_temperature);
+    for i in 0..out.island_actual_percent.len() {
+        assert_series(
+            &format!("island{i}_actual_pct"),
+            &out.island_actual_percent[i],
+        );
+        assert_series(
+            &format!("island{i}_target_pct"),
+            &out.island_target_percent[i],
+        );
+    }
+
+    let chip: Vec<f64> = column("chip_power_pct")
+        .iter()
+        .map(|c| c.parse().expect("numeric cell"))
+        .collect();
+    let gpm = out.chip_power_percent_gpm();
+    assert_eq!(gpm.samples().len(), 6, "one GPM sample per round");
+    for (block, s) in chip.chunks(10).zip(gpm.samples()) {
+        let mean = block.iter().sum::<f64>() / block.len() as f64;
+        assert!(
+            (mean - s.value).abs() <= 5e-7 + 1e-9,
+            "block mean {mean} vs GPM sample {}",
+            s.value
+        );
+    }
+}

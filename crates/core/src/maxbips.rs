@@ -19,8 +19,8 @@
 //!
 //! The combination search is a knapsack-style dynamic program over
 //! quantized power, exact to the quantization step and polynomial in
-//! islands × levels × bins (an exhaustive 8-level/4-island scan is also
-//! provided for cross-checking).
+//! islands × levels × bins; the tests cross-check it against an
+//! exhaustive scan.
 
 use cpm_power::dvfs::DvfsTable;
 use cpm_units::Watts;
@@ -98,6 +98,7 @@ impl MaxBips {
 
     /// Overrides the DP power quantization (coarser = faster, slightly
     /// less optimal).
+    #[cfg(test)]
     pub fn with_bin_watts(mut self, bin: f64) -> Self {
         assert!(bin > 0.0);
         self.bin_watts = bin;
@@ -251,8 +252,9 @@ impl MaxBips {
         out
     }
 
-    /// Exhaustive reference search (exponential; use only for small
-    /// configurations in tests/benches).
+    /// Exhaustive reference search (exponential): the oracle the DP is
+    /// tested against on small configurations.
+    #[cfg(test)]
     pub fn choose_exhaustive(
         &self,
         budget: Watts,
@@ -316,6 +318,7 @@ impl MaxBips {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpm_rng::check;
 
     fn obs(power: f64, bips: f64, idx: usize) -> MaxBipsObservation {
         MaxBipsObservation {
@@ -440,5 +443,65 @@ mod tests {
         let combo = m.choose(Watts::new(400.0), &o);
         assert_eq!(combo.len(), 32);
         assert!(m.predicted_power(&o, &combo).value() <= 400.0 + 1e-9);
+    }
+
+    #[test]
+    fn maxbips_dp_matches_exhaustive_up_to_quantization() {
+        check::forall_cases("maxbips dp vs exhaustive", 128, |rng| {
+            // Small island counts keep the 8^n exhaustive scan cheap while
+            // still exercising the DP's monotone propagation and backtrack
+            // (mixed per-island costs + tight budgets force picks to come
+            // from smaller bins).
+            let n = 2 + rng.below(2) as usize; // 2 or 3 islands
+            let bin = 0.01;
+            let mut mb = MaxBips::new(DvfsTable::pentium_m())
+                .with_safety_margin(0.0)
+                .with_bin_watts(bin);
+            let obs: Vec<MaxBipsObservation> = (0..n)
+                .map(|_| MaxBipsObservation {
+                    power: Watts::new(rng.f64_in(8.0, 30.0)),
+                    static_power: Watts::new(rng.f64_in(1.0, 6.0)),
+                    bips: rng.f64_in(0.2, 5.0),
+                    // Varying the observed operating point varies each
+                    // island's cost column, which is what makes backtracking
+                    // non-trivial.
+                    dvfs_index: rng.below(8) as usize,
+                })
+                .collect();
+            let budget = Watts::new(rng.f64_in(5.0, 40.0 * n as f64));
+
+            let dp = mb.choose(budget, &obs);
+            let dp_power = mb.predicted_power(&obs, &dp);
+            let all_lowest = dp.iter().all(|&l| l == 0);
+            assert!(
+                dp_power.value() <= budget.value() + 1e-9 || all_lowest,
+                "DP over budget: {dp_power} > {budget} with {dp:?}"
+            );
+
+            // The DP rounds each island's cost UP to the bin, which can shave
+            // up to n·bin (+ one bin for the floor on the bin count) off the
+            // effective budget; exhaustive search on that shaved budget is the
+            // exact bound the DP must meet or beat.
+            let shaved = Watts::new(budget.value() - (n as f64 + 1.0) * bin);
+            if shaved.value() > 0.0 {
+                let ex = mb.choose_exhaustive(shaved, &obs);
+                let ex_power = mb.predicted_power(&obs, &ex);
+                if ex_power.value() <= shaved.value() {
+                    let bips_dp = mb.predicted_bips(&obs, &dp);
+                    let bips_ex = mb.predicted_bips(&obs, &ex);
+                    assert!(
+                        bips_dp >= bips_ex - 1e-9,
+                        "DP {bips_dp} < exhaustive {bips_ex} (budget {budget}, obs {obs:?})"
+                    );
+                }
+            }
+
+            // The round-to-round memo must replay exactly what the search
+            // found: same inputs, bit-identical output.
+            let replay = mb.choose(budget, &obs);
+            assert_eq!(replay, dp, "memo replay diverged from the DP result");
+            let recomputed = mb.choose_uncached(budget, &obs);
+            assert_eq!(recomputed, dp, "memo result diverged from recomputation");
+        });
     }
 }

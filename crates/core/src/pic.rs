@@ -200,8 +200,12 @@ impl PerIslandController {
     /// Feeds one transducer calibration observation (capacity utilization
     /// vs true island power). In a real system these come from a one-time
     /// platform characterization; the coordinator performs an equivalent
-    /// profiling pass.
+    /// profiling pass. A pair with a non-finite member is skipped: one
+    /// would poison the least-squares fit for good.
     pub fn observe_calibration(&mut self, capacity_utilization: Ratio, power: Watts) {
+        if !(capacity_utilization.value().is_finite() && power.value().is_finite()) {
+            return;
+        }
         self.transducer.observe(capacity_utilization, power);
     }
 
@@ -232,9 +236,15 @@ impl PerIslandController {
     /// expose exactly this signal — the same coarse per-island meter that
     /// feeds the GPM's `IslandFeedback` — so the fast sensor's slow bias
     /// (phase drift, temperature-dependent leakage) can be trimmed out
-    /// without re-running the calibration sweep. No-op in oracle mode.
+    /// without re-running the calibration sweep. No-op in oracle mode, and
+    /// for a non-finite input, which would latch into the offset and zero
+    /// every later sensed reading.
     pub fn rezero(&mut self, mean_capacity_utilization: Ratio, mean_true_power: Watts) {
-        if self.sensor == PicSensor::Oracle || !self.transducer.is_calibrated() {
+        if self.sensor == PicSensor::Oracle
+            || !self.transducer.is_calibrated()
+            || !mean_capacity_utilization.value().is_finite()
+            || !mean_true_power.value().is_finite()
+        {
             return;
         }
         let sensed = self.transducer.estimate_power(mean_capacity_utilization);
@@ -460,11 +470,7 @@ mod tests {
         let mut pic = controller(PicSensor::Transducer);
         let mut island = FakeIsland::new();
         let table = DvfsTable::pentium_m();
-        // Calibrate across the DVFS range.
-        for idx in 0..table.len() {
-            island.apply(idx, &table);
-            pic.observe_calibration(island.capacity_utilization(), island.power());
-        }
+        calibrate(&mut pic, &mut island);
         assert!(pic.is_calibrated());
         assert!(pic.transducer_r_squared().unwrap() > 0.99);
         island.apply(7, &table);
@@ -496,27 +502,73 @@ mod tests {
         assert_eq!(pic.current_index(), settled, "back at the settled point");
     }
 
-    #[test]
-    fn non_finite_utilization_holds_a_transducer_island() {
-        let mut pic = controller(PicSensor::Transducer);
-        let mut island = FakeIsland::new();
+    /// Settles a calibrated transducer PIC against a 15 W target, starting
+    /// from the top operating point; returns the settled index.
+    fn settle_transducer(pic: &mut PerIslandController, island: &mut FakeIsland) -> usize {
+        let table = DvfsTable::pentium_m();
+        island.apply(7, &table);
+        pic.set_target(Watts::new(15.0));
+        run_loop(pic, island, 40);
+        let settled = pic.current_index();
+        assert!(
+            settled > 0 && settled + 1 < table.len(),
+            "settles mid-range, got {settled}"
+        );
+        settled
+    }
+
+    /// Feeds the PIC one calibration point per DVFS level.
+    fn calibrate(pic: &mut PerIslandController, island: &mut FakeIsland) {
         let table = DvfsTable::pentium_m();
         for idx in 0..table.len() {
             island.apply(idx, &table);
             pic.observe_calibration(island.capacity_utilization(), island.power());
         }
-        island.apply(7, &table);
-        pic.set_target(Watts::new(15.0));
-        run_loop(&mut pic, &mut island, 40);
-        let before = pic.current_index();
-        assert!(
-            before > 0 && before + 1 < table.len(),
-            "settles mid-range, got {before}"
-        );
+    }
+
+    #[test]
+    fn non_finite_utilization_holds_a_transducer_island() {
+        let mut pic = controller(PicSensor::Transducer);
+        let mut island = FakeIsland::new();
+        calibrate(&mut pic, &mut island);
+        let before = settle_transducer(&mut pic, &mut island);
         let f_norm = pic.f_norm;
         let held = pic.invoke(Ratio::new(f64::NAN), island.power());
         assert_eq!(held, before, "a NaN utilization must hold the island");
         assert_eq!(pic.f_norm.to_bits(), f_norm.to_bits(), "state untouched");
+    }
+
+    #[test]
+    fn one_non_finite_rezero_is_skipped_not_latched() {
+        let mut pic = controller(PicSensor::Transducer);
+        let mut island = FakeIsland::new();
+        calibrate(&mut pic, &mut island);
+        let settled = settle_transducer(&mut pic, &mut island);
+        pic.rezero(island.capacity_utilization(), Watts::new(f64::NAN));
+        pic.rezero(Ratio::new(f64::NAN), island.power());
+        for _ in 0..20 {
+            pic.rezero(island.capacity_utilization(), island.power());
+            run_loop(&mut pic, &mut island, 10);
+        }
+        assert_eq!(pic.current_index(), settled, "back at the settled point");
+        assert!(pic.sensor_offset().value().is_finite());
+    }
+
+    #[test]
+    fn one_non_finite_calibration_pair_is_skipped() {
+        let mut pic = controller(PicSensor::Transducer);
+        let mut island = FakeIsland::new();
+        calibrate(&mut pic, &mut island);
+        pic.observe_calibration(Ratio::new(0.5), Watts::new(f64::NAN));
+        let r2 = pic.transducer_r_squared().expect("calibrated");
+        assert!(r2.is_finite() && r2 > 0.99, "fit r² {r2}");
+        settle_transducer(&mut pic, &mut island);
+        let tail = run_loop(&mut pic, &mut island, 10);
+        let tail_mean = tail.iter().sum::<f64>() / 10.0;
+        assert!(
+            (tail_mean - 15.0).abs() < 1.5,
+            "transducer loop steady at {tail_mean}, want ≈15"
+        );
     }
 
     #[test]

@@ -169,66 +169,6 @@ fn maxbips_dp_is_at_least_as_good_as_uniform_throttling() {
 }
 
 #[test]
-fn maxbips_dp_matches_exhaustive_up_to_quantization() {
-    check::forall_cases("maxbips dp vs exhaustive", 128, |rng| {
-        // Small island counts keep the 8^n exhaustive scan cheap while
-        // still exercising the DP's monotone propagation and backtrack
-        // (mixed per-island costs + tight budgets force picks to come
-        // from smaller bins).
-        let n = 2 + rng.below(2) as usize; // 2 or 3 islands
-        let bin = 0.01;
-        let mut mb = MaxBips::new(DvfsTable::pentium_m())
-            .with_safety_margin(0.0)
-            .with_bin_watts(bin);
-        let obs: Vec<MaxBipsObservation> = (0..n)
-            .map(|_| MaxBipsObservation {
-                power: Watts::new(rng.f64_in(8.0, 30.0)),
-                static_power: Watts::new(rng.f64_in(1.0, 6.0)),
-                bips: rng.f64_in(0.2, 5.0),
-                // Varying the observed operating point varies each
-                // island's cost column, which is what makes backtracking
-                // non-trivial.
-                dvfs_index: rng.below(8) as usize,
-            })
-            .collect();
-        let budget = Watts::new(rng.f64_in(5.0, 40.0 * n as f64));
-
-        let dp = mb.choose(budget, &obs);
-        let dp_power = mb.predicted_power(&obs, &dp);
-        let all_lowest = dp.iter().all(|&l| l == 0);
-        assert!(
-            dp_power.value() <= budget.value() + 1e-9 || all_lowest,
-            "DP over budget: {dp_power} > {budget} with {dp:?}"
-        );
-
-        // The DP rounds each island's cost UP to the bin, which can shave
-        // up to n·bin (+ one bin for the floor on the bin count) off the
-        // effective budget; exhaustive search on that shaved budget is the
-        // exact bound the DP must meet or beat.
-        let shaved = Watts::new(budget.value() - (n as f64 + 1.0) * bin);
-        if shaved.value() > 0.0 {
-            let ex = mb.choose_exhaustive(shaved, &obs);
-            let ex_power = mb.predicted_power(&obs, &ex);
-            if ex_power.value() <= shaved.value() {
-                let bips_dp = mb.predicted_bips(&obs, &dp);
-                let bips_ex = mb.predicted_bips(&obs, &ex);
-                assert!(
-                    bips_dp >= bips_ex - 1e-9,
-                    "DP {bips_dp} < exhaustive {bips_ex} (budget {budget}, obs {obs:?})"
-                );
-            }
-        }
-
-        // The round-to-round memo must replay exactly what the search
-        // found: same inputs, bit-identical output.
-        let replay = mb.choose(budget, &obs);
-        assert_eq!(replay, dp, "memo replay diverged from the DP result");
-        let recomputed = mb.choose_uncached(budget, &obs);
-        assert_eq!(recomputed, dp, "memo result diverged from recomputation");
-    });
-}
-
-#[test]
 fn segment_overshoot_matches_peak() {
     check::forall_cases("segment overshoot", 128, |rng| {
         let trace = check::vec_f64(rng, 1.0, 40.0, 1, 20);

@@ -143,11 +143,6 @@ impl Polynomial {
         coeffs.extend_from_slice(&self.coeffs);
         Self::new(coeffs)
     }
-
-    /// Largest absolute coefficient (∞-norm), used for conditioning checks.
-    pub fn max_abs_coefficient(&self) -> f64 {
-        self.coeffs.iter().fold(0.0f64, |m, &c| m.max(c.abs()))
-    }
 }
 
 impl Add for Polynomial {

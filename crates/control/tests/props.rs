@@ -155,12 +155,20 @@ fn jury_agrees_with_the_root_finder() {
 #[test]
 fn closed_loop_is_stable_within_the_gain_margin() {
     let margin = analysis::gain_margin(PidGains::paper(), 0.79, 1e-3);
-    check::forall("stable within margin", |rng| {
-        let frac = rng.f64_in(0.05, 0.95);
+    check::forall("stable within margin, unstable beyond", |rng| {
+        // Inside: g in [0.05, 0.95]·g_max. Beyond: g in [1.01, 100]·g_max,
+        // log-uniform, so each decade past the margin gets as many draws.
+        let inside = rng.below(2) == 0;
+        let frac = if inside {
+            rng.f64_in(0.05, 0.95)
+        } else {
+            rng.f64_in(1.01f64.ln(), 100f64.ln()).exp()
+        };
         let cl = closed_loop(PidGains::paper(), frac * margin * 0.79);
-        assert!(
+        assert_eq!(
             cl.is_stable(),
-            "g = {} within margin {}",
+            inside,
+            "g = {} against margin {}",
             frac * margin,
             margin
         );

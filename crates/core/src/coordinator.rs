@@ -22,9 +22,7 @@ use crate::gpm::{GlobalPowerManager, IslandFeedback, IslandRange, ProvisioningPo
 use crate::maxbips::{MaxBips, MaxBipsObservation};
 use crate::metrics::TrackingSummary;
 use crate::pic::{PerIslandController, PicSensor};
-use crate::policies::energy::EnergyAware;
 use crate::policies::performance::PerformanceAware;
-use crate::policies::qos::{QosAware, QosClass};
 use crate::policies::thermal::{ThermalAware, ThermalConstraints, ViolationStats};
 use crate::policies::variation::VariationAware;
 use cpm_control::PidGains;
@@ -78,16 +76,6 @@ pub enum PolicyKind {
     Thermal(ThermalConstraints),
     /// Variation-aware greedy EPI search (§IV-B).
     Variation,
-    /// Energy minimization with a per-island minimum performance guarantee
-    /// (the fraction of unthrottled throughput each island keeps). Named
-    /// feasible in §II-C; implemented as an extension.
-    Energy {
-        /// Guaranteed fraction of reference throughput, in `(0, 1)`.
-        guarantee: f64,
-    },
-    /// Strict-priority / weighted-share QoS provisioning (one class per
-    /// island, island order). Also named feasible in §II-C.
-    Qos(Vec<QosClass>),
 }
 
 /// The management scheme under test.
@@ -399,7 +387,7 @@ impl Coordinator {
         let chip = Chip::with_variation(cfg.cmp.clone(), &assignment, variation);
         let memo_key = format!("{:?}|{assignment:?}|{:?}", chip.config(), chip.variation());
         let (reference_power, probe_cache_hit) =
-            PROBE_MEMO.get_or_compute(&memo_key, || Self::probe_reference_power_uncached(&chip));
+            PROBE_MEMO.get_or_compute(&memo_key, || Self::probe_reference_power(&chip));
         let budget = cfg.budget_fraction * reference_power;
         Self::check_budget(&chip, budget)?;
 
@@ -415,16 +403,6 @@ impl Coordinator {
                         islands,
                     )),
                     PolicyKind::Variation => Box::new(VariationAware::new()),
-                    PolicyKind::Energy { guarantee } => Box::new(EnergyAware::new(*guarantee)),
-                    PolicyKind::Qos(classes) => {
-                        if classes.len() != islands {
-                            return Err(ConfigError::MixTopologyMismatch(format!(
-                                "QoS classes cover {} islands, chip has {islands}",
-                                classes.len()
-                            )));
-                        }
-                        Box::new(QosAware::new(classes.clone()))
-                    }
                 };
                 let pics = (0..islands)
                     .map(|i| {
@@ -514,11 +492,6 @@ impl Coordinator {
         self.hotspot = Some(tracker);
     }
 
-    /// The attached die-temperature watchdog, if any.
-    pub fn hotspot_tracker(&self) -> Option<&HotspotTracker> {
-        self.hotspot.as_ref()
-    }
-
     /// Attaches a fault-injection seam. During measurement the seam
     /// filters every island's sensed `(utilization, power)` pair before
     /// its PIC sees it, every requested DVFS move before it is applied,
@@ -530,11 +503,6 @@ impl Coordinator {
     /// story, not the characterization that precedes it.
     pub fn set_injection(&mut self, seam: Box<dyn InjectionSeam + Send>) {
         self.injection = Some(seam);
-    }
-
-    /// Detaches the fault-injection seam, restoring un-faulted stepping.
-    pub fn clear_injection(&mut self) {
-        self.injection = None;
     }
 
     /// Attaches a control-phase wall-clock profiler: during measurement
@@ -559,10 +527,7 @@ impl Coordinator {
     /// then averages 8 GPM intervals at the top operating point. This is
     /// the basis the paper expresses budgets in — the unmanaged chip reads
     /// ≈ 100 %.
-    ///
-    /// Public as the memo-free reference path so tests can verify the memo
-    /// cache returns bit-identical values.
-    pub fn probe_reference_power_uncached(chip: &Chip) -> Watts {
+    fn probe_reference_power(chip: &Chip) -> Watts {
         let mut probe = chip.clone();
         let per_gpm = probe.config().pics_per_gpm();
         let mut snap = ChipSnapshot::empty();
@@ -1078,56 +1043,35 @@ impl Coordinator {
                 }
 
                 if let Manager::Cpm { pics, .. } = &mut self.manager {
-                    match &mut self.injection {
-                        None => {
-                            for (i, pic) in pics.iter_mut().enumerate() {
-                                let isl = &snap.islands[i];
-                                let idx = pic.invoke(isl.capacity_utilization, isl.power);
-                                if record_provenance {
-                                    // Un-faulted platform: the knob honors
-                                    // the request verbatim.
-                                    let from = self.chip.island_dvfs(IslandId(i)) as u32;
-                                    self.recorder.record(EventPayload::Actuation {
-                                        span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
-                                        parent: SpanId::pic_decision(round_no, i as u32, k as u32)
-                                            .raw(),
-                                        island: i as u32,
-                                        from_dvfs: from,
-                                        requested_dvfs: idx as u32,
-                                        to_dvfs: idx as u32,
-                                        granted: true,
-                                    });
-                                }
-                                self.chip.set_island_dvfs(IslandId(i), idx);
+                    for (i, pic) in pics.iter_mut().enumerate() {
+                        let id = IslandId(i);
+                        let isl = &snap.islands[i];
+                        let (mut u, mut p) = (isl.capacity_utilization, isl.power);
+                        if let Some(seam) = &mut self.injection {
+                            if seam.controller_failed(t, id) {
+                                continue; // dead controller: knob holds
                             }
+                            (u, p) = seam.filter_sense(t, id, u, p);
                         }
-                        Some(seam) => {
-                            for (i, pic) in pics.iter_mut().enumerate() {
-                                let id = IslandId(i);
-                                if seam.controller_failed(t, id) {
-                                    continue; // dead controller: knob holds
-                                }
-                                let isl = &snap.islands[i];
-                                let (u, p) =
-                                    seam.filter_sense(t, id, isl.capacity_utilization, isl.power);
-                                let requested = pic.invoke(u, p);
-                                let current = self.chip.island_dvfs(id);
-                                let idx = seam.filter_actuate(t, id, requested, current);
-                                if record_provenance {
-                                    self.recorder.record(EventPayload::Actuation {
-                                        span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
-                                        parent: SpanId::pic_decision(round_no, i as u32, k as u32)
-                                            .raw(),
-                                        island: i as u32,
-                                        from_dvfs: current as u32,
-                                        requested_dvfs: requested as u32,
-                                        to_dvfs: idx as u32,
-                                        granted: idx == requested,
-                                    });
-                                }
-                                self.chip.set_island_dvfs(id, idx);
-                            }
+                        let requested = pic.invoke(u, p);
+                        let current = self.chip.island_dvfs(id);
+                        // Un-faulted platform: the knob honors the request.
+                        let idx = match &mut self.injection {
+                            Some(seam) => seam.filter_actuate(t, id, requested, current),
+                            None => requested,
+                        };
+                        if record_provenance {
+                            self.recorder.record(EventPayload::Actuation {
+                                span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
+                                parent: SpanId::pic_decision(round_no, i as u32, k as u32).raw(),
+                                island: i as u32,
+                                from_dvfs: current as u32,
+                                requested_dvfs: requested as u32,
+                                to_dvfs: idx as u32,
+                                granted: idx == requested,
+                            });
                         }
+                        self.chip.set_island_dvfs(id, idx);
                     }
                 }
                 if let Some(p) = &mut self.profiler {
@@ -1415,6 +1359,24 @@ mod tests {
             let r2 = r2.expect("transducer calibrated");
             assert!(r2 > 0.85, "island {i} transducer R² = {r2}");
         }
+    }
+
+    #[test]
+    fn memoized_reference_power_is_bit_identical_to_direct_probe() {
+        let cfg = ExperimentConfig::paper_default().with_budget_percent(80.0);
+        // Whatever the first construction did, this one is a guaranteed cache
+        // hit for the same construction key.
+        let warm = Coordinator::new(cfg.clone()).unwrap();
+        drop(warm);
+        let coord = Coordinator::new(cfg).unwrap();
+        let direct = Coordinator::probe_reference_power(coord.chip());
+        assert_eq!(
+            coord.reference_power().value().to_bits(),
+            direct.value().to_bits(),
+            "memoized reference power {} != direct probe {}",
+            coord.reference_power(),
+            direct
+        );
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl GlobalPowerManager {
         self.failed[island.index()]
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Constraint-violation statistics from the active policy, if it
     /// tracks any (the thermal-aware policy does).
     pub fn policy_violation_stats(&self) -> Option<&ViolationStats> {

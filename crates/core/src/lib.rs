@@ -33,9 +33,7 @@ pub use gpm::{GlobalPowerManager, IslandFeedback, ProvisioningPolicy};
 pub use maxbips::MaxBips;
 pub use metrics::{robustness_summary, segment_metrics, RobustnessSummary, TrackingSummary};
 pub use pic::PerIslandController;
-pub use policies::energy::EnergyAware;
 pub use policies::performance::PerformanceAware;
-pub use policies::qos::{QosAware, QosClass};
 pub use policies::thermal::{ThermalAware, ThermalConstraints};
 pub use policies::variation::VariationAware;
 
@@ -47,9 +45,7 @@ pub mod prelude {
     pub use crate::gpm::{GlobalPowerManager, IslandFeedback, ProvisioningPolicy};
     pub use crate::maxbips::MaxBips;
     pub use crate::pic::PerIslandController;
-    pub use crate::policies::energy::EnergyAware;
     pub use crate::policies::performance::PerformanceAware;
-    pub use crate::policies::qos::{QosAware, QosClass};
     pub use crate::policies::thermal::{ThermalAware, ThermalConstraints};
     pub use crate::policies::variation::VariationAware;
     pub use cpm_sim::CmpConfig;

@@ -183,12 +183,6 @@ impl PerIslandController {
         self.step_in_round = 0;
     }
 
-    /// The provenance coordinate of the *next* invocation:
-    /// `(round, step)` as the emitted span id will carry it.
-    pub fn next_decision_coordinates(&self) -> (u64, u32) {
-        (self.round, self.step_in_round)
-    }
-
     /// Sets a new power target (the GPM's provisioned value). The PID state
     /// is *kept* — the integral carries useful plant knowledge across
     /// re-provisioning.

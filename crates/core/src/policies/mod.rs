@@ -4,15 +4,12 @@
 //! * [`thermal`] — avoid hotspots via spatio-temporal allocation
 //!   constraints (§IV-A),
 //! * [`variation`] — minimize power/throughput under intra-die leakage
-//!   variation via greedy exploration (§IV-B),
-//! * [`energy`] — minimize energy under a per-island minimum performance
-//!   guarantee (named feasible in §II-C, implemented here as an
-//!   extension),
-//! * [`qos`] — strict-priority / weighted-share QoS provisioning (also
-//!   named feasible in §II-C).
+//!   variation via greedy exploration (§IV-B).
+//!
+//! §II-C's other uses of the decoupled design (energy with a performance
+//! guarantee, QoS provisioning) are not built in: a caller writes them on
+//! [`crate::gpm::ProvisioningPolicy`], as `examples/custom_policy.rs` does.
 
-pub mod energy;
 pub mod performance;
-pub mod qos;
 pub mod thermal;
 pub mod variation;

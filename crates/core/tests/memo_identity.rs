@@ -1,29 +1,12 @@
-//! The coordinator's process-wide memo caches (reference-power probe,
-//! transducer calibration sweep) must be *bit-identical* to recomputation:
-//! a run whose calibration was replayed from the cache has to produce
-//! exactly the trajectory a memo-free run produces, or the workers=1 vs
-//! workers=4 byte-determinism gate would depend on cache population order.
+//! The coordinator's transducer-calibration-sweep memo must be
+//! *bit-identical* to recomputation: a run whose calibration was replayed
+//! from the cache has to produce exactly the trajectory a memo-free run
+//! produces, or the workers=1 vs workers=4 byte-determinism gate would
+//! depend on cache population order. (The reference-power probe memo is
+//! checked against the direct probe in `coordinator`'s unit tests.)
 
 use cpm_core::coordinator::{Coordinator, ExperimentConfig, Outcome};
 use cpm_sim::TimeSeries;
-
-#[test]
-fn memoized_reference_power_is_bit_identical_to_direct_probe() {
-    let cfg = ExperimentConfig::paper_default().with_budget_percent(80.0);
-    // Whatever the first construction did, this one is a guaranteed cache
-    // hit for the same construction key.
-    let warm = Coordinator::new(cfg.clone()).unwrap();
-    drop(warm);
-    let coord = Coordinator::new(cfg).unwrap();
-    let direct = Coordinator::probe_reference_power_uncached(coord.chip());
-    assert_eq!(
-        coord.reference_power().value().to_bits(),
-        direct.value().to_bits(),
-        "memoized reference power {} != direct probe {}",
-        coord.reference_power(),
-        direct
-    );
-}
 
 fn series_bits(s: &TimeSeries) -> Vec<(u64, u64)> {
     s.samples()

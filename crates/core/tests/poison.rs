@@ -2,6 +2,8 @@
 //! -power probe, calibration sweep) must not wedge every coordinator
 //! constructed afterwards: the caches only hold whole finished entries, so
 //! later lookups recover the poisoned lock and replay bit-identically.
+//! (That a memoized probe equals the direct probe is checked in
+//! `coordinator`'s unit tests; the probe itself is private.)
 
 use cpm_core::coordinator::{self, Coordinator, ExperimentConfig};
 
@@ -21,12 +23,6 @@ fn poisoned_probe_memo_recovers_without_wedging_construction() {
         coord.reference_power().value().to_bits(),
         reference_bits,
         "probe memo entry lost or corrupted by poisoning"
-    );
-    let direct = Coordinator::probe_reference_power_uncached(coord.chip());
-    assert_eq!(
-        coord.reference_power().value().to_bits(),
-        direct.value().to_bits(),
-        "post-poison probe != memo-free path"
     );
 }
 

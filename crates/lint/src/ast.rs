@@ -34,13 +34,6 @@ pub enum BinOp {
     Other,
 }
 
-impl BinOp {
-    /// True for the operators whose operands must share a dimension.
-    pub fn requires_same_dim(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Cmp | BinOp::Eq)
-    }
-}
-
 /// One expression node.
 #[derive(Debug, Clone)]
 pub struct Expr {

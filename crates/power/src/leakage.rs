@@ -135,11 +135,6 @@ impl LeakageModel {
             out[l] = p_nom * (multiplier * v_term * t_term);
         }
     }
-
-    /// The anchor (nominal) leakage value.
-    pub fn nominal_power(&self) -> Watts {
-        self.p_nominal
-    }
 }
 
 #[cfg(test)]

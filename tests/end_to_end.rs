@@ -200,59 +200,6 @@ fn oracle_and_transducer_sensing_agree_in_the_mean() {
 }
 
 #[test]
-fn energy_policy_saves_power_and_holds_the_guarantee() {
-    let cfg = ExperimentConfig::paper_default()
-        .with_budget_percent(100.0)
-        .with_scheme(ManagementScheme::Cpm(PolicyKind::Energy { guarantee: 0.9 }));
-    let (energy, base) = run_with_baseline(cfg, 40).expect("valid");
-    // Saves real power vs the unmanaged chip…
-    assert!(
-        energy.mean_chip_power_percent() < 97.0,
-        "energy policy should shave power: {} %",
-        energy.mean_chip_power_percent()
-    );
-    // …while keeping total throughput near the guarantee.
-    let deg = energy.degradation_vs(&base);
-    assert!(deg < 14.0, "guarantee band exceeded: {deg} %");
-}
-
-#[test]
-fn qos_policy_protects_the_critical_tier() {
-    use cpm::core::policies::qos::QosClass;
-    let classes = vec![
-        QosClass::CRITICAL,
-        QosClass::CRITICAL,
-        QosClass::BEST_EFFORT,
-        QosClass::BEST_EFFORT,
-    ];
-    let full = Coordinator::new(
-        ExperimentConfig::paper_default()
-            .with_budget_percent(100.0)
-            .with_scheme(ManagementScheme::Cpm(PolicyKind::Qos(classes.clone()))),
-    )
-    .expect("valid")
-    .run_for_gpm_intervals(25);
-    let tight = Coordinator::new(
-        ExperimentConfig::paper_default()
-            .with_budget_percent(60.0)
-            .with_scheme(ManagementScheme::Cpm(PolicyKind::Qos(classes))),
-    )
-    .expect("valid")
-    .run_for_gpm_intervals(25);
-    let keep =
-        |o: &cpm::core::coordinator::Outcome, f: &cpm::core::coordinator::Outcome, i: usize| {
-            o.island_energy[i].bips().unwrap() / f.island_energy[i].bips().unwrap()
-        };
-    let critical = (keep(&tight, &full, 0) + keep(&tight, &full, 1)) / 2.0;
-    let best_effort = (keep(&tight, &full, 2) + keep(&tight, &full, 3)) / 2.0;
-    assert!(critical > 0.90, "critical tier kept {critical}");
-    assert!(
-        best_effort < critical - 0.25,
-        "best-effort must absorb the cut: {best_effort} vs {critical}"
-    );
-}
-
-#[test]
 fn adaptive_gain_tracks_at_least_as_well_as_fixed() {
     let mut fixed_cfg = ExperimentConfig::paper_default();
     fixed_cfg.plant_gain = 0.4; // deliberately misidentified

@@ -2,7 +2,6 @@
 //! configurations the headline end-to-end suite does not cover.
 
 use cpm::core::coordinator::{run_with_baseline, PolicyKind};
-use cpm::core::policies::qos::QosClass;
 use cpm::prelude::*;
 use cpm_units::{IslandId, Seconds};
 
@@ -77,9 +76,8 @@ fn all_policy_kinds_construct_and_run() {
     let kinds: Vec<(PolicyKind, Mix, usize, usize)> = vec![
         (PolicyKind::Performance, Mix::Mix1, 8, 2),
         (PolicyKind::Variation, Mix::Mix1, 8, 2),
-        (PolicyKind::Energy { guarantee: 0.85 }, Mix::Mix1, 8, 2),
         (
-            PolicyKind::Qos(vec![QosClass::STANDARD; 4]),
+            PolicyKind::Thermal(ThermalConstraints::linear(4, 0.45, 0.28)),
             Mix::Mix1,
             8,
             2,
@@ -101,17 +99,6 @@ fn all_policy_kinds_construct_and_run() {
 }
 
 #[test]
-fn qos_class_count_mismatch_is_a_config_error() {
-    let cfg = ExperimentConfig::paper_default().with_scheme(ManagementScheme::Cpm(
-        PolicyKind::Qos(vec![
-            QosClass::STANDARD;
-            3 // 4 islands on the chip
-        ]),
-    ));
-    assert!(Coordinator::new(cfg).is_err());
-}
-
-#[test]
 fn thermal_policy_on_two_core_islands_also_holds() {
     // The thermal wrapper is not tied to single-core islands: run it on
     // the default 4×2 topology with linear adjacency.
@@ -125,26 +112,6 @@ fn thermal_policy_on_two_core_islands_also_holds() {
     coord.run_for_gpm_intervals(30);
     let stats = coord.thermal_stats().expect("stats");
     assert_eq!(stats.violated_intervals, 0);
-}
-
-#[test]
-fn energy_guarantee_scales_with_the_parameter() {
-    // A looser guarantee must save at least as much power as a tight one.
-    let run = |g: f64| {
-        let cfg = ExperimentConfig::paper_default()
-            .with_budget_percent(100.0)
-            .with_scheme(ManagementScheme::Cpm(PolicyKind::Energy { guarantee: g }));
-        Coordinator::new(cfg)
-            .expect("valid")
-            .run_for_gpm_intervals(30)
-            .mean_chip_power_percent()
-    };
-    let tight = run(0.95);
-    let loose = run(0.80);
-    assert!(
-        loose <= tight + 1.0,
-        "80 % guarantee ({loose}) should use no more power than 95 % ({tight})"
-    );
 }
 
 #[test]

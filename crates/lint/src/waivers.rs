@@ -25,8 +25,13 @@
 //! current count — so adding a waiver forces a deliberate budget bump
 //! (with its justification updated), and removing one forces the budget
 //! down. The file can only shrink silently, never grow.
+//!
+//! The determinism rules ([`DETERMINISM_RULES`]) cannot be waived at all:
+//! a waiver documents intent at a site, but the value produced there is
+//! still nondeterministic wherever it flows, so such an entry is a parse
+//! error.
 
-use crate::rules::RuleId;
+use crate::rules::{RuleId, DETERMINISM_RULES};
 
 /// One committed, justified exception to the catalogue.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,10 +83,10 @@ pub fn parse(text: &str) -> Result<Vec<Waiver>, WaiverError> {
     parse_file(text).map(|f| f.waivers)
 }
 
-/// Parses and validates the waiver file. Unknown keys, unknown rules,
-/// missing fields, and empty reasons/justifications are all hard errors:
-/// a waiver that cannot be read precisely must not silently suppress
-/// anything.
+/// Parses and validates the waiver file. Unknown keys, unknown or
+/// determinism rules, missing fields, and empty reasons/justifications
+/// are all hard errors: a waiver that cannot be read precisely must not
+/// silently suppress anything.
 pub fn parse_file(text: &str) -> Result<WaiverFile, WaiverError> {
     struct Partial {
         line: usize,
@@ -209,10 +214,20 @@ pub fn parse_file(text: &str) -> Result<WaiverFile, WaiverError> {
         };
         match key {
             "rule" => {
-                p.rule = Some(RuleId::parse(unquoted).ok_or_else(|| WaiverError {
+                let rule = RuleId::parse(unquoted).ok_or_else(|| WaiverError {
                     line: lineno,
                     message: format!("unknown rule `{unquoted}`"),
-                })?);
+                })?;
+                if DETERMINISM_RULES.contains(&rule) {
+                    return Err(WaiverError {
+                        line: lineno,
+                        message: format!(
+                            "`{unquoted}` is a determinism rule and cannot be waived; fix the \
+                             source instead"
+                        ),
+                    });
+                }
+                p.rule = Some(rule);
             }
             "path" => p.path = Some(unquoted.to_string()),
             "reason" => p.reason = Some(unquoted.to_string()),
@@ -265,7 +280,7 @@ path = "crates/rng/src/check.rs"
 reason = "the harness panics on purpose"
 
 [[waiver]]
-rule = "timing"
+rule = "output"
 path = "crates/sim/src/x.rs"
 reason = "why not"
 "#;
@@ -279,18 +294,31 @@ reason = "why not"
     fn rejects_unknown_rule_and_empty_reason() {
         let bad_rule = "[[waiver]]\nrule = \"no-such-rule\"\npath = \"x\"\nreason = \"r\"\n";
         assert!(parse(bad_rule).is_err());
-        let empty_reason = "[[waiver]]\nrule = \"timing\"\npath = \"x\"\nreason = \"  \"\n";
+        let empty_reason = "[[waiver]]\nrule = \"output\"\npath = \"x\"\nreason = \"  \"\n";
         assert!(parse(empty_reason).is_err());
     }
 
     #[test]
     fn rejects_missing_fields_and_unknown_keys() {
-        assert!(parse("[[waiver]]\nrule = \"timing\"\nreason = \"r\"\n").is_err());
+        assert!(parse("[[waiver]]\nrule = \"output\"\nreason = \"r\"\n").is_err());
         assert!(parse(
-            "[[waiver]]\nrule = \"timing\"\npath = \"x\"\nreason = \"r\"\nseverity = \"low\"\n"
+            "[[waiver]]\nrule = \"output\"\npath = \"x\"\nreason = \"r\"\nseverity = \"low\"\n"
         )
         .is_err());
-        assert!(parse("rule = \"timing\"\n").is_err());
+        assert!(parse("rule = \"output\"\n").is_err());
+    }
+
+    #[test]
+    fn rejects_every_determinism_rule() {
+        for rule in DETERMINISM_RULES {
+            let text = format!(
+                "[[waiver]]\nrule = \"{}\"\npath = \"x\"\nreason = \"r\"\n",
+                rule.name()
+            );
+            let err = parse(&text).expect_err(rule.name());
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("cannot be waived"), "{err}");
+        }
     }
 
     #[test]
@@ -302,7 +330,7 @@ reason = "why not"
     #[test]
     fn budget_table_parses() {
         let text = "[budget]\nmax = 5\njustification = \"legacy accuracy twins\"\n\n\
-                    [[waiver]]\nrule = \"timing\"\npath = \"x\"\nreason = \"r\"\n";
+                    [[waiver]]\nrule = \"output\"\npath = \"x\"\nreason = \"r\"\n";
         let f = parse_file(text).unwrap();
         assert_eq!(
             f.budget,
@@ -338,7 +366,7 @@ reason = "why not"
 
     #[test]
     fn budget_after_waiver_is_accepted() {
-        let text = "[[waiver]]\nrule = \"timing\"\npath = \"x\"\nreason = \"r\"\n\n\
+        let text = "[[waiver]]\nrule = \"output\"\npath = \"x\"\nreason = \"r\"\n\n\
                     [budget]\nmax = 1\njustification = \"one known site\"\n";
         let f = parse_file(text).unwrap();
         assert_eq!(f.waivers.len(), 1);

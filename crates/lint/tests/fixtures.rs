@@ -257,8 +257,8 @@ fn test_role_files_skip_library_only_rules() {
     .is_empty());
 }
 
-/// Lints a set of fixtures as one mini-workspace (the interprocedural
-/// passes need the whole file set) and filters to one rule's firings.
+/// Lints a set of fixtures as one mini-workspace (the dimension pass
+/// needs the whole file set) and filters to one rule's firings.
 fn workspace_firings(files: &[(&str, &str)], rule: RuleId) -> Vec<(String, usize)> {
     let inputs: Vec<_> = files
         .iter()
@@ -269,53 +269,6 @@ fn workspace_firings(files: &[(&str, &str)], rule: RuleId) -> Vec<(String, usize
         .filter(|v| v.rule == rule)
         .map(|v| (v.path, v.line))
         .collect()
-}
-
-#[test]
-fn taint_flow_fires_on_the_laundered_chain() {
-    let hits = workspace_firings(
-        &[
-            ("taint_sink.rs", "crates/obs/src/recorder.rs"),
-            ("taint_flow_fire.rs", "crates/core/src/fx.rs"),
-        ],
-        RuleId::TaintFlow,
-    );
-    assert_eq!(hits.len(), 1, "one join, one diagnostic: {hits:?}");
-    assert_eq!(hits[0].0, "crates/core/src/fx.rs");
-    // The diagnostic carries both witness chains.
-    let inputs = vec![
-        (
-            classify("crates/obs/src/recorder.rs"),
-            fixture("taint_sink.rs"),
-        ),
-        (
-            classify("crates/core/src/fx.rs"),
-            fixture("taint_flow_fire.rs"),
-        ),
-    ];
-    let v = lint_sources(&inputs)
-        .into_iter()
-        .find(|v| v.rule == RuleId::TaintFlow)
-        .unwrap();
-    assert!(v.message.contains("source chain"), "{}", v.message);
-    assert!(v.message.contains("sink chain"), "{}", v.message);
-    assert!(
-        v.message.contains("std::time::Instant"),
-        "the rename must be resolved back to Instant: {}",
-        v.message
-    );
-}
-
-#[test]
-fn taint_flow_stays_quiet_on_the_deterministic_twin() {
-    let hits = workspace_firings(
-        &[
-            ("taint_sink.rs", "crates/obs/src/recorder.rs"),
-            ("taint_flow_clean.rs", "crates/core/src/fx.rs"),
-        ],
-        RuleId::TaintFlow,
-    );
-    assert!(hits.is_empty(), "{hits:?}");
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn waiver_budget_is_a_ratchet_pinned_to_the_exact_count() {
 /// recover nearly every `fn` item the tokenizer sees. The known residue
 /// is fns generated inside `macro_rules!` bodies (skipped as opaque
 /// token trees) and `fn`-pointer types; if this ratio drops, the parser
-/// regressed and the taint/dimension passes are silently blind to the
+/// regressed and the AST rules and dimension pass are silently blind to the
 /// lost functions.
 #[test]
 fn parser_recovers_nearly_all_fns_across_the_workspace() {

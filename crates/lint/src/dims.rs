@@ -14,20 +14,19 @@
 //! Dimensions are an exponent vector over the basis (W, V, s, °C);
 //! Hz = s⁻¹ and J = W·s are derived. Inference sources, strongest first:
 //!
-//! 1. `// dim: <unit>` annotations on a `let` line (`// dim: W`,
-//!    `// dim: W/s`, `// dim: C*C`), and `// dim: allow` to accept a
-//!    flagged line;
-//! 2. `cpm-units` types in parameter/`let` annotations, constructors
+//! 1. `cpm-units` types in parameter/`let` annotations, constructors
 //!    (`Watts::new`, `Hertz::from_mhz`), dimension-preserving methods
 //!    (`.value()`, `.abs()`, `.clamp()`), and converters (`.period()` →
 //!    s, `.ratio_of()` → dimensionless);
-//! 3. struct fields whose declared type is a unit type (looked up by
+//! 2. struct fields whose declared type is a unit type (looked up by
 //!    field name, only when every field of that name agrees);
-//! 4. full-word name suffixes (`_watts`, `_volts`, `_hertz`, `_joules`,
+//! 3. full-word name suffixes (`_watts`, `_volts`, `_hertz`, `_joules`,
 //!    `_seconds`, `_celsius`) on otherwise untyped bindings.
 //!
 //! Everything else is Unknown, and Unknown never fires — the pass is
 //! deliberately quiet on raw-`f64` code it cannot prove anything about.
+//! A deliberate cross-dimension site takes a `lint-waivers.toml` entry,
+//! which counts against the waiver budget.
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, ParsedFile, Stmt};
 use crate::rules::{Role, RuleId, Violation};
@@ -127,92 +126,11 @@ fn name_dim(name: &str) -> DimVal {
     Unknown
 }
 
-/// Parses a `// dim:` annotation body: unit atoms (`W`, `V`, `Hz`, `J`,
-/// `s`, `C`, `1`) combined with `*` and `/`, e.g. `W/s`, `C*C`, `J`.
-/// Returns `None` for `allow` or anything unparseable.
-fn parse_dim_expr(txt: &str) -> Option<Dim> {
-    let txt = txt.trim();
-    let mut result = DIMENSIONLESS;
-    let mut sign = 1i8;
-    for part in txt.split(['*', '/']).zip_longest_ops(txt) {
-        let (atom, next_sign) = part;
-        let d = match atom.trim() {
-            "W" => W,
-            "V" => V,
-            "Hz" => HZ,
-            "J" => J,
-            "s" => S,
-            "C" | "°C" => C,
-            "1" => DIMENSIONLESS,
-            _ => return None,
-        };
-        for i in 0..4 {
-            result[i] = result[i].checked_add(sign * d[i])?;
-        }
-        sign = next_sign;
-    }
-    Some(result)
-}
-
-/// Helper: iterate atoms of a `*`/`/` expression together with the sign
-/// the *next* atom should get (`*` keeps, `/` flips).
-trait ZipOps<'a>: Sized {
-    fn zip_longest_ops(self, src: &'a str) -> Vec<(&'a str, i8)>;
-}
-
-impl<'a, I: Iterator<Item = &'a str>> ZipOps<'a> for I {
-    fn zip_longest_ops(self, src: &'a str) -> Vec<(&'a str, i8)> {
-        let atoms: Vec<&str> = self.collect();
-        let ops: Vec<i8> = src
-            .chars()
-            .filter_map(|c| match c {
-                '*' => Some(1),
-                '/' => Some(-1),
-                _ => None,
-            })
-            .collect();
-        atoms
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (a, ops.get(i).copied().unwrap_or(1)))
-            .collect()
-    }
-}
-
-/// Per-line `// dim:` directives of one file.
-struct Annotations {
-    /// line → dimension assigned to the `let` on that line.
-    dims: BTreeMap<usize, Dim>,
-    /// Lines carrying `// dim: allow` — no diagnostics there.
-    allows: Vec<usize>,
-}
-
-fn annotations(source: &str) -> Annotations {
-    let mut dims = BTreeMap::new();
-    let mut allows = Vec::new();
-    for (i, raw) in source.lines().enumerate() {
-        let line = i + 1;
-        let Some(pos) = raw.find("// dim:") else {
-            continue;
-        };
-        let body = raw[pos + "// dim:".len()..].trim();
-        // `allow` may (and should) carry a justification after it:
-        // `// dim: allow — comparing raw magnitudes for plausibility`.
-        if body == "allow" || body.starts_with("allow ") || body.starts_with("allow —") {
-            allows.push(line);
-        } else if let Some(d) = parse_dim_expr(body) {
-            dims.insert(line, d);
-        }
-    }
-    Annotations { dims, allows }
-}
-
 /// Methods that preserve their receiver's dimension.
 const PRESERVING_METHODS: [&str; 7] = ["value", "abs", "max", "min", "clamp", "is_finite", "get"];
 
 /// The dimension checker for one function body.
 struct Checker<'a> {
-    ann: &'a Annotations,
     fields: &'a BTreeMap<String, DimVal>,
     env: BTreeMap<String, DimVal>,
     file: &'a str,
@@ -220,10 +138,6 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn allowed(&self, line: usize) -> bool {
-        self.ann.allows.contains(&line)
-    }
-
     fn bind(&mut self, name: &str, d: DimVal) {
         match (self.env.get(name), d) {
             // Conflicting rebinds poison the name: branches may disagree.
@@ -239,12 +153,7 @@ impl<'a> Checker<'a> {
     fn block(&mut self, b: &Block) {
         for s in &b.stmts {
             match s {
-                Stmt::Let {
-                    name,
-                    ty,
-                    init,
-                    line,
-                } => {
+                Stmt::Let { name, ty, init, .. } => {
                     let mut d = Unknown;
                     if let Some(e) = init {
                         d = self.eval(e);
@@ -257,9 +166,6 @@ impl<'a> Checker<'a> {
                     if let Some(n) = name {
                         if d == Unknown {
                             d = name_dim(n);
-                        }
-                        if let Some(&ad) = self.ann.dims.get(line) {
-                            d = Known(ad);
                         }
                         self.bind(n, d);
                     }
@@ -355,14 +261,14 @@ impl<'a> Checker<'a> {
                 match op {
                     BinOp::Add | BinOp::Sub | BinOp::Cmp | BinOp::Eq => {
                         if let (Known(a), Known(b)) = (ld, rd) {
-                            if a != b && !self.allowed(e.line) {
+                            if a != b {
                                 self.out.push(Violation {
                                     rule: RuleId::DimConsistency,
                                     path: self.file.to_string(),
                                     line: e.line,
                                     message: format!(
                                         "`{}` mixes dimensions: left is {}, right is {}; \
-                                         convert explicitly or annotate `// dim: allow`",
+                                         convert explicitly",
                                         op_sym(*op),
                                         render_dim(a),
                                         render_dim(b)
@@ -391,7 +297,7 @@ impl<'a> Checker<'a> {
                             }
                             let suspicious =
                                 overflow || r[3] >= 2 || r.iter().any(|&x| x.unsigned_abs() >= 3);
-                            if suspicious && !self.allowed(e.line) {
+                            if suspicious {
                                 self.out.push(Violation {
                                     rule: RuleId::DimConsistency,
                                     path: self.file.to_string(),
@@ -507,7 +413,7 @@ fn field_dims(files: &[ParsedFile]) -> BTreeMap<String, DimVal> {
     let mut map: BTreeMap<String, DimVal> = BTreeMap::new();
     for pf in files {
         for st in &pf.structs {
-            for (name, ty, _) in &st.fields {
+            for (name, ty) in &st.fields {
                 let d = type_dim(ty);
                 match map.get(name) {
                     None => {
@@ -525,18 +431,16 @@ fn field_dims(files: &[ParsedFile]) -> BTreeMap<String, DimVal> {
     map
 }
 
-/// Runs the dimension pass over all parsed files (`sources[i]` is the
-/// raw text of `parsed[i]`, needed for annotations). Only library code
-/// of the modeling crates is checked; the field map is built
+/// Runs the dimension pass over all parsed files. Only library code of
+/// the modeling crates is checked; the field map is built
 /// workspace-wide.
-pub fn check(parsed: &[ParsedFile], sources: &[&str]) -> Vec<Violation> {
+pub fn check(parsed: &[ParsedFile]) -> Vec<Violation> {
     let fields = field_dims(parsed);
     let mut out = Vec::new();
-    for (pf, source) in parsed.iter().zip(sources) {
+    for pf in parsed {
         if !DIM_CRATES.contains(&pf.ctx.crate_name.as_str()) || pf.ctx.role != Role::Library {
             continue;
         }
-        let ann = annotations(source);
         for f in &pf.fns {
             if f.in_test {
                 continue;
@@ -551,7 +455,6 @@ pub fn check(parsed: &[ParsedFile], sources: &[&str]) -> Vec<Violation> {
                 env.insert(pname.clone(), d);
             }
             let mut checker = Checker {
-                ann: &ann,
                 fields: &fields,
                 env,
                 file: &pf.ctx.rel_path,
@@ -572,8 +475,7 @@ fn run_on(files: &[(&str, &str)]) -> Vec<Violation> {
         .iter()
         .map(|(p, s)| crate::parser::parse_file(&classify(p), &crate::tokenizer::tokenize(s)))
         .collect();
-    let sources: Vec<&str> = files.iter().map(|(_, s)| *s).collect();
-    check(&parsed, &sources)
+    check(&parsed)
 }
 
 #[cfg(test)]
@@ -636,52 +538,6 @@ mod tests {
         )]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("suspicious"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn dim_allow_annotation_accepts_a_site() {
-        let v = run_on(&[(
-            "crates/thermal/src/model.rs",
-            "use cpm_units::Celsius;\n\
-             fn variance(t: Celsius) -> f64 {\n\
-               t.value() * t.value() // dim: allow\n\
-             }",
-        )]);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn dim_annotation_assigns_raw_f64() {
-        let fire = run_on(&[(
-            "crates/power/src/model.rs",
-            "fn f(p: f64, f_clk: f64) -> f64 {\n\
-               let power = p; // dim: W\n\
-               let freq = f_clk; // dim: Hz\n\
-               power + freq\n\
-             }",
-        )]);
-        assert_eq!(fire.len(), 1, "{fire:?}");
-        let quiet = run_on(&[(
-            "crates/power/src/model.rs",
-            "fn f(p: f64, f_clk: f64) -> f64 {\n\
-               let power = p; // dim: W\n\
-               let energy = power * 0.5; \n\
-               power + energy\n\
-             }",
-        )]);
-        // `energy` is W·Unknown = Unknown, so the add stays quiet.
-        assert!(quiet.is_empty(), "{quiet:?}");
-    }
-
-    #[test]
-    fn compound_dim_annotations_parse() {
-        assert_eq!(parse_dim_expr("W"), Some(super::W));
-        assert_eq!(parse_dim_expr("W/s"), Some([1, 0, -1, 0]));
-        assert_eq!(parse_dim_expr("C*C"), Some([0, 0, 0, 2]));
-        assert_eq!(parse_dim_expr("J"), Some(super::J));
-        assert_eq!(parse_dim_expr("1"), Some(super::DIMENSIONLESS));
-        assert_eq!(parse_dim_expr("allow"), None);
-        assert_eq!(parse_dim_expr("furlongs"), None);
     }
 
     #[test]

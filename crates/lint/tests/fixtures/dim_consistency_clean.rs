@@ -1,6 +1,5 @@
 // MUST-NOT-FIRE twin of dim_consistency_fire.rs: dimensionally
-// consistent arithmetic, sanctioned composites, an annotation override,
-// and a `// dim: allow` waiver on a deliberate oddity.
+// consistent arithmetic and sanctioned composites.
 
 pub struct Watts(pub f64);
 pub struct Seconds(pub f64);
@@ -19,17 +18,6 @@ pub fn energy(p: Watts, dt: Seconds) -> f64 {
 // Unknown operands never fire: silence over speculation.
 pub fn untyped(a: f64, b: f64) -> f64 {
     a + b
-}
-
-// An annotation gives a raw f64 a dimension; consistent use stays clean.
-pub fn annotated(total_watts: f64) -> f64 {
-    let headroom = 5.0; // dim: W
-    total_watts + headroom
-}
-
-// A deliberate cross-dimension comparison, waived at the site.
-pub fn waived(t: Celsius, p: Watts) -> bool {
-    t.value() < p.value() // dim: allow — sensor plausibility check compares raw magnitudes
 }
 
 impl Watts {

@@ -64,12 +64,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// The complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// The multiplicative inverse `1/z`.
     #[inline]
     pub fn recip(self) -> Self {
@@ -81,12 +75,6 @@ impl Complex {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// True when the imaginary part is negligible relative to `tol`.
-    #[inline]
-    pub fn is_approx_real(self, tol: f64) -> bool {
-        self.im.abs() <= tol
     }
 }
 
@@ -217,12 +205,7 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert!((z.norm() - 5.0).abs() < 1e-12);
         assert!((z.norm_sqr() - 25.0).abs() < 1e-12);
-        assert!(close(z * z.conj(), Complex::real(25.0)));
-    }
-
-    #[test]
-    fn approx_real_detection() {
-        assert!(Complex::new(1.0, 1e-12).is_approx_real(1e-9));
-        assert!(!Complex::new(1.0, 1e-3).is_approx_real(1e-9));
+        // z·z̄ = |z|².
+        assert!(close(z * Complex::new(3.0, -4.0), Complex::real(25.0)));
     }
 }

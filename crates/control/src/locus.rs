@@ -70,13 +70,6 @@ impl RootLocus {
             }
         })
     }
-
-    /// The largest spectral radius seen anywhere in the sweep.
-    pub fn max_spectral_radius(&self) -> f64 {
-        self.points
-            .iter()
-            .fold(0.0f64, |m, p| m.max(p.spectral_radius))
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +110,7 @@ mod tests {
     fn stable_sweep_has_no_onset() {
         let locus = RootLocus::sweep(|g| closed_loop(PidGains::paper(), g * 0.79), 0.1, 1.5, 100);
         assert!(locus.instability_onset().is_none());
-        assert!(locus.max_spectral_radius() < 1.0);
+        assert!(locus.points().iter().all(|p| p.spectral_radius < 1.0));
     }
 
     #[test]

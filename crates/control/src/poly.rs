@@ -133,16 +133,6 @@ impl Polynomial {
         assert!(!self.is_zero(), "the zero polynomial cannot be made monic");
         self.scale(1.0 / self.leading_coefficient())
     }
-
-    /// Multiplies by `x^k` (shifts coefficients up).
-    pub fn mul_xk(&self, k: usize) -> Self {
-        if self.is_zero() {
-            return Self::zero();
-        }
-        let mut coeffs = vec![0.0; k];
-        coeffs.extend_from_slice(&self.coeffs);
-        Self::new(coeffs)
-    }
 }
 
 impl Add for Polynomial {
@@ -316,13 +306,6 @@ mod tests {
     fn monic_normalizes_leading_coefficient() {
         let p = Polynomial::new(vec![2.0, 4.0]).monic();
         assert_eq!(p.coefficients(), &[0.5, 1.0]);
-    }
-
-    #[test]
-    fn mul_xk_shifts() {
-        let p = Polynomial::new(vec![3.0, 1.0]).mul_xk(2);
-        assert_eq!(p.coefficients(), &[0.0, 0.0, 3.0, 1.0]);
-        assert!(Polynomial::zero().mul_xk(3).is_zero());
     }
 
     #[test]

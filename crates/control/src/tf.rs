@@ -45,11 +45,6 @@ impl TransferFunction {
         Self::new(Polynomial::constant(k), Polynomial::constant(1.0))
     }
 
-    /// A one-step delay `z⁻¹ = 1/z`.
-    pub fn unit_delay() -> Self {
-        Self::new(Polynomial::constant(1.0), Polynomial::x())
-    }
-
     /// The numerator polynomial.
     pub fn numerator(&self) -> &Polynomial {
         &self.num
@@ -199,7 +194,8 @@ mod tests {
 
     #[test]
     fn unit_delay_shifts_input() {
-        let d = TransferFunction::unit_delay();
+        // z⁻¹ = 1/z.
+        let d = TransferFunction::new(Polynomial::constant(1.0), Polynomial::x());
         let y = d.simulate(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(y, vec![0.0, 1.0, 2.0, 3.0]);
     }

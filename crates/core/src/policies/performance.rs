@@ -137,11 +137,6 @@ impl PerformanceAware {
         Self::default()
     }
 
-    /// Current per-island sensitivity estimates (for inspection/tests).
-    pub fn sensitivities(&self) -> Vec<f64> {
-        self.history.iter().map(|h| h.sensitivity_or(0.4)).collect()
-    }
-
     /// Guard against degenerate ratios when power barely changed or
     /// feedback is incomplete.
     fn phi(history: &IslandHistory, fb: &IslandFeedback) -> f64 {
@@ -274,6 +269,11 @@ mod tests {
     use super::*;
     use cpm_units::{IslandId, Ratio};
 
+    /// Current per-island sensitivity estimates.
+    fn sensitivities(p: &PerformanceAware) -> Vec<f64> {
+        p.history.iter().map(|h| h.sensitivity_or(0.4)).collect()
+    }
+
     fn fb(i: usize, allocated: f64, actual: f64, bips: f64) -> IslandFeedback {
         IslandFeedback {
             island: IslandId(i),
@@ -351,7 +351,7 @@ mod tests {
         assert!(
             last[0].value() > 1.3 * last[1].value(),
             "CPU-bound island should dominate: {last:?} (sens {:?})",
-            p.sensitivities()
+            sensitivities(&p)
         );
     }
 
@@ -370,7 +370,7 @@ mod tests {
             let b1 = 1.5 * (p1 / 20.0f64).powf(0.05);
             p.provision(budget, &[fb(0, p0, p0, b0), fb(1, p1, p1, b1)]);
         }
-        let s = p.sensitivities();
+        let s = sensitivities(&p);
         assert!((s[0] - 0.45).abs() < 0.1, "cpu-bound sensitivity {s:?}");
         assert!(s[1] < 0.15, "memory-bound sensitivity {s:?}");
     }

@@ -101,27 +101,6 @@ impl DynamicPowerModel {
         Self::GATING_FLOOR + (1.0 - Self::GATING_FLOOR) * activity.clamp(0.0, 1.0)
     }
 
-    /// Dynamic power with per-unit activity factors (indexed as
-    /// [`Unit::ALL`]). The clock tree's activity is pinned at 1 whenever the
-    /// core is clocked at all.
-    pub fn power_per_unit(&self, op: OperatingPoint, activities: &[Ratio; 8]) -> [Watts; 8] {
-        let v2f = op.v2f();
-        let mut out = [Watts::ZERO; 8];
-        for (i, (c, a)) in self.capacitance.iter().zip(activities).enumerate() {
-            let act = if Unit::ALL[i] == Unit::ClockTree {
-                1.0
-            } else {
-                a.value()
-            };
-            // `c · V²f` first: that product is activity-independent, so
-            // the island-hoisted lane path can compute it once per unit
-            // instead of once per core (bit-identical only if the scalar
-            // paths associate the same way).
-            out[i] = Watts::new(c * v2f * Self::gate(act));
-        }
-        out
-    }
-
     /// Dynamic power with a single average activity factor applied to every
     /// functional unit (the common case in the interval simulator, where
     /// activity tracks IPC).
@@ -132,9 +111,9 @@ impl DynamicPowerModel {
     /// Single-activity dynamic power with the island-constant `V²·f`
     /// product hoisted out by the caller. The gated activity is the same
     /// for every unit except the clock tree, so both factors are computed
-    /// once; the per-unit products and their summation order match
-    /// [`Self::power_per_unit`] exactly, keeping the result bit-identical
-    /// to [`Self::power`].
+    /// once. Each unit contributes `c · V²f · gate`, with `c · V²f` formed
+    /// first: that product is activity-independent, so the lane path can
+    /// compute it once per unit and stay bit-identical.
     pub fn power_with_v2f(&self, v2f: f64, activity: Ratio) -> Watts {
         let g = Self::gate(activity.value());
         let g_clock = Self::gate(1.0);
@@ -189,11 +168,6 @@ impl DynamicPowerModel {
         }
         *out = total;
     }
-
-    /// Peak dynamic power at `op` (all activities = 1).
-    pub fn peak_power(&self, op: OperatingPoint) -> Watts {
-        self.power(op, Ratio::ONE)
-    }
 }
 
 #[cfg(test)]
@@ -205,10 +179,30 @@ mod tests {
         DvfsTable::pentium_m().max_point()
     }
 
+    /// Dynamic power with per-unit activity factors (indexed as
+    /// [`Unit::ALL`]); the clock tree's activity is pinned at 1.
+    fn power_per_unit(
+        m: &DynamicPowerModel,
+        op: OperatingPoint,
+        activities: &[Ratio; 8],
+    ) -> [Watts; 8] {
+        let v2f = op.v2f();
+        let mut out = [Watts::ZERO; 8];
+        for (i, (c, a)) in m.capacitance.iter().zip(activities).enumerate() {
+            let act = if Unit::ALL[i] == Unit::ClockTree {
+                1.0
+            } else {
+                a.value()
+            };
+            out[i] = Watts::new(c * v2f * DynamicPowerModel::gate(act));
+        }
+        out
+    }
+
     #[test]
     fn peak_power_matches_calibration() {
         let m = DynamicPowerModel::paper_default();
-        let p = m.peak_power(top());
+        let p = m.power(top(), Ratio::ONE);
         // 2.5 nF · 1.34² · 2 GHz = 8.978 W
         assert!((p.value() - 8.978).abs() < 0.01, "peak {p}");
     }
@@ -229,7 +223,7 @@ mod tests {
     fn idle_power_is_gating_floor_plus_clock_tree() {
         let m = DynamicPowerModel::paper_default();
         let p0 = m.power(top(), Ratio::ZERO).value();
-        let peak = m.peak_power(top()).value();
+        let peak = m.power(top(), Ratio::ONE).value();
         // Idle = 10 % of all units + 90 % of the clock tree's 20 % share.
         let expect = peak * (0.10 + 0.90 * 0.20);
         assert!((p0 - expect).abs() < 1e-9);
@@ -243,7 +237,8 @@ mod tests {
         // assumes in Eq. 1.
         let m = DynamicPowerModel::paper_default();
         let t = DvfsTable::pentium_m();
-        let ratio = m.peak_power(t.max_point()).value() / m.peak_power(t.min_point()).value();
+        let peak = |op| m.power(op, Ratio::ONE).value();
+        let ratio = peak(t.max_point()) / peak(t.min_point());
         assert!((ratio - 6.13).abs() < 0.05, "ratio {ratio}");
     }
 
@@ -251,7 +246,7 @@ mod tests {
     fn per_unit_breakdown_sums_to_total() {
         let m = DynamicPowerModel::paper_default();
         let acts = [Ratio::new(0.6); 8];
-        let parts = m.power_per_unit(top(), &acts);
+        let parts = power_per_unit(&m, top(), &acts);
         let total: Watts = parts.into_iter().sum();
         assert!((total.value() - m.power(top(), Ratio::new(0.6)).value()).abs() < 1e-12);
     }
@@ -260,9 +255,9 @@ mod tests {
     fn clock_tree_is_never_gated_below_full() {
         let m = DynamicPowerModel::paper_default();
         let idle = [Ratio::ZERO; 8];
-        let parts = m.power_per_unit(top(), &idle);
+        let parts = power_per_unit(&m, top(), &idle);
         let clock = parts[7].value();
-        let peak_clock = m.power_per_unit(top(), &[Ratio::ONE; 8])[7].value();
+        let peak_clock = power_per_unit(&m, top(), &[Ratio::ONE; 8])[7].value();
         assert!((clock - peak_clock).abs() < 1e-12);
     }
 

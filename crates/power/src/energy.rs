@@ -14,9 +14,6 @@ pub struct EnergyAccount {
     total_energy: Joules,
     total_instructions: f64,
     total_time: Seconds,
-    // Most recent interval, for EPI-delta policies.
-    last_energy: Joules,
-    last_instructions: f64,
 }
 
 impl EnergyAccount {
@@ -30,12 +27,9 @@ impl EnergyAccount {
     pub fn record_interval(&mut self, power: Watts, dt: Seconds, instructions: f64) {
         assert!(instructions >= 0.0, "instruction count cannot be negative");
         assert!(dt.value() >= 0.0, "interval length cannot be negative");
-        let e = power * dt;
-        self.total_energy += e;
+        self.total_energy += power * dt;
         self.total_instructions += instructions;
         self.total_time += dt;
-        self.last_energy = e;
-        self.last_instructions = instructions;
     }
 
     /// Total energy consumed so far.
@@ -57,12 +51,6 @@ impl EnergyAccount {
     /// instruction retires.
     pub fn energy_per_instruction(&self) -> Option<Joules> {
         (self.total_instructions > 0.0).then(|| self.total_energy / self.total_instructions)
-    }
-
-    /// Energy per instruction over the most recent interval only — the
-    /// signal the §IV-B greedy policy compares between intervals.
-    pub fn last_interval_epi(&self) -> Option<Joules> {
-        (self.last_instructions > 0.0).then(|| self.last_energy / self.last_instructions)
     }
 
     /// Average power over all recorded time.
@@ -97,16 +85,14 @@ mod tests {
         let mut acc = EnergyAccount::new();
         acc.record_interval(Watts::new(10.0), Seconds::new(1.0), 1.0e9);
         acc.record_interval(Watts::new(30.0), Seconds::new(1.0), 1.0e9);
-        // Cumulative: 40 J / 2e9 instr = 20 nJ; last: 30 J / 1e9 = 30 nJ.
+        // Cumulative: 40 J / 2e9 instr = 20 nJ, not the last interval's 30.
         assert!((acc.energy_per_instruction().unwrap().value() - 20.0e-9).abs() < 1e-15);
-        assert!((acc.last_interval_epi().unwrap().value() - 30.0e-9).abs() < 1e-15);
     }
 
     #[test]
     fn empty_account_yields_none() {
         let acc = EnergyAccount::new();
         assert!(acc.energy_per_instruction().is_none());
-        assert!(acc.last_interval_epi().is_none());
         assert!(acc.average_power().is_none());
         assert!(acc.bips().is_none());
     }
@@ -125,7 +111,6 @@ mod tests {
         acc.record_interval(Watts::new(10.0), Seconds::new(1.0), 1.0e9);
         acc.record_interval(Watts::new(10.0), Seconds::new(1.0), 0.0);
         assert!(acc.energy_per_instruction().is_some());
-        assert!(acc.last_interval_epi().is_none());
     }
 
     #[test]

@@ -53,29 +53,6 @@ impl UtilizationPowerTransducer {
         Self::default()
     }
 
-    /// Creates a transducer pre-seeded with fixed coefficients
-    /// `P = k0·U + k1` (useful for tests and for replaying the paper's
-    /// published fits).
-    pub fn from_coefficients(k0: f64, k1: f64) -> Self {
-        Self {
-            regression: LinearRegression::new(),
-            quadratic: QuadraticRegression::new(),
-            fit: Some(LinearFit {
-                slope: k0,
-                intercept: k1,
-                r_squared: 1.0,
-                n: 0,
-            }),
-            qfit: Some(QuadraticFit {
-                a: 0.0,
-                b: k0,
-                c: k1,
-                r_squared: 1.0,
-                n: 0,
-            }),
-        }
-    }
-
     /// Feeds one calibration observation and refreshes both fits.
     pub fn observe(&mut self, utilization: Ratio, power: Watts) {
         self.regression.add(utilization.value(), power.value());
@@ -117,17 +94,6 @@ impl UtilizationPowerTransducer {
             .as_ref()
             .expect("transducer queried before calibration");
         Watts::new(fit.predict(utilization.value()).max(0.0))
-    }
-
-    /// Inverse query: the utilization at which the island would draw
-    /// `power`. Used by actuators to translate a power target into an
-    /// operating-point search.
-    pub fn utilization_for_power(&self, power: Watts) -> Option<Ratio> {
-        let fit = self.fit.as_ref()?;
-        if fit.slope == 0.0 {
-            return None;
-        }
-        Some(Ratio::new(fit.invert(power.value())))
     }
 
     /// Quality of the current fit (R²), if calibrated.
@@ -176,21 +142,18 @@ mod tests {
 
     #[test]
     fn estimate_clamps_to_non_negative() {
-        let t = UtilizationPowerTransducer::from_coefficients(10.0, -2.0);
+        // Pre-seeded `P = 10·U - 2`, negative at idle.
+        let t = UtilizationPowerTransducer {
+            qfit: Some(QuadraticFit {
+                a: 0.0,
+                b: 10.0,
+                c: -2.0,
+                r_squared: 1.0,
+                n: 0,
+            }),
+            ..Default::default()
+        };
         assert_eq!(t.estimate_power(Ratio::ZERO), Watts::ZERO);
-    }
-
-    #[test]
-    fn inverse_query_roundtrips() {
-        let t = UtilizationPowerTransducer::from_coefficients(30.0, 5.0);
-        let u = t.utilization_for_power(Watts::new(20.0)).unwrap();
-        assert!((u.value() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flat_fit_has_no_inverse() {
-        let t = UtilizationPowerTransducer::from_coefficients(0.0, 5.0);
-        assert!(t.utilization_for_power(Watts::new(5.0)).is_none());
     }
 
     #[test]

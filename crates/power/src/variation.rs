@@ -50,23 +50,6 @@ impl VariationMap {
     pub fn multipliers(&self) -> &[f64] {
         &self.multipliers
     }
-
-    /// Islands sorted from least to most leaky — the variation-aware policy
-    /// prefers running leakier islands at lower V/F.
-    pub fn islands_by_leakiness(&self) -> Vec<IslandId> {
-        let mut ids: Vec<IslandId> = (0..self.multipliers.len()).map(IslandId).collect();
-        ids.sort_by(|a, b| {
-            self.multipliers[a.index()]
-                .partial_cmp(&self.multipliers[b.index()])
-                .unwrap()
-        });
-        ids
-    }
-
-    /// True when every island has multiplier 1 (no variation).
-    pub fn is_uniform(&self) -> bool {
-        self.multipliers.iter().all(|&m| m == 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -81,23 +64,12 @@ mod tests {
         assert_eq!(m.multiplier(IslandId(1)), 1.5);
         assert_eq!(m.multiplier(IslandId(2)), 2.0);
         assert_eq!(m.multiplier(IslandId(3)), 1.0);
-        assert!(!m.is_uniform());
     }
 
     #[test]
     fn uniform_map() {
         let m = VariationMap::uniform(8);
-        assert!(m.is_uniform());
         assert!(m.multipliers().iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn leakiness_ordering() {
-        let order = VariationMap::paper_four_island().islands_by_leakiness();
-        assert_eq!(
-            order,
-            vec![IslandId(3), IslandId(0), IslandId(1), IslandId(2)]
-        );
     }
 
     #[test]

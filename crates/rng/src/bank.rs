@@ -104,13 +104,6 @@ impl XoshiroBank {
         lo + self.next_f64_at(i) * (hi - lo)
     }
 
-    /// Uniform `f64` in `[-1, 1]` from lane `i` (same derivation as
-    /// [`Xoshiro256pp::signed_unit`]).
-    #[inline]
-    pub fn signed_unit_at(&mut self, i: usize) -> f64 {
-        self.f64_in_at(i, -1.0, 1.0)
-    }
-
     /// Batch pass: one `next_f64` draw from each of the `out.len()`
     /// consecutive lanes starting at `start`, written to `out` in lane
     /// order. The per-lane update and f64 derivation are token-identical
@@ -172,7 +165,7 @@ mod tests {
                     1 => assert_eq!(bank.next_f64_at(i).to_bits(), rng.next_f64().to_bits()),
                     2 => assert_eq!(bank.below_at(i, 3), rng.below(3)),
                     _ => assert_eq!(
-                        bank.signed_unit_at(i).to_bits(),
+                        bank.f64_in_at(i, -1.0, 1.0).to_bits(),
                         rng.signed_unit().to_bits()
                     ),
                 }

@@ -181,11 +181,6 @@ impl Chip {
         self.max_power
     }
 
-    /// Converts an absolute power into percent-of-max-chip-power.
-    pub fn percent_of_max(&self, p: Watts) -> Ratio {
-        Ratio::new(p.value() / self.max_power.value())
-    }
-
     /// Current operating point of an island.
     pub fn island_dvfs(&self, island: IslandId) -> usize {
         self.islands.dvfs_index(island.index())
@@ -561,13 +556,6 @@ mod tests {
         let pl: f64 = (0..20).map(|_| leaky.step_pic().chip_power.value()).sum();
         assert!(pl > pu, "leaky chip {pl} must draw more than uniform {pu}");
         assert!(leaky.max_power() > uniform.max_power());
-    }
-
-    #[test]
-    fn percent_of_max_roundtrip() {
-        let c = chip();
-        let half = c.max_power() * 0.5;
-        assert!((c.percent_of_max(half).percent() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -69,15 +69,14 @@ pub trait InjectionSeam {
     }
 }
 
-/// The identity seam: no injection anywhere.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoInjection;
-
-impl InjectionSeam for NoInjection {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The identity seam: every hook left at its default.
+    struct NoInjection;
+
+    impl InjectionSeam for NoInjection {}
 
     #[test]
     fn default_seam_is_the_identity() {

@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use chip::{Chip, ChipSnapshot, IslandSnapshot};
 pub use config::CmpConfig;
-pub use injection::{InjectionSeam, NoInjection};
+pub use injection::InjectionSeam;
 pub use soa::{CoreBank, CoreSegment, CoreView, IslandBank, IslandView, SegmentTotals};
 pub use stats::TimeSeries;
 

@@ -69,13 +69,6 @@ impl TimeSeries {
             .fold(None, |m, v| Some(m.map_or(v, |x: f64| x.min(v))))
     }
 
-    /// Population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self.values().map(|v| (v - mean).powi(2)).sum::<f64>() / self.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Largest positive excursion above `target`, as a fraction of
     /// `target` — the paper's "maximum overshoot" against a power budget.
     pub fn max_overshoot_vs(&self, target: f64) -> Option<f64> {
@@ -83,32 +76,6 @@ impl TimeSeries {
         self.values()
             .map(|v| ((v - target) / target.abs()).max(0.0))
             .fold(None, |m, v| Some(m.map_or(v, |x: f64| x.max(v))))
-    }
-
-    /// Largest absolute excursion from `target`, as a fraction of `target`
-    /// (over- or under-shoot).
-    pub fn max_tracking_error_vs(&self, target: f64) -> Option<f64> {
-        assert!(target != 0.0);
-        self.values()
-            .map(|v| ((v - target) / target.abs()).abs())
-            .fold(None, |m, v| Some(m.map_or(v, |x: f64| x.max(v))))
-    }
-
-    /// Mean absolute tracking error against a *paired* target series (for
-    /// time-varying references like GPM allocations). Panics when lengths
-    /// differ.
-    pub fn mean_abs_error_vs_series(&self, target: &TimeSeries) -> Option<f64> {
-        assert_eq!(self.len(), target.len(), "paired series must align");
-        if self.is_empty() {
-            return None;
-        }
-        let sum: f64 = self
-            .samples
-            .iter()
-            .zip(&target.samples)
-            .map(|(a, b)| (a.value - b.value).abs())
-            .sum();
-        Some(sum / self.len() as f64)
     }
 
     /// Reduces the series to per-chunk means: every `n` consecutive
@@ -172,7 +139,6 @@ mod tests {
         assert!(s.mean().is_none());
         assert!(s.max().is_none());
         assert!(s.min().is_none());
-        assert!(s.std_dev().is_none());
         assert!(s.tail_mean(1).is_none());
     }
 
@@ -182,7 +148,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.max(), Some(4.0));
         assert_eq!(s.min(), Some(1.0));
-        assert!((s.std_dev().unwrap() - 1.118).abs() < 1e-3);
         assert_eq!(s.tail_mean(2), Some(3.5));
     }
 
@@ -191,27 +156,12 @@ mod tests {
         let s = series(&[70.0, 82.0, 78.0, 84.0]);
         // Max overshoot vs 80: (84-80)/80 = 5 %.
         assert!((s.max_overshoot_vs(80.0).unwrap() - 0.05).abs() < 1e-12);
-        // Tracking error includes the 70 sample: 12.5 %.
-        assert!((s.max_tracking_error_vs(80.0).unwrap() - 0.125).abs() < 1e-12);
     }
 
     #[test]
     fn never_above_target_is_zero_overshoot() {
         let s = series(&[70.0, 75.0, 79.9]);
         assert_eq!(s.max_overshoot_vs(80.0), Some(0.0));
-    }
-
-    #[test]
-    fn paired_error_against_moving_target() {
-        let actual = series(&[10.0, 20.0, 30.0]);
-        let target = series(&[12.0, 18.0, 30.0]);
-        assert!((actual.mean_abs_error_vs_series(&target).unwrap() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn mismatched_pair_lengths_panic() {
-        series(&[1.0]).mean_abs_error_vs_series(&series(&[1.0, 2.0]));
     }
 
     #[test]

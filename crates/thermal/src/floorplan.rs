@@ -86,13 +86,6 @@ impl Floorplan {
         out
     }
 
-    /// True when two cores are 4-connected neighbours.
-    pub fn are_adjacent(&self, a: CoreId, b: CoreId) -> bool {
-        let (ra, ca) = self.position(a);
-        let (rb, cb) = self.position(b);
-        ra.abs_diff(rb) + ca.abs_diff(cb) == 1
-    }
-
     /// Manhattan distance between two cores.
     pub fn distance(&self, a: CoreId, b: CoreId) -> usize {
         let (ra, ca) = self.position(a);
@@ -128,8 +121,8 @@ mod tests {
         for a in 0..fp.cores() {
             for b in 0..fp.cores() {
                 assert_eq!(
-                    fp.are_adjacent(CoreId(a), CoreId(b)),
-                    fp.are_adjacent(CoreId(b), CoreId(a))
+                    fp.distance(CoreId(a), CoreId(b)),
+                    fp.distance(CoreId(b), CoreId(a))
                 );
             }
         }
@@ -140,7 +133,6 @@ mod tests {
         let fp = Floorplan::grid(2, 4);
         for a in 0..fp.cores() {
             for n in fp.neighbors(CoreId(a)) {
-                assert!(fp.are_adjacent(CoreId(a), n));
                 assert_eq!(fp.distance(CoreId(a), n), 1);
             }
         }
@@ -160,7 +152,6 @@ mod tests {
     #[test]
     fn no_self_adjacency() {
         let fp = Floorplan::grid(2, 2);
-        assert!(!fp.are_adjacent(CoreId(1), CoreId(1)));
         assert_eq!(fp.distance(CoreId(1), CoreId(1)), 0);
     }
 

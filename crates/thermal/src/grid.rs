@@ -247,18 +247,18 @@ impl ThermalGrid {
         let substeps = (dt.value() / dt_stable).ceil().max(1.0) as usize;
         (substeps, dt.value() / substeps as f64)
     }
-
-    /// The analytic steady-state temperature of a *uniformly powered* die:
-    /// with equal power everywhere no lateral heat flows, so
-    /// `T = T_amb + P·R_v`. Useful for validation.
-    pub fn uniform_steady_state(&self, per_core_power: Watts) -> Celsius {
-        Celsius::new(self.params.ambient.value() + per_core_power.value() * self.params.r_vertical)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The analytic steady-state temperature of a *uniformly powered* die:
+    /// with equal power everywhere no lateral heat flows, so
+    /// `T = T_amb + P·R_v`.
+    fn uniform_steady_state(g: &ThermalGrid, per_core_power: Watts) -> Celsius {
+        Celsius::new(g.params.ambient.value() + per_core_power.value() * g.params.r_vertical)
+    }
 
     fn grid_2x4() -> ThermalGrid {
         ThermalGrid::new(Floorplan::grid(2, 4), ThermalParams::paper_default())
@@ -280,7 +280,7 @@ mod tests {
         for _ in 0..200 {
             g.step(&p, Seconds::from_ms(5.0));
         }
-        let expect = g.uniform_steady_state(Watts::new(10.0));
+        let expect = uniform_steady_state(&g, Watts::new(10.0));
         for &t in g.temperatures_deg() {
             assert!(
                 (t - expect.value()).abs() < 0.05,
@@ -386,7 +386,7 @@ mod tests {
         for _ in 0..200 {
             g.step(&p, Seconds::from_ms(5.0));
         }
-        let expect = g.uniform_steady_state(Watts::new(7.0));
+        let expect = uniform_steady_state(&g, Watts::new(7.0));
         assert!((expect.value() - 59.0).abs() < 1e-12, "45 + 7·2 = 59 °C");
         for (i, &t) in g.temperatures_deg().iter().enumerate() {
             assert!(
@@ -415,7 +415,7 @@ mod tests {
                 // jumps (thousands of substeps).
                 let dt = Seconds::new(rng.f64_in(1e-4, 2.0));
                 g.step(&powers, dt);
-                let ceiling = g.uniform_steady_state(Watts::new(p_max)).value();
+                let ceiling = uniform_steady_state(&g, Watts::new(p_max)).value();
                 for &t in g.temperatures_deg() {
                     assert!(t.is_finite(), "diverged at dt {dt:?}");
                     assert!(

@@ -94,22 +94,6 @@ impl HotspotTracker {
         let sum: f64 = self.violation_time.iter().map(|t| t.value()).sum();
         sum / (self.total_time.value() * self.violation_time.len() as f64)
     }
-
-    /// Fraction of observed time the *worst* core spent above threshold.
-    pub fn worst_core_violation_fraction(&self) -> f64 {
-        if self.total_time.value() == 0.0 {
-            return 0.0;
-        }
-        self.violation_time
-            .iter()
-            .map(|t| t.value() / self.total_time.value())
-            .fold(0.0, f64::max)
-    }
-
-    /// True when no violation was ever observed.
-    pub fn is_clean(&self) -> bool {
-        self.events == 0
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +110,6 @@ mod tests {
         for _ in 0..10 {
             tr.observe(&temps(&[60.0, 70.0, 80.0, 84.9]), Seconds::from_ms(1.0));
         }
-        assert!(tr.is_clean());
         assert_eq!(tr.events(), 0);
         assert_eq!(tr.violation_fraction(), 0.0);
     }
@@ -141,7 +124,6 @@ mod tests {
         assert_eq!(tr.violation_time(CoreId(1)), Seconds::ZERO);
         // 4 ms of 6 ms on one of two cores → (4+0)/(6·2) = 1/3.
         assert!((tr.violation_fraction() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((tr.worst_core_violation_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -161,14 +143,13 @@ mod tests {
     fn threshold_is_exclusive() {
         let mut tr = HotspotTracker::new(1, Celsius::new(85.0));
         tr.observe(&temps(&[85.0]), Seconds::from_ms(1.0));
-        assert!(tr.is_clean(), "exactly at threshold is not a violation");
+        assert_eq!(tr.events(), 0, "exactly at threshold is not a violation");
     }
 
     #[test]
     fn empty_observation_time_is_zero_fraction() {
         let tr = HotspotTracker::new(3, Celsius::new(85.0));
         assert_eq!(tr.violation_fraction(), 0.0);
-        assert_eq!(tr.worst_core_violation_fraction(), 0.0);
     }
 
     #[test]

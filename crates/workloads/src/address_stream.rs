@@ -69,16 +69,6 @@ impl AddressStream {
         }
     }
 
-    /// Number of distinct cache lines this stream can touch.
-    pub fn working_lines(&self) -> u64 {
-        (self.working_words * WORD_BYTES).div_ceil(LINE_BYTES)
-    }
-
-    /// Size of the hot region in bytes.
-    pub fn hot_bytes(&self) -> u64 {
-        self.hot_words * WORD_BYTES
-    }
-
     /// The next byte address (word-aligned).
     pub fn next_address(&mut self) -> u64 {
         let p: f64 = self.rng.next_f64();
@@ -110,6 +100,11 @@ mod tests {
     use super::*;
     use crate::parsec;
     use crate::profile::InputSet;
+
+    /// Number of distinct cache lines a stream can touch.
+    fn working_lines(s: &AddressStream) -> u64 {
+        (s.working_words * WORD_BYTES).div_ceil(LINE_BYTES)
+    }
 
     #[test]
     fn addresses_are_word_aligned_and_in_working_set() {
@@ -184,8 +179,8 @@ mod tests {
     fn hot_region_scales_with_input_set() {
         let sim = AddressStream::new(&parsec::facesim(), 1);
         let native = AddressStream::new(&parsec::facesim().with_input(InputSet::Native), 1);
-        assert!(native.hot_bytes() > 4 * sim.hot_bytes());
-        assert!(native.working_lines() > 4 * sim.working_lines());
+        assert!(native.hot_words > 4 * sim.hot_words);
+        assert!(working_lines(&native) > 4 * working_lines(&sim));
     }
 
     #[test]
@@ -195,7 +190,7 @@ mod tests {
             ..parsec::blackscholes()
         };
         let mut s = AddressStream::new(&p, 1);
-        assert_eq!(s.working_lines(), 64);
+        assert_eq!(working_lines(&s), 64);
         for a in s.take(1000) {
             assert!(a < 64 * LINE_BYTES);
         }

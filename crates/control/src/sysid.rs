@@ -28,14 +28,6 @@ impl LinearFit {
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
     }
-
-    /// Inverts the fitted line: the `x` that predicts `y`. Panics when the
-    /// slope is zero.
-    #[inline]
-    pub fn invert(&self, y: f64) -> f64 {
-        assert!(self.slope != 0.0, "cannot invert a flat fit");
-        (y - self.intercept) / self.slope
-    }
 }
 
 /// Incremental ordinary least-squares accumulator for `y = slope·x +
@@ -314,18 +306,6 @@ mod tests {
         assert_eq!(fit.slope, 0.0);
         assert!((fit.intercept - 7.0).abs() < 1e-12);
         assert_eq!(fit.r_squared, 1.0);
-    }
-
-    #[test]
-    fn predict_and_invert_roundtrip() {
-        let fit = LinearFit {
-            slope: 4.5,
-            intercept: 3.1,
-            r_squared: 1.0,
-            n: 2,
-        };
-        let y = fit.predict(0.8);
-        assert!((fit.invert(y) - 0.8).abs() < 1e-12);
     }
 
     #[test]

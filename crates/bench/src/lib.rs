@@ -59,10 +59,11 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 /// Wall-clock cost of one experiment inside a sweep.
 ///
 /// Measured around the experiment's `run_experiment` call on whichever
-/// pool context executed it. Under work-stealing a context that finishes
-/// its own cells helps with other experiments' cells, so an experiment's
-/// wall-clock can exceed its pure compute time; the per-worker `busy`
-/// accounting in [`cpm_runtime::PoolStats`] is the undistorted view.
+/// pool context executed it. A context waiting on its own fan-out helps
+/// run whatever the shared queue holds next, other experiments' cells
+/// included, so an experiment's wall-clock can exceed its pure compute
+/// time; the per-worker `busy` accounting in [`cpm_runtime::PoolStats`]
+/// is the undistorted view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTiming {
     /// Experiment id (one of [`ALL_EXPERIMENTS`]).
@@ -86,7 +87,7 @@ pub struct SweepOutcome {
     /// Sweep telemetry on the shared metrics registry: per-experiment
     /// wall-clock gauges (`sweep.<id>.seconds`), a `sweep.total_seconds`
     /// gauge, a `sweep.experiment_seconds` histogram, and the pool's
-    /// jobs/steals/busy gauges (see [`cpm_runtime::PoolStats::export`]).
+    /// jobs/busy gauges (see [`cpm_runtime::PoolStats::export`]).
     pub registry: cpm_obs::Registry,
 }
 
@@ -167,7 +168,7 @@ pub fn publish_memo_stats(registry: &cpm_obs::Registry) {
 
 /// Renders a sweep's telemetry as a JSON document (the
 /// `BENCH_experiments.json` artifact): per-experiment wall-clock plus
-/// per-worker jobs / steals / busy-time / utilization.
+/// per-worker jobs / busy-time / utilization.
 ///
 /// Hand-rolled writer — the workspace builds with zero external crates,
 /// so no serde. All emitted numbers are finite.
@@ -198,9 +199,8 @@ pub fn sweep_json(sweep: &SweepOutcome) -> String {
         let role = if k + 1 == n { "caller" } else { "worker" };
         let sep = if k + 1 < n { "," } else { "" };
         s.push_str(&format!(
-            "      {{\"context\": {k}, \"role\": \"{role}\", \"jobs\": {}, \"steals\": {}, \"busy_seconds\": {}, \"utilization\": {}}}{sep}\n",
+            "      {{\"context\": {k}, \"role\": \"{role}\", \"jobs\": {}, \"busy_seconds\": {}, \"utilization\": {}}}{sep}\n",
             c.jobs,
-            c.steals,
             json_num(c.busy.as_secs_f64(), 6),
             json_num(sweep.stats.utilization(k), 6)
         ));
@@ -272,7 +272,6 @@ mod tests {
                 per_context: vec![
                     cpm_runtime::WorkerSnapshot {
                         jobs: 3,
-                        steals: 1,
                         busy: Duration::from_millis(200),
                     };
                     3
@@ -295,7 +294,6 @@ mod tests {
             "\"total_jobs\": 9",
             "\"contexts\": [",
             "\"role\": \"caller\"",
-            "\"steals\": 1",
             "\"utilization\": 0.500000",
             "\"metrics\": {",
         ] {

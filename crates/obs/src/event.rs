@@ -307,7 +307,7 @@ impl EventPayload {
 /// typed payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
-    /// Global record-order sequence number (total order across shards).
+    /// Record-order sequence number (a total order over the recorder).
     pub seq: u64,
     /// Simulated time, seconds.
     pub time_s: f64,

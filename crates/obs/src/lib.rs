@@ -3,10 +3,9 @@
 //! Its pieces, all std-only (the workspace builds with zero external
 //! crates):
 //!
-//! * **Flight recorder** ([`Recorder`], [`FlightRecorder`]) — a
-//!   fixed-capacity sharded ring buffer of typed [`Event`]s with
-//!   simulated-time timestamps. Answers *what happened, in order*, with
-//!   bounded memory; drops the oldest history on overflow.
+//! * **Flight recorder** ([`Recorder`]) — a bounded ring buffer of typed
+//!   [`Event`]s with simulated-time timestamps. Answers *what happened,
+//!   in order*, with bounded memory; drops the oldest history on overflow.
 //! * **Metrics registry** ([`Registry`]) — named counters, gauges, and
 //!   fixed-bucket histograms with deterministic [`Snapshot`] rendering to
 //!   JSON and a one-page text report. Answers *how much, in total*.
@@ -53,7 +52,7 @@ pub use digest::{digest_events, digest_str, fnv1a64, format_digest, Fnv1a64};
 pub use event::{Event, EventKind, EventPayload, ThermalSource};
 pub use export::{events_to_jsonl, write_event_jsonl, write_jsonl, CsvSeries};
 pub use fixed::json_num;
-pub use recorder::{FlightRecorder, Recorder};
+pub use recorder::Recorder;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use slo::{
     append_alarm_events, scan, HealthReport, MonitorHealth, SloAlarm, SloMonitor, SloPolicy,

@@ -1,21 +1,22 @@
-//! The flight recorder: a fixed-capacity, sharded ring buffer of
-//! [`Event`]s behind a zero-cost-when-disabled [`Recorder`] handle.
+//! The flight recorder: a bounded ring buffer of [`Event`]s behind a
+//! zero-cost-when-disabled [`Recorder`] handle.
 //!
 //! ## Design
 //!
 //! * **Handle, not singleton.** A [`Recorder`] is a cheaply clonable
 //!   handle — either *disabled* (the default: an empty `Option`, so every
 //!   `record` is a single branch and no event is ever constructed beyond
-//!   the stack temporary) or attached to a shared [`FlightRecorder`].
+//!   the stack temporary) or attached to one shared ring.
 //!   Components own a handle and never know whether anyone is listening.
-//! * **Sharded ring.** Events land in `shards` mutex-protected rings
-//!   selected by sequence number, so concurrent recorders contend only
-//!   1/`shards` of the time. Each shard holds `capacity / shards` events
-//!   and drops its *oldest* entry on overflow — a flight recorder keeps
-//!   the most recent history, like its aeronautical namesake.
-//! * **Total order.** Every event takes a global sequence number from one
-//!   atomic; [`Recorder::drain`] merges the shards back into sequence
-//!   order, so wraparound and sharding never reorder the story.
+//! * **One bounded ring.** Events land in a single mutex-protected
+//!   `VecDeque` that grows with what a run records, up to `capacity`
+//!   events, and then drops its *oldest* entry on overflow — a flight
+//!   recorder keeps the most recent history, like its aeronautical
+//!   namesake. The control loop records from one thread per chip, so the
+//!   lock is uncontended in practice.
+//! * **Total order.** Every event takes its sequence number under the
+//!   ring's lock, so the ring is always in sequence order and
+//!   [`Recorder::drain`] returns record order as it stands.
 //! * **Ambient simulated clock.** The simulation driver calls
 //!   [`Recorder::set_time`] as simulated time advances; instrumented
 //!   components just `record(payload)` and inherit the current timestamp.
@@ -25,94 +26,60 @@
 use crate::event::{Event, EventPayload};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The shared ring-buffer store behind enabled [`Recorder`] handles.
+/// The ring and the counters that must move with it.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<Event>,
+    /// Sequence number of the next event.
+    next_seq: u64,
+    /// Events evicted by wraparound.
+    dropped: u64,
+}
+
+/// The shared store behind enabled [`Recorder`] handles.
 #[derive(Debug)]
-pub struct FlightRecorder {
-    shards: Vec<Mutex<VecDeque<Event>>>,
-    shard_capacity: usize,
-    seq: AtomicU64,
+struct FlightRecorder {
+    ring: Mutex<Ring>,
+    capacity: usize,
     /// Simulated "now" in seconds, stored as f64 bits.
     clock_bits: AtomicU64,
-    /// Events evicted by ring wraparound.
-    dropped: AtomicU64,
     /// Recording gate: `false` turns `record` into a no-op without
     /// detaching handles (used to blank out calibration phases).
     enabled: AtomicBool,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder holding at most `capacity` events across
-    /// `shards` shards (both clamped to ≥ 1). Capacity rounds up to a
-    /// multiple of the shard count.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
-        Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(VecDeque::with_capacity(shard_capacity)))
-                .collect(),
-            shard_capacity,
-            seq: AtomicU64::new(0),
-            clock_bits: AtomicU64::new(0f64.to_bits()),
-            dropped: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    /// Total event capacity (shards × shard capacity).
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Events evicted by wraparound so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    /// Poison recovery: the ring only ever holds fully written events, so
+    /// a panicking recorder thread cannot leave it inconsistent — later
+    /// recorders must keep working rather than panic in turn.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn record(&self, payload: EventPayload) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = Event {
+        let time_s = f64::from_bits(self.clock_bits.load(Ordering::Relaxed));
+        let mut ring = self.ring();
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
+        }
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        ring.events.push_back(Event {
             seq,
-            time_s: f64::from_bits(self.clock_bits.load(Ordering::Relaxed)),
+            time_s,
             payload,
-        };
-        let shard = (seq % self.shards.len() as u64) as usize;
-        // Poison recovery: a shard only ever holds fully written events,
-        // so a panicking recorder thread cannot leave it inconsistent —
-        // later recorders must keep working rather than panic in turn.
-        let mut ring = self.shards[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if ring.len() == self.shard_capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
-    }
-
-    fn drain(&self) -> Vec<Event> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            let mut ring = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            all.extend(ring.drain(..));
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        });
     }
 }
 
 /// A cheaply clonable recording handle: disabled (default) or attached to
-/// a shared [`FlightRecorder`]. See the module docs for the contract.
+/// a shared ring. See the module docs for the contract.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<FlightRecorder>>,
@@ -124,16 +91,16 @@ impl Recorder {
         Self { inner: None }
     }
 
-    /// Creates an enabled recorder with the given total event capacity and
-    /// a default shard count of 8.
+    /// Creates an enabled recorder holding at most `capacity` events
+    /// (clamped to ≥ 1).
     pub fn enabled(capacity: usize) -> Self {
-        Self::with_shards(capacity, 8)
-    }
-
-    /// Creates an enabled recorder with an explicit shard count.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         Self {
-            inner: Some(Arc::new(FlightRecorder::new(capacity, shards))),
+            inner: Some(Arc::new(FlightRecorder {
+                ring: Mutex::default(),
+                capacity: capacity.max(1),
+                clock_bits: AtomicU64::new(0f64.to_bits()),
+                enabled: AtomicBool::new(true),
+            })),
         }
     }
 
@@ -184,19 +151,23 @@ impl Recorder {
     }
 
     /// Drains all buffered events in sequence order, clearing the ring.
-    /// Empty when disabled.
+    /// Empty when disabled. The ring's buffer moves into the returned
+    /// `Vec` (no copy unless the ring wrapped), so a drained run never
+    /// holds its events twice.
     pub fn drain(&self) -> Vec<Event> {
-        self.inner.as_ref().map_or_else(Vec::new, |r| r.drain())
+        self.inner.as_ref().map_or_else(Vec::new, |r| {
+            Vec::from(std::mem::take(&mut r.ring().events))
+        })
     }
 
     /// Events evicted by ring wraparound so far (0 when disabled).
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |r| r.dropped())
+        self.inner.as_ref().map_or(0, |r| r.ring().dropped)
     }
 
     /// Total event capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |r| r.capacity())
+        self.inner.as_ref().map_or(0, |r| r.capacity)
     }
 }
 
@@ -240,10 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_merges_shards_in_sequence_order() {
-        // 3 shards: consecutive events land on different shards; drain
-        // must restore record order via the global sequence numbers.
-        let r = Recorder::with_shards(30, 3);
+    fn drain_returns_record_order() {
+        let r = Recorder::enabled(30);
         for i in 0..20 {
             r.set_time(i as f64);
             r.record(span("s"));
@@ -260,24 +229,18 @@ mod tests {
 
     #[test]
     fn wraparound_drops_oldest_and_counts() {
-        // Capacity 4 over 2 shards = 2 events per shard; 10 records keep
-        // the 4 newest and drop 6.
-        let r = Recorder::with_shards(4, 2);
-        for _ in 0..10 {
+        // Capacity 5: 12 records keep exactly the 5 newest and drop 7.
+        let r = Recorder::enabled(5);
+        assert_eq!(r.capacity(), 5);
+        for _ in 0..12 {
             r.record(span("w"));
         }
         let events = r.drain();
-        assert_eq!(events.len(), 4);
-        assert_eq!(r.dropped(), 6);
+        assert_eq!(events.len(), 5);
+        assert_eq!(r.dropped(), 7);
         // The survivors are the most recent sequence numbers, in order.
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn capacity_rounds_up_to_shard_multiple() {
-        let r = Recorder::with_shards(10, 4);
-        assert_eq!(r.capacity(), 12); // ceil(10/4)=3 per shard × 4
+        assert_eq!(seqs, vec![7, 8, 9, 10, 11]);
     }
 
     #[test]
@@ -306,7 +269,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_lossless_under_capacity() {
-        let r = Recorder::with_shards(4096, 8);
+        let r = Recorder::enabled(4096);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let r = r.clone();
@@ -320,7 +283,7 @@ mod tests {
         let events = r.drain();
         assert_eq!(events.len(), 4000);
         assert_eq!(r.dropped(), 0);
-        // Sequence numbers are a permutation of 0..4000, sorted.
+        // Sequence numbers are exactly 0..4000, in drain order.
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }

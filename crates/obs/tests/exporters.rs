@@ -37,10 +37,10 @@ fn single_event_jsonl_is_one_terminated_line() {
 
 #[test]
 fn overflow_truncated_stream_still_renders_and_reports_drops() {
-    // Capacity 4 in a single shard, 12 events: the ring keeps the newest
-    // 4 and counts the rest as dropped; the JSONL must render the
-    // survivors with their original (not renumbered) sequence numbers.
-    let rec = Recorder::with_shards(4, 1);
+    // Capacity 4, 12 events: the ring keeps the newest 4 and counts the
+    // rest as dropped; the JSONL must render the survivors with their
+    // original (not renumbered) sequence numbers.
+    let rec = Recorder::enabled(4);
     for i in 0..12u32 {
         rec.record(EventPayload::TransducerRezero {
             island: i,

@@ -1,5 +1,5 @@
-//! Parallel experiment engine: a std-only worker pool with work-stealing
-//! over a sharded job queue.
+//! Parallel experiment engine: a std-only worker pool over one shared
+//! FIFO job queue.
 //!
 //! The evaluation harness replays every table and figure of the paper
 //! across (workload-mix × budget × island-count) grids; the cells are
@@ -7,11 +7,11 @@
 //! crate supplies the execution substrate without pulling in any external
 //! dependency:
 //!
-//! * [`Pool`] — a persistent pool of worker threads. Jobs are pushed
-//!   round-robin onto per-worker sharded deques; idle workers pop their
-//!   own shard LIFO-front and **steal** from the back of sibling shards,
-//!   so imbalanced cells (a 32-core simulation next to an 8-core one)
-//!   still keep every worker busy.
+//! * [`Pool`] — a persistent pool of worker threads sharing one
+//!   mutex-guarded FIFO queue. An idle worker takes the oldest job, so
+//!   imbalanced cells (a 32-core simulation next to an 8-core one) still
+//!   keep every worker busy. Sweep cells take milliseconds each, so one
+//!   queue lock is never the bottleneck.
 //! * [`Pool::parallel_map`] — the deterministic fan-out/fan-in primitive:
 //!   results land in input order, so reductions are bit-identical no
 //!   matter how many workers ran the cells or in what order they
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 type Job = Box<dyn FnOnce() + Send>;
 
 /// Locks `m`, recovering a poisoned lock instead of propagating the
-/// panic. Every mutex here guards either a job queue or a result slot;
+/// panic. Every mutex here guards either the job queue or a result slot;
 /// a panicking job is already trapped by `catch_unwind` and re-raised on
 /// the collecting caller, so the guarded data is never left half-written
 /// and later callers must not be wedged by the poison flag.
@@ -66,7 +66,6 @@ thread_local! {
 #[derive(Debug, Default)]
 struct WorkerCounters {
     jobs: AtomicU64,
-    steals: AtomicU64,
     busy_nanos: AtomicU64,
 }
 
@@ -75,8 +74,6 @@ struct WorkerCounters {
 pub struct WorkerSnapshot {
     /// Jobs this context executed (nested cells included).
     pub jobs: u64,
-    /// Jobs it obtained by stealing from another shard.
-    pub steals: u64,
     /// Wall-clock spent inside top-level job bodies. Cells a job executes
     /// while helping a nested fan-out are *not* added again — the
     /// enclosing job's time already covers them — so `busy` never exceeds
@@ -111,11 +108,6 @@ impl PoolStats {
         self.per_context.iter().map(|c| c.jobs).sum()
     }
 
-    /// Total steals across all contexts.
-    pub fn total_steals(&self) -> u64 {
-        self.per_context.iter().map(|c| c.steals).sum()
-    }
-
     /// The lowest per-context utilization — the load-balance floor. A
     /// healthy pool keeps this near the siblings' figure; a context left
     /// idle by skewed injection drags it down.
@@ -126,7 +118,7 @@ impl PoolStats {
     }
 
     /// Publishes this snapshot onto a `cpm-obs` metrics registry,
-    /// replacing the ad-hoc jobs/steals/busy plumbing callers used to
+    /// replacing the ad-hoc jobs/busy plumbing callers used to
     /// hand-roll. Snapshot values land on **gauges** (set, not add), so
     /// re-exporting after more work simply refreshes them. The last
     /// per-context slot is the synthetic caller context.
@@ -138,9 +130,6 @@ impl PoolStats {
         registry
             .gauge("pool.jobs_total")
             .set(self.total_jobs() as f64);
-        registry
-            .gauge("pool.steals_total")
-            .set(self.total_steals() as f64);
         registry
             .gauge("pool.utilization_min")
             .set(self.utilization_min());
@@ -154,9 +143,6 @@ impl PoolStats {
                 .gauge(&format!("pool.{name}.jobs"))
                 .set(c.jobs as f64);
             registry
-                .gauge(&format!("pool.{name}.steals"))
-                .set(c.steals as f64);
-            registry
                 .gauge(&format!("pool.{name}.busy_seconds"))
                 .set(c.busy.as_secs_f64());
             registry
@@ -168,12 +154,11 @@ impl PoolStats {
 
 struct PoolInner {
     id: u64,
-    shards: Vec<Mutex<VecDeque<Job>>>,
-    gate: Mutex<()>,
+    queue: Mutex<VecDeque<Job>>,
     signal: Condvar,
+    /// Cleared (under the queue lock, so no parked worker misses it) when
+    /// the pool drops.
     live: AtomicBool,
-    queued: AtomicUsize,
-    rr: AtomicUsize,
     counters: Vec<WorkerCounters>,
     started: Instant,
 }
@@ -190,39 +175,19 @@ impl PoolInner {
             self.counters.len() - 1
         }
     }
+
     fn push(&self, job: Job) {
-        let slot = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        lock_recover(&self.shards[slot]).push_back(job);
-        self.queued.fetch_add(1, Ordering::Release);
+        lock_recover(&self.queue).push_back(job);
         self.signal.notify_one();
     }
 
-    /// Pops for context `home`: own shard from the front, then steals from
-    /// the back of sibling shards. Returns the job and whether it was
-    /// stolen.
-    fn pop(&self, home: usize) -> Option<(Job, bool)> {
-        if self.queued.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let n = self.shards.len();
-        let own = home % n;
-        if let Some(job) = lock_recover(&self.shards[own]).pop_front() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some((job, false));
-        }
-        for k in 1..n {
-            let victim = (own + k) % n;
-            if let Some(job) = lock_recover(&self.shards[victim]).pop_back() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some((job, true));
-            }
-        }
-        None
+    fn pop(&self) -> Option<Job> {
+        lock_recover(&self.queue).pop_front()
     }
 
-    /// Runs `body` with job/steal/busy accounting on `context`; busy time
+    /// Runs `body` with job/busy accounting on `context`; busy time
     /// accrues only at nesting depth 0 (see [`DEPTH`]).
-    fn run_counted<R>(&self, context: usize, stolen: bool, body: impl FnOnce() -> R) -> R {
+    fn run_counted<R>(&self, context: usize, body: impl FnOnce() -> R) -> R {
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);
@@ -233,9 +198,6 @@ impl PoolInner {
         DEPTH.with(|d| d.set(depth));
         let c = &self.counters[context];
         c.jobs.fetch_add(1, Ordering::Relaxed);
-        if stolen {
-            c.steals.fetch_add(1, Ordering::Relaxed);
-        }
         if depth == 0 {
             c.busy_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -243,38 +205,29 @@ impl PoolInner {
         r
     }
 
-    fn execute(&self, context: usize, job: Job, stolen: bool) {
-        self.run_counted(context, stolen, job);
-    }
-
     fn worker_loop(&self, id: usize) {
         HOME.with(|h| h.set((self.id, id)));
+        let mut queue = lock_recover(&self.queue);
         loop {
-            match self.pop(id) {
-                Some((job, stolen)) => self.execute(id, job, stolen),
-                None => {
-                    if !self.live.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let guard = lock_recover(&self.gate);
-                    // Re-check under the lock so a push between pop() and
-                    // park cannot strand the job until the timeout.
-                    if self.queued.load(Ordering::Acquire) == 0 && self.live.load(Ordering::Acquire)
-                    {
-                        let _ = self
-                            .signal
-                            .wait_timeout(guard, Duration::from_millis(5))
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
+            if let Some(job) = queue.pop_front() {
+                drop(queue);
+                self.run_counted(id, job);
+                queue = lock_recover(&self.queue);
+            } else if !self.live.load(Ordering::Acquire) {
+                return;
+            } else {
+                queue = self
+                    .signal
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
     }
 }
 
-/// A work-stealing worker pool. See the crate docs for the execution
-/// model; `Pool::new(1)` (or fewer) creates a **serial** pool that runs
-/// every job inline on the calling thread.
+/// A worker pool over one FIFO job queue. See the crate docs for the
+/// execution model; `Pool::new(1)` (or fewer) creates a **serial** pool
+/// that runs every job inline on the calling thread.
 pub struct Pool {
     inner: Arc<PoolInner>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -287,28 +240,11 @@ impl Pool {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let thread_count = if workers == 1 { 0 } else { workers };
-        let id = POOL_IDS.fetch_add(1, Ordering::Relaxed);
-        let shard_count = thread_count.max(1);
-        // Seed the injection round-robin from the pool id (SplitMix64
-        // finalizer) so successive pools start their rotation on different
-        // shards: a fixed start pins every short batch's first — and under
-        // work stealing often only — cells onto the same worker, which is
-        // how one context ends up visibly under-utilized in the exported
-        // stats while its siblings stay busy.
-        let mut mix = id.wrapping_add(0x9E3779B97F4A7C15);
-        mix = (mix ^ (mix >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        mix = (mix ^ (mix >> 27)).wrapping_mul(0x94D049BB133111EB);
-        mix ^= mix >> 31;
         let inner = Arc::new(PoolInner {
-            id,
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            gate: Mutex::new(()),
+            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
+            queue: Mutex::new(VecDeque::new()),
             signal: Condvar::new(),
             live: AtomicBool::new(true),
-            queued: AtomicUsize::new(0),
-            rr: AtomicUsize::new((mix % shard_count as u64) as usize),
             // One counter slot per worker plus the caller slot.
             counters: (0..thread_count + 1)
                 .map(|_| WorkerCounters::default())
@@ -362,7 +298,7 @@ impl Pool {
             let ctx = self.inner.context();
             return items
                 .into_iter()
-                .map(|item| self.inner.run_counted(ctx, false, || f(item)))
+                .map(|item| self.inner.run_counted(ctx, || f(item)))
                 .collect();
         }
 
@@ -390,8 +326,8 @@ impl Pool {
         // nested fan-out accounts on its own slot, not the caller slot.
         let ctx = self.inner.context();
         while remaining.load(Ordering::Acquire) > 0 {
-            match self.inner.pop(ctx) {
-                Some((job, stolen)) => self.inner.execute(ctx, job, stolen),
+            match self.inner.pop() {
+                Some(job) => self.inner.run_counted(ctx, job),
                 None => std::thread::yield_now(),
             }
         }
@@ -430,7 +366,6 @@ impl Pool {
                 .iter()
                 .map(|c| WorkerSnapshot {
                     jobs: c.jobs.load(Ordering::Relaxed),
-                    steals: c.steals.load(Ordering::Relaxed),
                     busy: Duration::from_nanos(c.busy_nanos.load(Ordering::Relaxed)),
                 })
                 .collect(),
@@ -440,7 +375,10 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.inner.live.store(false, Ordering::Release);
+        {
+            let _queue = lock_recover(&self.inner.queue);
+            self.inner.live.store(false, Ordering::Release);
+        }
         self.inner.signal.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -487,7 +425,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let work = |x: u64| {
-            // Unequal cell costs exercise stealing.
+            // Unequal cell costs finish out of queue order.
             let spins = (x % 7) * 1000;
             let mut acc = x;
             for _ in 0..spins {
@@ -590,8 +528,8 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_does_not_wedge_the_shard_locks() {
-        // Even after a cell panics, every queue/result mutex stays
+    fn panicking_job_does_not_wedge_the_queue_lock() {
+        // Even after a cell panics, the queue and result mutexes stay
         // usable: the pool's lock discipline recovers poisoned locks
         // instead of unwrapping, so later sweeps proceed normally.
         let pool = Pool::new(2);
@@ -649,8 +587,8 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauges["pool.jobs_total"], 40.0);
         assert_eq!(snap.gauges["pool.workers"], 2.0);
-        // 2 workers + caller slot, 4 gauges each, plus 5 pool-wide ones.
-        assert_eq!(snap.gauges.len(), 5 + 3 * 4);
+        // 2 workers + caller slot, 3 gauges each, plus 4 pool-wide ones.
+        assert_eq!(snap.gauges.len(), 4 + 3 * 3);
         assert!(snap.gauges.contains_key("pool.caller.busy_seconds"));
         assert!(snap.gauges.contains_key("pool.worker1.utilization"));
         let util_min = snap.gauges["pool.utilization_min"];

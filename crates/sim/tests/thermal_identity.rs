@@ -1,7 +1,7 @@
 //! Tiled thermal stencil vs a per-node oracle, bit for bit.
 //!
-//! `ThermalGrid::step` walks the floorplan row by row in `LANES`-wide
-//! chunks with the boundary columns peeled. The oracle here is the plain
+//! `ThermalGrid::step` walks the floorplan row by row, one interior loop
+//! per row with the boundary columns peeled. The oracle here is the plain
 //! explicit-Euler walk it must reproduce: every node gathers its
 //! neighbours from `Floorplan::neighbors` (up, down, left, right — the
 //! order the stencil accumulates in) and the substep schedule is

@@ -4,15 +4,12 @@
 //! ambient/heat-sink node; lateral resistance `R_l` couples 4-connected
 //! floorplan neighbours. Integration is forward Euler with automatic
 //! sub-stepping to keep the explicit scheme stable
-//! (`dt_sub < C / (1/R_v + 4/R_l)` with margin).
+//! (`dt_sub < C / (1/R_v + 4/R_l)` with margin). Each substep relaxes the
+//! die row by row: the two edge nodes are peeled and the interior is one
+//! plain loop, which LLVM autovectorizes without hand-chunking.
 
 use crate::floorplan::Floorplan;
 use cpm_units::{Celsius, CoreId, Seconds, Watts};
-
-/// Chunk width of the interior-row stencil pass. Eight `f64`s span two
-/// AVX2 registers (or four NEON ones); the chunk body is elementwise over
-/// fixed strides, which is the shape LLVM's autovectorizer recognizes.
-const LANES: usize = 8;
 
 /// The node-constant factors of one Euler substep, hoisted out of the
 /// row passes. Resistances and capacitance enter as reciprocals
@@ -127,12 +124,12 @@ impl ThermalGrid {
     /// Advances the network by `dt` with per-core heat input `powers`
     /// (watts, core-id order), sub-stepping as needed for stability.
     ///
-    /// The update walks the floorplan row by row, dispatched to a
-    /// `LANES`-chunked row pass monomorphized over the row's up/down
-    /// coupling (see `ThermalGrid::row_pass`), with the boundary columns
-    /// peeled — so the interior is a branch-free elementwise stencil over
-    /// four fixed strides instead of a neighbour-list gather, and LLVM
-    /// autovectorizes it. Flow terms accumulate in the floorplan's
+    /// The update walks the floorplan row by row, dispatched to a row
+    /// pass monomorphized over the row's up/down coupling (see
+    /// `ThermalGrid::row_pass`), with the boundary columns peeled — so the
+    /// interior is a branch-free elementwise stencil over four fixed
+    /// strides instead of a neighbour-list gather, and LLVM autovectorizes
+    /// it. Flow terms accumulate in the floorplan's
     /// neighbour order (up, down, left, right), so results are
     /// bit-identical to a per-node walk over [`Floorplan::neighbors`] (the
     /// oracle `cpm-sim`'s `thermal_identity` tests check it against).
@@ -156,8 +153,8 @@ impl ThermalGrid {
         for _ in 0..substeps {
             let temps = &self.temperatures;
             for r in 0..rows {
-                // Monomorphize per up/down combination so the chunked
-                // interior body carries no per-node branches at all.
+                // Monomorphize per up/down combination so the interior
+                // loop body carries no per-node branches at all.
                 match (r > 0, r + 1 < rows) {
                     (false, false) => {
                         Self::row_pass::<false, false>(temps, powers, &mut next, r, ctx)
@@ -178,7 +175,7 @@ impl ThermalGrid {
 
     /// One node's Euler update, with the vertical coupling resolved at
     /// compile time and the lateral coupling by the peeled caller.
-    #[inline(always)] // the chunk loop body must inline to vectorize
+    #[inline(always)] // the interior loop body must inline to vectorize
     fn relax_node<const UP: bool, const DOWN: bool>(
         temps: &[f64],
         powers: &[Watts],
@@ -205,12 +202,10 @@ impl ThermalGrid {
         next[i] = t + ctx.h_over_cap * flow;
     }
 
-    /// One row of the Euler substep: peeled left/right edge nodes around a
-    /// `LANES`-chunked interior with a scalar tail. Each interior node
-    /// evaluates the token-identical [`ThermalGrid::relax_node`] expression
-    /// — chunking only fixes the trip count of the elementwise loop, it
-    /// never reassociates a node's flow sum — so the pass is bit-identical
-    /// to the unchunked walk.
+    /// One row of the Euler substep: peeled left/right edge nodes around
+    /// one interior loop. Every node evaluates the same
+    /// [`ThermalGrid::relax_node`] expression, so the pass is bit-identical
+    /// to a per-node walk.
     fn row_pass<const UP: bool, const DOWN: bool>(
         temps: &[f64],
         powers: &[Watts],
@@ -221,17 +216,8 @@ impl ThermalGrid {
         let cols = ctx.cols;
         let base = r * cols;
         Self::relax_node::<UP, DOWN>(temps, powers, next, base, false, cols > 1, ctx);
-        let interior_end = cols.saturating_sub(1);
-        let mut c = 1;
-        while c + LANES <= interior_end {
-            for l in 0..LANES {
-                Self::relax_node::<UP, DOWN>(temps, powers, next, base + c + l, true, true, ctx);
-            }
-            c += LANES;
-        }
-        while c < interior_end {
-            Self::relax_node::<UP, DOWN>(temps, powers, next, base + c, true, true, ctx);
-            c += 1;
+        for i in base + 1..base + cols.saturating_sub(1) {
+            Self::relax_node::<UP, DOWN>(temps, powers, next, i, true, true, ctx);
         }
         if cols > 1 {
             Self::relax_node::<UP, DOWN>(temps, powers, next, base + cols - 1, true, false, ctx);

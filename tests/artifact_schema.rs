@@ -72,7 +72,6 @@ fn experiments_artifact_passes_its_schema_gate() {
             per_context: vec![
                 cpm_runtime::WorkerSnapshot {
                     jobs: 3,
-                    steals: 1,
                     busy: Duration::from_millis(200),
                 };
                 3

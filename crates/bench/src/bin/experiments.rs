@@ -61,7 +61,8 @@
 //!
 //! `scenarios` runs the deterministic fault-injection suite: every
 //! catalogue entry (see `cpm-scenario`) replays against its committed
-//! golden under `goldens/` (override with `CPM_GOLDEN_DIR`); trajectories
+//! golden under the workspace's `goldens/`, whatever the working
+//! directory (override with `CPM_GOLDEN_DIR`); trajectories
 //! land as `SCENARIO_<stem>.jsonl` (SLO alarms appended as first-class
 //! events), Chrome traces as `SCENARIO_<stem>_chrome.json`, watchdog
 //! verdicts as `HEALTH_<stem>.json`, and divergence reports as
@@ -328,7 +329,8 @@ fn scenarios_cmd(args: &[String]) {
             }
         }
     }
-    let golden_dir = std::env::var("CPM_GOLDEN_DIR").unwrap_or_else(|_| "goldens".to_string());
+    let golden_dir = std::env::var("CPM_GOLDEN_DIR")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens").to_string());
     let out_dir = std::env::var("CPM_SCENARIO_DIR").unwrap_or_else(|_| ".".to_string());
 
     // Load whatever goldens are committed; missing files are reported

@@ -1,11 +1,10 @@
 //! Determinism contract of the parallel experiment engine: for any worker
 //! count, the same experiment cells reduce to byte-identical reports in
-//! the same order. CI enforces the full-sweep version of this by diffing
-//! `experiments all` stdout across `CPM_WORKERS=1` and `CPM_WORKERS=4`;
-//! this test pins the property in-process on a cheap experiment subset so
-//! a regression fails fast in `cargo test`.
+//! the same order. The full sweep is compared across 1 and 2 workers
+//! here, a cheap experiment subset at 4; CI also diffs `experiments all`
+//! stdout across `CPM_WORKERS=1` and `CPM_WORKERS=4`.
 
-use cpm_bench::run_experiment;
+use cpm_bench::{run_all_on, run_experiment};
 use cpm_runtime::Pool;
 
 /// Cheap, pure-computation experiments (control analysis + static
@@ -38,4 +37,14 @@ fn repeated_parallel_sweeps_are_stable() {
     let a = sweep_on(&Pool::new(4));
     let b = sweep_on(&Pool::new(4));
     assert_eq!(a, b);
+}
+
+#[test]
+fn full_sweep_is_byte_identical_across_worker_counts() {
+    let serial = run_all_on(&Pool::new(1)).reports;
+    let parallel = run_all_on(&Pool::new(2)).reports;
+    assert_eq!(serial.len(), parallel.len());
+    for ((id, s), (_, p)) in serial.iter().zip(&parallel) {
+        assert_eq!(s, p, "report for {id} differs between 1 and 2 workers");
+    }
 }

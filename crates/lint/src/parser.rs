@@ -450,9 +450,8 @@ impl<'a, 'b> P<'a, 'b> {
         let mut params = Vec::new();
         if self.at("(") {
             self.bump();
-            let mut depth = 0usize;
             while !self.done() {
-                if self.at(")") && depth == 0 {
+                if self.at(")") {
                     self.bump();
                     break;
                 }
@@ -509,10 +508,6 @@ impl<'a, 'b> P<'a, 'b> {
                 }
                 let ty = self.render_type(&[",", ")"]);
                 params.push((pname, ty));
-                if self.at(")") {
-                    depth = depth.saturating_sub(0);
-                    continue;
-                }
                 self.eat(",");
             }
         }
@@ -668,8 +663,7 @@ impl<'a, 'b> P<'a, 'b> {
         if self.at("else") {
             self.bump();
             if self.at("{") {
-                let b = self.parse_block();
-                let _ = b;
+                self.parse_block();
             }
         }
         self.eat(";");
@@ -722,7 +716,6 @@ impl<'a, 'b> P<'a, 'b> {
         let a = self.peek(0)?;
         let b = self.peek(1).map(|t| t.text).unwrap_or("");
         let c = self.peek(2).map(|t| t.text).unwrap_or("");
-        let two = |x: &str, y: &str| -> bool { a.is(x) && b == y };
         // Order matters: longest match first.
         Some(match a.text {
             "=" if b == "=" => (BinOp::Eq, 5, 6, 2),
@@ -759,12 +752,7 @@ impl<'a, 'b> P<'a, 'b> {
                 let w = if c == "=" { 3 } else { 2 };
                 (BinOp::Other, 1, 2, w)
             }
-            _ => {
-                if two("a", "b") {
-                    // unreachable, keeps `two` used
-                }
-                return None;
-            }
+            _ => return None,
         })
     }
 
@@ -781,13 +769,10 @@ impl<'a, 'b> P<'a, 'b> {
         match t.kind {
             TokKind::Number => {
                 self.bump();
-                return self.postfix(
-                    Expr {
-                        kind: ExprKind::Num,
-                        line,
-                    },
-                    structs_ok,
-                );
+                return self.postfix(Expr {
+                    kind: ExprKind::Num,
+                    line,
+                });
             }
             TokKind::Literal | TokKind::Lifetime => {
                 self.bump();
@@ -796,13 +781,10 @@ impl<'a, 'b> P<'a, 'b> {
                     self.bump();
                     return self.prefix(structs_ok);
                 }
-                return self.postfix(
-                    Expr {
-                        kind: ExprKind::Lit,
-                        line,
-                    },
-                    structs_ok,
-                );
+                return self.postfix(Expr {
+                    kind: ExprKind::Lit,
+                    line,
+                });
             }
             _ => {}
         }
@@ -873,7 +855,7 @@ impl<'a, 'b> P<'a, 'b> {
                     line,
                 }
             };
-            return self.postfix(e, structs_ok);
+            return self.postfix(e);
         }
         if self.at("[") {
             self.bump();
@@ -885,23 +867,17 @@ impl<'a, 'b> P<'a, 'b> {
                 }
             }
             self.eat("]");
-            return self.postfix(
-                Expr {
-                    kind: ExprKind::Seq(items),
-                    line,
-                },
-                structs_ok,
-            );
+            return self.postfix(Expr {
+                kind: ExprKind::Seq(items),
+                line,
+            });
         }
         if self.at("{") {
             let b = self.parse_block();
-            return self.postfix(
-                Expr {
-                    kind: ExprKind::Block(b),
-                    line,
-                },
-                structs_ok,
-            );
+            return self.postfix(Expr {
+                kind: ExprKind::Block(b),
+                line,
+            });
         }
         // Control flow.
         if self.at("if") {
@@ -1022,11 +998,6 @@ impl<'a, 'b> P<'a, 'b> {
                 line,
             };
         }
-        if self.at("..") {
-            // Never produced (tokenizer yields single chars); kept for
-            // completeness.
-            self.bump();
-        }
         // `.` leading ranges `..expr` / stray punctuation → Unknown.
         if self.at(".") {
             self.bump();
@@ -1072,13 +1043,10 @@ impl<'a, 'b> P<'a, 'b> {
                 self.bump();
                 let name = segs.last().cloned().unwrap_or_default();
                 let args = self.macro_args();
-                return self.postfix(
-                    Expr {
-                        kind: ExprKind::Macro { name, args },
-                        line,
-                    },
-                    structs_ok,
-                );
+                return self.postfix(Expr {
+                    kind: ExprKind::Macro { name, args },
+                    line,
+                });
             }
             // Call.
             if self.at("(") {
@@ -1091,13 +1059,10 @@ impl<'a, 'b> P<'a, 'b> {
                     }
                 }
                 self.eat(")");
-                return self.postfix(
-                    Expr {
-                        kind: ExprKind::Call { path: segs, args },
-                        line,
-                    },
-                    structs_ok,
-                );
+                return self.postfix(Expr {
+                    kind: ExprKind::Call { path: segs, args },
+                    line,
+                });
             }
             // Struct literal.
             if structs_ok && self.at("{") && self.struct_literal_ahead() {
@@ -1137,21 +1102,15 @@ impl<'a, 'b> P<'a, 'b> {
                     }
                 }
                 self.eat("}");
-                return self.postfix(
-                    Expr {
-                        kind: ExprKind::Struct { path: segs, fields },
-                        line,
-                    },
-                    structs_ok,
-                );
-            }
-            return self.postfix(
-                Expr {
-                    kind: ExprKind::Path(segs),
+                return self.postfix(Expr {
+                    kind: ExprKind::Struct { path: segs, fields },
                     line,
-                },
-                structs_ok,
-            );
+                });
+            }
+            return self.postfix(Expr {
+                kind: ExprKind::Path(segs),
+                line,
+            });
         }
         // Anything else: consume one token so the parser advances.
         self.bump();
@@ -1257,7 +1216,7 @@ impl<'a, 'b> P<'a, 'b> {
 
     /// Postfix chain: method calls, field access, indexing, `?`, `.await`,
     /// `as` casts, and call-on-expression.
-    fn postfix(&mut self, mut e: Expr, structs_ok: bool) -> Expr {
+    fn postfix(&mut self, mut e: Expr) -> Expr {
         loop {
             if self.done() {
                 return e;
@@ -1376,7 +1335,6 @@ impl<'a, 'b> P<'a, 'b> {
                 };
                 continue;
             }
-            let _ = structs_ok;
             return e;
         }
     }

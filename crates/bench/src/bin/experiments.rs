@@ -76,6 +76,10 @@
 //! `grep` loops) to one or more `BENCH_*.json` / `HEALTH_*.json` files,
 //! inferring the expected shape from each basename, and exits nonzero on
 //! any missing key.
+//!
+//! Reports go to stdout through one writer: when the reader closes the
+//! pipe early (`experiments all | head`), the command ends at once with
+//! status 0 and nothing on stderr.
 
 use cpm_bench::explain::{explain_events, ExplainOptions};
 use cpm_bench::perf::{perf_json, run_perf};
@@ -85,10 +89,38 @@ use cpm_bench::schema::{check_schema, ArtifactKind};
 use cpm_bench::trace::{run_trace, TraceOptions};
 use cpm_bench::{run_all, run_experiment, sweep_json, ALL_EXPERIMENTS};
 use cpm_units::Celsius;
+use std::io::{ErrorKind, Write};
+
+/// Writes report text to stdout. A reader that closes the pipe early
+/// (`experiments all | head`) ends the command at once, with status 0 and
+/// nothing on stderr; any other write failure exits 1.
+fn write_stdout(text: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("[experiments] failed to write stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn run_one(id: &str) {
     match run_experiment(id) {
-        Some(report) => print!("{report}"),
+        Some(report) => out!("{report}"),
         None => {
             eprintln!("unknown experiment `{id}`; try `experiments list`");
             std::process::exit(2);
@@ -104,7 +136,7 @@ fn run_all_cmd() {
     );
     let sweep = run_all();
     for (_, report) in &sweep.reports {
-        print!("{report}");
+        out!("{report}");
     }
     // Phase timing comes off the metrics registry the sweep published to,
     // in paper order (the registry holds one gauge per experiment).
@@ -206,8 +238,8 @@ fn trace_cmd(args: &[String]) {
         artifacts.alarms
     );
     eprint!("{}", artifacts.profile_text);
-    print!("{}", artifacts.metrics_text);
-    print!("{}", artifacts.health_text);
+    out!("{}", artifacts.metrics_text);
+    out!("{}", artifacts.health_text);
 }
 
 fn explain_cmd(args: &[String]) {
@@ -269,8 +301,8 @@ fn explain_cmd(args: &[String]) {
         }
         eprintln!("[explain] wrote {path}");
     }
-    print!("{text}");
-    print!("{}", artifacts.health_text);
+    out!("{text}");
+    out!("{}", artifacts.health_text);
 }
 
 fn perf_cmd(args: &[String]) {
@@ -353,7 +385,7 @@ fn scenarios_cmd(args: &[String]) {
         // Deterministic per-scenario summary on stdout (byte-identical
         // across worker counts); timing stays on stderr.
         let checks_ok = r.checks.iter().filter(|c| c.passed).count();
-        println!(
+        outln!(
             "scenario {} {} {} checks={}/{} alarms={}",
             r.name,
             r.digest,
@@ -363,7 +395,7 @@ fn scenarios_cmd(args: &[String]) {
             r.alarms
         );
         for c in r.checks.iter().filter(|c| !c.passed) {
-            println!("  check FAILED {}: {}", c.name, c.detail);
+            outln!("  check FAILED {}: {}", c.name, c.detail);
             failed = true;
         }
         let per_scenario = [
@@ -440,12 +472,12 @@ fn check_schema_cmd(args: &[String]) {
         };
         let problems = check_schema(kind, &content);
         if problems.is_empty() {
-            println!("check-schema {path} ({}) ok", kind.name());
+            outln!("check-schema {path} ({}) ok", kind.name());
         } else {
             failed = true;
-            println!("check-schema {path} ({}) FAILED", kind.name());
+            outln!("check-schema {path} ({}) FAILED", kind.name());
             for p in &problems {
-                println!("  {p}");
+                outln!("  {p}");
             }
         }
     }
@@ -458,17 +490,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("list") => {
-            println!("available experiments:");
+            outln!("available experiments:");
             for id in ALL_EXPERIMENTS {
-                println!("  {id}");
+                outln!("  {id}");
             }
-            println!("  all");
-            println!("  trace <policy>@<budget>");
-            println!("  explain <policy>@<budget> [--round R] [--island I]");
-            println!("  perf [--quick]");
-            println!("  scaling [--quick]");
-            println!("  scenarios [--update-goldens]");
-            println!("  check-schema <artifact.json> …");
+            outln!("  all");
+            outln!("  trace <policy>@<budget>");
+            outln!("  explain <policy>@<budget> [--round R] [--island I]");
+            outln!("  perf [--quick]");
+            outln!("  scaling [--quick]");
+            outln!("  scenarios [--update-goldens]");
+            outln!("  check-schema <artifact.json> …");
         }
         Some("all") => run_all_cmd(),
         Some("trace") => trace_cmd(&args[1..]),

@@ -9,9 +9,17 @@
 //! digest defends against accidental behavioral drift, not adversaries,
 //! and any divergence is re-verified by an event-level diff before it is
 //! reported.
-
-use crate::event::Event;
-use crate::export::events_to_jsonl;
+//!
+//! Most of a JSONL line is constant key text, and constant text folds in
+//! O(1): FNV-1a's `h ^ b` touches only the low 8 bits of `h`, and the low
+//! 8 bits of a product mod 2^64 depend only on the low 8 bits of its
+//! factors. So for a constant string `K` of length `L`,
+//! `fnv(h, K) = h·P^L + C_K[h & 0xff]` (mod 2^64), with the 256-entry
+//! table `C_K[l] = fnv(l, K) − l·P^L` built at compile time by
+//! `FnvJump::new` and applied by `Fnv1a64::update_literal`. The
+//! identity is exact, not approximate: both sides are the same integer
+//! mod 2^64 for every `h`. The JSONL writers apply it through
+//! [`crate::fold_event_jsonl`].
 
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,6 +37,13 @@ impl Fnv1a64 {
     /// A fresh hasher at the offset basis.
     pub fn new() -> Self {
         Self { state: FNV_OFFSET }
+    }
+
+    /// A hasher at an arbitrary state, for checking jumps from every
+    /// state.
+    #[cfg(test)]
+    pub(crate) fn at_state(state: u64) -> Self {
+        Self { state }
     }
 
     /// Folds `bytes` into the state.
@@ -54,6 +69,15 @@ impl Fnv1a64 {
         twin.state = b;
     }
 
+    /// Folds `lit`'s text into the state in O(1), whatever its length:
+    /// the same state as `update(lit.text().as_bytes())`.
+    pub(crate) fn update_literal(&mut self, lit: &FnvLiteral) {
+        let (h, jump) = (self.state, lit.jump);
+        self.state = h
+            .wrapping_mul(jump.pow)
+            .wrapping_add(jump.table[(h & 0xff) as usize]);
+    }
+
     /// The current 64-bit digest.
     pub fn finish(&self) -> u64 {
         self.state
@@ -63,6 +87,65 @@ impl Fnv1a64 {
 impl Default for Fnv1a64 {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The FNV-1a jump over a constant string of length `L`: `P^L` and the
+/// 256-entry table `C[l] = fnv(l, text) − l·P^L` (module docs), 2,056
+/// bytes. It holds no pointer, so a `static` of it is plain read-only
+/// data that the loader never relocates or dirties.
+#[derive(Debug)]
+pub(crate) struct FnvJump {
+    pow: u64,
+    table: [u64; 256],
+}
+
+impl FnvJump {
+    /// The jump over `text`, computed at compile time when used in a
+    /// `static`.
+    pub(crate) const fn new(text: &str) -> Self {
+        let bytes = text.as_bytes();
+        let mut pow = 1u64;
+        let mut k = 0;
+        while k < bytes.len() {
+            pow = pow.wrapping_mul(FNV_PRIME);
+            k += 1;
+        }
+        let mut table = [0u64; 256];
+        let mut low = 0;
+        while low < 256 {
+            let mut h = low as u64;
+            let mut k = 0;
+            while k < bytes.len() {
+                h = (h ^ bytes[k] as u64).wrapping_mul(FNV_PRIME);
+                k += 1;
+            }
+            table[low] = h.wrapping_sub((low as u64).wrapping_mul(pow));
+            low += 1;
+        }
+        Self { pow, table }
+    }
+}
+
+/// Constant text with its FNV-1a jump, for writers that render the text
+/// and fold it into a digest as they go. Declare it as
+/// `static K: FnvLiteral = FnvLiteral::new(T, &FnvJump::new(T));` with
+/// the same `T` twice.
+#[derive(Debug)]
+pub(crate) struct FnvLiteral {
+    text: &'static str,
+    jump: &'static FnvJump,
+}
+
+impl FnvLiteral {
+    /// Pairs `text` with its jump, which must be `FnvJump::new(text)`.
+    pub(crate) const fn new(text: &'static str, jump: &'static FnvJump) -> Self {
+        Self { text, jump }
+    }
+
+    /// The constant text.
+    pub(crate) fn text(&self) -> &'static str {
+        self.text
     }
 }
 
@@ -84,18 +167,10 @@ pub fn digest_str(text: &str) -> String {
     format_digest(fnv1a64(text.as_bytes()))
 }
 
-/// Digest of an event slice: FNV-1a 64 over its JSONL rendering
-/// (trailing newline included), in golden format. This is *the* scenario
-/// trajectory fingerprint — two runs share a digest iff their exported
-/// JSONL documents are byte-identical.
-pub fn digest_events(events: &[Event]) -> String {
-    digest_str(&events_to_jsonl(events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventPayload;
+    use crate::event::{Event, EventPayload};
 
     #[test]
     fn known_fnv_vectors() {
@@ -131,6 +206,15 @@ mod tests {
 
     #[test]
     fn event_digest_tracks_the_jsonl_rendering() {
+        // The folded walk's whole chain is the digest of the JSONL text.
+        fn digest(events: &[Event]) -> String {
+            let (mut text, mut whole, mut block) = (String::new(), Fnv1a64::new(), Fnv1a64::new());
+            for e in events {
+                crate::export::fold_event_jsonl(&mut text, e, &mut whole, &mut block);
+            }
+            assert_eq!(whole.finish(), block.finish());
+            format_digest(whole.finish())
+        }
         let events = vec![Event {
             seq: 0,
             time_s: 0.0005,
@@ -141,7 +225,7 @@ mod tests {
             },
         }];
         assert_eq!(
-            digest_events(&events),
+            digest(&events),
             digest_str(&crate::export::events_to_jsonl(&events))
         );
         // Any payload change moves the digest.
@@ -151,6 +235,6 @@ mod tests {
             residual_w: 0.25,
             offset_w: 0.11,
         };
-        assert_ne!(digest_events(&events), digest_events(&other));
+        assert_ne!(digest(&events), digest(&other));
     }
 }

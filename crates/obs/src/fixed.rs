@@ -20,6 +20,10 @@ use std::fmt::Write as _;
 /// Longest precision the exact path serves; longer ones go to `std`.
 const MAX_PREC: usize = 17;
 
+/// Scratch length for one number: a sign, up to 20 integer digits, `.`
+/// and `MAX_PREC` decimals.
+const BUF: usize = 40;
+
 /// `10^k` for `k ≤ MAX_PREC`.
 const POW10: [u64; MAX_PREC + 1] = {
     let mut t = [1u64; MAX_PREC + 1];
@@ -70,14 +74,20 @@ pub(crate) fn push_fixed(out: &mut String, x: f64, prec: usize) {
         int += 1;
         dec = 0;
     }
-    if bits >> 63 == 1 {
-        out.push('-');
-    }
-    push_u64(out, int);
+    // Sign, integer digits, `.` and decimals go into one stack buffer,
+    // right to left, and reach `out` in one push.
+    let mut buf = [b'0'; BUF];
+    let mut i = BUF;
     if prec > 0 {
-        out.push('.');
-        push_digits(out, dec, prec);
+        i = put_digits(&mut buf, i, dec, prec) - 1;
+        buf[i] = b'.';
     }
+    i = put_digits(&mut buf, i, int, 1);
+    if bits >> 63 == 1 {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    push_ascii(out, &buf[i..]);
 }
 
 /// Appends `x` with `prec` decimals; non-finite values render as `0.0`
@@ -101,7 +111,9 @@ pub fn json_num(x: f64, prec: usize) -> String {
 
 /// Appends the decimal digits of `v`.
 pub(crate) fn push_u64(out: &mut String, v: u64) {
-    push_digits(out, v, 1);
+    let mut buf = [b'0'; BUF];
+    let i = put_digits(&mut buf, BUF, v, 1);
+    push_ascii(out, &buf[i..]);
 }
 
 /// `"00" "01" … "99"`: two digits per table lookup halves the dependent
@@ -112,10 +124,11 @@ const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 6061626364656667686970717273747576777879\
 8081828384858687888990919293949596979899";
 
-/// Appends the decimal digits of `v`, zero-padded to at least `width`.
-fn push_digits(out: &mut String, mut v: u64, width: usize) {
-    let mut buf = [b'0'; 20];
-    let mut i = buf.len();
+/// Writes the decimal digits of `v` into `buf` so that they end at `end`,
+/// zero-padded to at least `width` (the bytes before `end` must be
+/// `b'0'`), and returns where they start.
+fn put_digits(buf: &mut [u8; BUF], end: usize, mut v: u64, width: usize) -> usize {
+    let mut i = end;
     while v >= 100 {
         let d = (v % 100) as usize * 2;
         v /= 100;
@@ -130,9 +143,12 @@ fn push_digits(out: &mut String, mut v: u64, width: usize) {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    let start = i.min(buf.len().saturating_sub(width));
-    // ASCII digits are always valid UTF-8.
-    if let Ok(text) = std::str::from_utf8(&buf[start..]) {
+    i.min(end - width)
+}
+
+/// Appends rendered digits; ASCII is always valid UTF-8.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    if let Ok(text) = std::str::from_utf8(bytes) {
         out.push_str(text);
     }
 }

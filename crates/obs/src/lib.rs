@@ -17,7 +17,8 @@
 //!   every exporter.
 //! * **Digests** ([`digest`]) — FNV-1a 64 fingerprints of rendered JSONL
 //!   traces, the currency of the scenario harness's committed golden
-//!   trajectories.
+//!   trajectories, folded as the JSONL is written with O(1) jumps over
+//!   its constant text.
 //! * **Causal spans** ([`span`]) — structural [`SpanId`]s linking
 //!   `GpmRound` → `PicDecision` → `Actuation` events into a walkable
 //!   cause tree, plus the [`PhaseProfiler`] seam for wall-clock
@@ -48,9 +49,9 @@ pub mod slo;
 pub mod span;
 
 pub use chrome::{events_to_chrome, validate_chrome_trace};
-pub use digest::{digest_events, digest_str, fnv1a64, format_digest, Fnv1a64};
+pub use digest::{digest_str, fnv1a64, format_digest, Fnv1a64};
 pub use event::{Event, EventKind, EventPayload, ThermalSource};
-pub use export::{events_to_jsonl, write_event_jsonl, write_jsonl, CsvSeries};
+pub use export::{events_to_jsonl, fold_event_jsonl, write_event_jsonl, write_jsonl, CsvSeries};
 pub use fixed::json_num;
 pub use recorder::Recorder;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};

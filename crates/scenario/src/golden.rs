@@ -16,7 +16,7 @@
 //! nondeterminism (two runs disagreeing with *each other*) and then
 //! anchors the behavioral change at the first diverging event.
 
-use cpm_obs::{format_digest, write_event_jsonl, Event, Fnv1a64};
+use cpm_obs::{fold_event_jsonl, format_digest, Event, Fnv1a64};
 
 /// Events per golden block. Small enough to localize a divergence to a
 /// couple of GPM rounds, large enough that goldens stay a few dozen
@@ -64,10 +64,10 @@ pub struct Divergence {
     pub actual_first_line: String,
 }
 
-/// The one fingerprint walker behind [`GoldenDoc::from_jsonl`] and
-/// [`GoldenDoc::render_events`]. Fed one line at a time, it folds each
-/// line into the whole-stream digest and its block's digest in the same
-/// loop, with no per-block copy of the text.
+/// The one fingerprint state behind [`GoldenDoc::from_jsonl`] and
+/// [`GoldenDoc::render_events`]: the whole-stream digest, the open
+/// block's digest and the sealed blocks. A line folds into both chains
+/// in the same loop, with no per-block copy of the text.
 struct Fingerprint {
     whole: Fnv1a64,
     block: Fnv1a64,
@@ -96,25 +96,40 @@ impl Fingerprint {
         }
     }
 
-    /// Folds one raw line of the stream: its bytes as they appear,
-    /// terminator included when there is one. The whole digest hashes
-    /// those bytes. The line itself follows `str::lines` (no `\n` or
-    /// `\r\n`), and the block digest hashes it plus `\n`, also where the
-    /// text has `\r\n` or no final newline.
+    /// Counts a new line. When it opens a block, seals the previous one,
+    /// restarts the block chain and returns true: the caller then
+    /// anchors the block with [`Self::anchor`].
+    fn begin_line(&mut self) -> bool {
+        let opens = self.events % BLOCK_EVENTS == 0;
+        if opens {
+            self.seal();
+            self.block = Fnv1a64::new();
+        }
+        self.events += 1;
+        opens
+    }
+
+    /// Opens a block anchored at `line`, its first line.
+    fn anchor(&mut self, line: &str) {
+        self.blocks.push(GoldenBlock {
+            digest: String::new(),
+            first_line: line.to_string(),
+        });
+    }
+
+    /// Folds one raw line of text byte by byte: its bytes as they
+    /// appear, terminator included when there is one. The whole digest
+    /// hashes those bytes. The line itself follows `str::lines` (no `\n`
+    /// or `\r\n`), and the block digest hashes it plus `\n`, also where
+    /// the text has `\r\n` or no final newline.
     fn feed(&mut self, raw: &str) {
         let line = match raw.strip_suffix('\n') {
             Some(l) => l.strip_suffix('\r').unwrap_or(l),
             None => raw,
         };
-        if self.events % BLOCK_EVENTS == 0 {
-            self.seal();
-            self.block = Fnv1a64::new();
-            self.blocks.push(GoldenBlock {
-                digest: String::new(),
-                first_line: line.to_string(),
-            });
+        if self.begin_line() {
+            self.anchor(line);
         }
-        self.events += 1;
         // `raw` is exactly `line` plus `\n`: both chains take the same bytes.
         if raw.len() == line.len() + 1 {
             self.whole.update_pair(&mut self.block, raw.as_bytes());
@@ -137,7 +152,9 @@ impl Fingerprint {
 }
 
 impl GoldenDoc {
-    /// Fingerprints a rendered JSONL trajectory.
+    /// Fingerprints a rendered JSONL trajectory, byte by byte: the path
+    /// for text read back (divergence reports, the benchmark's shadow
+    /// run, tests).
     pub fn from_jsonl(scenario: &str, jsonl: &str) -> Self {
         let mut fp = Fingerprint::new(0);
         for raw in jsonl.split_inclusive('\n') {
@@ -147,16 +164,20 @@ impl GoldenDoc {
     }
 
     /// Renders `events` as JSONL and fingerprints each line as it is
-    /// written: `(events_to_jsonl(events), from_jsonl(scenario, ..))` in
-    /// one pass over the text.
+    /// written: `(events_to_jsonl(events), from_jsonl(scenario, ..))`
+    /// without reading the text back. The field walk folds constant text
+    /// through its FNV-1a jump and hashes only the values byte by byte.
     pub fn render_events(scenario: &str, events: &[Event]) -> (String, Self) {
         let mut jsonl = String::new();
         let mut fp = Fingerprint::new(events.len());
         for e in events {
             let start = jsonl.len();
-            write_event_jsonl(&mut jsonl, e);
-            jsonl.push('\n');
-            fp.feed(&jsonl[start..]);
+            let opens = fp.begin_line();
+            fold_event_jsonl(&mut jsonl, e, &mut fp.whole, &mut fp.block);
+            if opens {
+                // The line without its newline.
+                fp.anchor(&jsonl[start..jsonl.len() - 1]);
+            }
         }
         (jsonl, fp.finish(scenario))
     }
@@ -423,25 +444,131 @@ mod tests {
         }
     }
 
+    /// A synthetic stream of `n` events that takes every branch of the
+    /// JSONL field walk: each variant in turn, each boolean both ways,
+    /// the `u32::MAX` island/partner sentinels both ways, and a NaN real
+    /// every 13th event.
+    fn synthetic_stream(n: u64) -> Vec<Event> {
+        use cpm_obs::{EventPayload, ThermalSource};
+        let mut r = 0x05EE_D0F1_E1D5_u64;
+        (0..n)
+            .map(|i| {
+                r = r.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let x = if i % 13 == 0 {
+                    f64::NAN
+                } else {
+                    (r >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
+                };
+                let flag = (i / 10) % 2 == 0;
+                let island = (r >> 40) as u32 % 16;
+                let opt = if (i / 20) % 2 == 0 { u32::MAX } else { island };
+                let payload = match i % 10 {
+                    0 => EventPayload::GpmRound {
+                        span: r,
+                        round: i,
+                        budget_w: x,
+                        actual_w: -x,
+                        islands: island,
+                    },
+                    1 => EventPayload::GpmAllocation {
+                        round: i,
+                        island,
+                        allocated_w: x,
+                        actual_w: x / 3.0,
+                        budget_w: 80.0,
+                    },
+                    2 => EventPayload::PicDecision {
+                        span: r,
+                        parent: r >> 7,
+                        round: i / 10,
+                        step: island,
+                        island,
+                        sensed_w: x,
+                        utilization: x / 50.0,
+                        target_w: 16.0,
+                        error: -x,
+                        p_term: x * 1e-3,
+                        i_term: x * 1e-4,
+                        d_term: x * 1e-7,
+                        output: x / 7.0,
+                        dvfs_index: island,
+                        saturated: flag,
+                    },
+                    3 => EventPayload::Actuation {
+                        span: r,
+                        parent: r >> 9,
+                        island,
+                        from_dvfs: island,
+                        requested_dvfs: island + 1,
+                        to_dvfs: island + u32::from(flag),
+                        granted: flag,
+                    },
+                    4 => EventPayload::TransducerRezero {
+                        island,
+                        residual_w: x,
+                        offset_w: x / 9.0,
+                    },
+                    5 => EventPayload::ThermalViolation {
+                        source: [
+                            ThermalSource::SingleIslandCap,
+                            ThermalSource::AdjacentPairCap,
+                            ThermalSource::DieThreshold,
+                        ][(r % 3) as usize],
+                        island,
+                        partner: opt,
+                        value: x,
+                        limit: 17.6,
+                    },
+                    6 => EventPayload::PolicyHoldReversal {
+                        island,
+                        level: x / 50.0,
+                        epi_now: x * 1e-9,
+                        epi_prev: -x * 1e-9,
+                        hold_intervals: island,
+                    },
+                    7 => EventPayload::WorkerSpan {
+                        worker: island,
+                        label: "measure",
+                        start_s: x,
+                        end_s: x + 1.0,
+                    },
+                    8 => EventPayload::Injection {
+                        label: "sensor-noise",
+                        island: opt,
+                        active: flag,
+                        value: x,
+                    },
+                    _ => EventPayload::Alarm {
+                        monitor: "stale-sensor",
+                        island: opt,
+                        round: i,
+                        value: x,
+                        threshold: 6.0,
+                    },
+                };
+                Event {
+                    seq: i,
+                    time_s: i as f64 * 5e-4,
+                    payload,
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn render_events_matches_render_then_fingerprint() {
-        use cpm_obs::EventPayload;
-        let events: Vec<Event> = (0..BLOCK_EVENTS as u32 + 3)
-            .map(|i| Event {
-                seq: u64::from(i),
-                time_s: f64::from(i) * 5e-4,
-                payload: EventPayload::TransducerRezero {
-                    island: i % 4,
-                    residual_w: f64::from(i) / 3.0,
-                    offset_w: -0.01,
-                },
-            })
-            .collect();
+        let events = synthetic_stream(2 * BLOCK_EVENTS as u64 + 77);
         for n in [0, 1, BLOCK_EVENTS, events.len()] {
             let (text, doc) = GoldenDoc::render_events("s", &events[..n]);
-            assert_eq!(text, cpm_obs::events_to_jsonl(&events[..n]));
+            let expected = cpm_obs::events_to_jsonl(&events[..n]);
+            assert!(text == expected, "render_events wrote different text");
             assert_eq!(doc, from_jsonl_oracle("s", &text));
+            assert_eq!(doc.digest, cpm_obs::digest_str(&text));
         }
+        // Event 0 carries the NaN, rendered as `0.0`.
+        let (text, _) = GoldenDoc::render_events("s", &events[..1]);
+        assert!(text.starts_with("{\"seq\": 0, \"t\": 0.000000, \"kind\": \"GpmRound\""));
+        assert!(text.contains("\"budget_w\": 0.0, "), "{text}");
     }
 
     #[test]

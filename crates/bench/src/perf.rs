@@ -4,8 +4,9 @@
 //! full `experiments all` sweep, and renders the `BENCH_perf.json`
 //! artifact CI uploads. The targets mirror the hot loops the PR 3
 //! performance pass optimized: chip stepping (8/32 cores), the PIC's PID
-//! step, the MaxBIPS DP search, the thermal RC step, a cache-hierarchy
-//! access, and one full cache-simulator calibration.
+//! step, the MaxBIPS DP search, one warm coordinator control call, the
+//! thermal RC step, a cache-hierarchy access, and one full cache-simulator
+//! calibration.
 //!
 //! Built on [`crate::microbench::measure`] — the same calibrated-batch
 //! protocol `experiments scaling` and the benchmark package's probes use,
@@ -16,6 +17,7 @@ use cpm_control::PidGains;
 use cpm_core::coordinator::SensorMode;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
 use cpm_core::pic::PerIslandController;
+use cpm_core::{Coordinator, ExperimentConfig};
 use cpm_obs::json_num;
 use cpm_power::dvfs::DvfsTable;
 use cpm_sim::{cache::Hierarchy, calibration, Chip, ChipSnapshot, CmpConfig};
@@ -192,6 +194,20 @@ pub fn run_perf(quick: bool) -> PerfReport {
             measure(quick, move || {
                 black_box(mb.choose_uncached(budget, black_box(&obs)))
             }),
+        );
+    }
+
+    {
+        // One warm control call on the paper-default coordinator (8 cores,
+        // 4 islands, performance-aware CPM, transducer sensing): a
+        // `run_for_gpm_intervals(1)` — 10 chip steps and 40 PIC invokes
+        // around the GPM's equal split, plus building the `Outcome`.
+        let mut coord =
+            Coordinator::new(ExperimentConfig::paper_default()).expect("paper default is valid");
+        coord.run_for_gpm_intervals(2);
+        push(
+            "coordinator_round_8",
+            measure(quick, move || black_box(coord.run_for_gpm_intervals(1))),
         );
     }
 

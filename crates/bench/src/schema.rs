@@ -92,6 +92,7 @@ impl ArtifactKind {
                 "\"math_exp_lane\"",
                 "\"pid_step\"",
                 "\"maxbips_choose\"",
+                "\"coordinator_round_8\"",
                 "\"thermal_step_32\"",
                 "\"thermal_step_64\"",
                 "\"thermal_step_128\"",

@@ -64,6 +64,55 @@ struct CalibSweep {
 
 static CALIB_SWEEP_MEMO: Memo<Arc<CalibSweep>> = Memo::new();
 
+/// The working buffers of a measurement, owned by the coordinator so they
+/// live across [`Coordinator::run_for_gpm_intervals`] calls: once warm, a
+/// call allocates only the [`Outcome`] it returns. Each call resets them.
+struct RoundScratch {
+    /// The chip's observations of the PIC interval just stepped.
+    snap: ChipSnapshot,
+    /// Per-island sums over the current GPM interval, for the feedback.
+    acc_power: Vec<Watts>,
+    acc_instr: Vec<f64>,
+    acc_util: Vec<f64>,
+    acc_cap_util: Vec<f64>,
+    acc_peak_temp: Vec<f64>,
+    /// Per-round controller-liveness flags from the injection seam (all
+    /// false when no seam is attached).
+    island_failed: Vec<bool>,
+    /// The feedback handed to the GPM, refilled each provisioned round.
+    feedback: Vec<IslandFeedback>,
+}
+
+impl RoundScratch {
+    fn new() -> Self {
+        Self {
+            snap: ChipSnapshot::empty(),
+            acc_power: Vec::new(),
+            acc_instr: Vec::new(),
+            acc_util: Vec::new(),
+            acc_cap_util: Vec::new(),
+            acc_peak_temp: Vec::new(),
+            island_failed: Vec::new(),
+            feedback: Vec::new(),
+        }
+    }
+
+    /// Zeroes the accumulators and flags for `islands` islands, keeping
+    /// every buffer's capacity.
+    fn reset(&mut self, islands: usize) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+            v.clear();
+            v.resize(n, x);
+        }
+        refill(&mut self.acc_power, islands, Watts::ZERO);
+        refill(&mut self.acc_instr, islands, 0.0);
+        refill(&mut self.acc_util, islands, 0.0);
+        refill(&mut self.acc_cap_util, islands, 0.0);
+        refill(&mut self.acc_peak_temp, islands, 0.0);
+        refill(&mut self.island_failed, islands, false);
+    }
+}
+
 /// How the PIC senses power (re-exported for the public API).
 pub type SensorMode = PicSensor;
 
@@ -274,7 +323,9 @@ impl Outcome {
     /// Chip-level tracking quality against the budget, at the GPM
     /// resolution the paper quotes (Fig. 10's ±4 % band).
     pub fn chip_tracking_error(&self) -> TrackingSummary {
-        TrackingSummary::against_constant(&self.chip_power_percent_gpm(), self.budget_percent())
+        // Reduced lazily: publishing this per measurement allocates nothing.
+        let gpm = self.chip_power_percent.chunk_means(self.pics_per_gpm);
+        TrackingSummary::against_constant_values(gpm.map(|(_, v)| v), self.budget_percent())
     }
 
     /// Island-level tracking quality against its (time-varying) targets,
@@ -357,9 +408,13 @@ pub struct Coordinator {
     /// Recorder drop count at the last publish, so repeated measurements
     /// add deltas, not running totals.
     dropped_baseline: u64,
-    /// Provenance round counter for schemes without a GPM invocation
-    /// ordinal (MaxBIPS, no-management); cumulative across measurements.
+    /// Provenance ordinal of the next GPM round, cumulative across
+    /// measurements so span ids never repeat between calls. Within the
+    /// first call it equals the GPM invocation ordinal of each provisioned
+    /// round (the feedback-free first round is round 0).
     prov_round: u64,
+    /// Working buffers reused by every measurement.
+    scratch: RoundScratch,
     /// Optional wall-clock self-profiler for the sense/decide/actuate
     /// phases. The coordinator only calls the seam — the implementation
     /// (and its clock) lives in the bench crate, and nothing it measures
@@ -449,6 +504,7 @@ impl Coordinator {
             memo_published: false,
             dropped_baseline: 0,
             prov_round: 0,
+            scratch: RoundScratch::new(),
             profiler: None,
         })
     }
@@ -788,16 +844,26 @@ impl Coordinator {
         let reference = self.reference_power;
         let pct = |w: Watts| w.value() / reference.value() * 100.0;
 
+        // Every series gets exactly one sample per PIC interval. Each
+        // per-island series is built on its own: `vec![series; islands]`
+        // would clone, and a cloned `Vec` keeps only the length, so all
+        // but one series would start at capacity 0.
+        let samples = n * pics_per_gpm;
+        let per_island = || {
+            (0..islands)
+                .map(|_| TimeSeries::with_capacity(samples))
+                .collect()
+        };
         let mut out = Outcome {
             budget,
             max_chip_power: self.chip.max_power(),
             reference_power: reference,
-            chip_power_percent: TimeSeries::new(),
-            island_actual_percent: vec![TimeSeries::new(); islands],
-            island_target_percent: vec![TimeSeries::new(); islands],
-            island_dvfs_index: vec![TimeSeries::new(); islands],
-            chip_bips: TimeSeries::new(),
-            peak_temperature: TimeSeries::new(),
+            chip_power_percent: TimeSeries::with_capacity(samples),
+            island_actual_percent: per_island(),
+            island_target_percent: per_island(),
+            island_dvfs_index: per_island(),
+            chip_bips: TimeSeries::with_capacity(samples),
+            peak_temperature: TimeSeries::with_capacity(samples),
             total_instructions: 0.0,
             measured_time: Seconds::ZERO,
             violations: None,
@@ -806,19 +872,20 @@ impl Coordinator {
             pics_per_gpm,
         };
 
-        // Rolling per-GPM-interval accumulators for feedback.
-        let mut acc_power = vec![Watts::ZERO; islands];
-        let mut acc_instr = vec![0.0f64; islands];
-        let mut acc_util = vec![0.0f64; islands];
-        let mut acc_cap_util = vec![0.0f64; islands];
-        let mut acc_peak_temp = vec![0.0f64; islands];
+        // The accumulators, flags and snapshot buffer live across calls:
+        // the per-step hot loop below performs no heap allocation.
+        self.scratch.reset(islands);
+        let RoundScratch {
+            snap,
+            acc_power,
+            acc_instr,
+            acc_util,
+            acc_cap_util,
+            acc_peak_temp,
+            island_failed,
+            feedback,
+        } = &mut self.scratch;
         let mut have_feedback = false;
-        // Per-round controller-liveness flags from the injection seam
-        // (all false when no seam is attached).
-        let mut island_failed = vec![false; islands];
-        // One snapshot buffer for the whole measurement: the per-step hot
-        // loop below performs no heap allocation.
-        let mut snap = ChipSnapshot::empty();
         // Provenance events (GpmRound roots, Actuation leaves) read chip
         // state the un-instrumented loop never touches, so they are gated
         // on an attached recorder rather than on `Recorder::record`'s
@@ -856,14 +923,8 @@ impl Coordinator {
             }
 
             // ---- Provenance root: this round's cause-tree anchor ----
-            // The round ordinal matches `GpmAllocation::round` (the GPM
-            // increments its invocation count inside `provision`); the
-            // feedback-free first round is round 0, like the equal split.
-            let round_no = match &self.manager {
-                Manager::Cpm { gpm, .. } if have_feedback => gpm.invocations() + 1,
-                Manager::Cpm { .. } => 0,
-                _ => self.prov_round,
-            };
+            // The GPM stamps its `GpmAllocation` events with this ordinal.
+            let round_no = self.prov_round;
             if record_provenance {
                 // `acc_power` still holds the previous interval's sums at
                 // this point — the mean chip draw the GPM is reacting to.
@@ -899,26 +960,24 @@ impl Coordinator {
                             let k = pics_per_gpm as f64;
                             pic.rezero(Ratio::new(acc_cap_util[i] / k), acc_power[i] / k);
                         }
-                        let feedback: Vec<IslandFeedback> = (0..islands)
-                            .map(|i| {
-                                let k = pics_per_gpm as f64;
-                                let mean_power = acc_power[i] / k;
-                                let dt = self.cfg.cmp.gpm_interval;
-                                IslandFeedback {
-                                    island: IslandId(i),
-                                    allocated: self.alloc[i],
-                                    actual_power: mean_power,
-                                    bips: acc_instr[i] / dt.value() / 1.0e9,
-                                    utilization: Ratio::new(acc_util[i] / k),
-                                    epi: (acc_instr[i] > 0.0)
-                                        .then(|| (mean_power * dt) / acc_instr[i]),
-                                    peak_temperature: acc_peak_temp[i],
-                                }
-                            })
-                            .collect();
-                        self.alloc = gpm.provision(&feedback);
+                        feedback.clear();
+                        feedback.extend((0..islands).map(|i| {
+                            let k = pics_per_gpm as f64;
+                            let mean_power = acc_power[i] / k;
+                            let dt = self.cfg.cmp.gpm_interval;
+                            IslandFeedback {
+                                island: IslandId(i),
+                                allocated: self.alloc[i],
+                                actual_power: mean_power,
+                                bips: acc_instr[i] / dt.value() / 1.0e9,
+                                utilization: Ratio::new(acc_util[i] / k),
+                                epi: (acc_instr[i] > 0.0).then(|| (mean_power * dt) / acc_instr[i]),
+                                peak_temperature: acc_peak_temp[i],
+                            }
+                        }));
+                        self.alloc = gpm.provision_round(feedback, round_no);
                     } else {
-                        self.alloc = gpm.initial_allocation();
+                        gpm.initial_allocation_into(&mut self.alloc);
                     }
                     for (pic, &a) in pics.iter_mut().zip(&self.alloc) {
                         pic.set_target(a);
@@ -982,7 +1041,7 @@ impl Coordinator {
                         }
                     }
                     // Allocation bookkeeping for reporting: equal split.
-                    self.alloc = vec![round_budget / islands as f64; islands];
+                    self.alloc.fill(round_budget / islands as f64);
                 }
                 Manager::None => {}
             }
@@ -1001,7 +1060,7 @@ impl Coordinator {
                 if let Some(p) = &mut self.profiler {
                     p.enter(ControlPhase::Sense);
                 }
-                self.chip.step_pic_into(&mut snap);
+                self.chip.step_pic_into(snap);
                 let t = snap.time;
                 self.recorder.set_time(t.value());
                 if let Some(h) = &mut self.hotspot {

@@ -187,13 +187,35 @@ impl GlobalPowerManager {
     /// the paper ("power is initially provisioned equally to each island",
     /// §II-C), range-clamped.
     pub fn initial_allocation(&self) -> Vec<Watts> {
+        let mut alloc = Vec::new();
+        self.initial_allocation_into(&mut alloc);
+        alloc
+    }
+
+    /// [`GlobalPowerManager::initial_allocation`] written into `alloc`,
+    /// reusing its buffer.
+    pub(crate) fn initial_allocation_into(&self, alloc: &mut Vec<Watts>) {
         let n = self.ranges.len();
-        let equal = vec![self.budget / n as f64; n];
-        self.normalize(equal)
+        alloc.clear();
+        alloc.resize(n, self.budget / n as f64);
+        self.normalize_pinned(alloc, |_| false);
     }
 
     /// One GPM invocation: run the policy, then enforce the invariants.
+    /// Its `GpmAllocation` events carry the invocation ordinal as their
+    /// round.
     pub fn provision(&mut self, feedback: &[IslandFeedback]) -> Vec<Watts> {
+        self.provision_round(feedback, self.invocations + 1)
+    }
+
+    /// [`GlobalPowerManager::provision`] for a caller that numbers the
+    /// rounds itself: the coordinator, whose feedback-free rounds run no
+    /// invocation but still take a round ordinal.
+    pub(crate) fn provision_round(
+        &mut self,
+        feedback: &[IslandFeedback],
+        round: u64,
+    ) -> Vec<Watts> {
         assert_eq!(
             feedback.len(),
             self.ranges.len(),
@@ -214,11 +236,11 @@ impl GlobalPowerManager {
                 *a = feedback[i].actual_power;
             }
         }
-        let alloc = self.normalize_pinned(raw, &self.failed);
+        self.normalize_pinned(&mut raw, |i| self.failed[i]);
         if self.recorder.is_enabled() {
-            for (island, (a, fb)) in alloc.iter().zip(feedback).enumerate() {
+            for (island, (a, fb)) in raw.iter().zip(feedback).enumerate() {
                 self.recorder.record(EventPayload::GpmAllocation {
-                    round: self.invocations,
+                    round,
                     island: island as u32,
                     allocated_w: a.value(),
                     actual_w: fb.actual_power.value(),
@@ -226,7 +248,7 @@ impl GlobalPowerManager {
                 });
             }
         }
-        alloc
+        raw
     }
 
     /// Clamps each allocation into its island's physical range and, when
@@ -236,16 +258,12 @@ impl GlobalPowerManager {
     /// (the thermal-aware policy deliberately strands power to keep
     /// adjacent islands cool, and the demand-ceiling logic strands power
     /// no island can convert into work).
-    fn normalize(&self, alloc: Vec<Watts>) -> Vec<Watts> {
-        let pinned = vec![false; alloc.len()];
-        self.normalize_pinned(alloc, &pinned)
-    }
-
-    /// `normalize` with a pin mask: pinned islands are still range-
-    /// clamped (physics does not care why a controller died) but
-    /// contribute no slack to the over-budget shave — their draw is a
-    /// fact the healthy islands must provision around.
-    fn normalize_pinned(&self, mut alloc: Vec<Watts>, pinned: &[bool]) -> Vec<Watts> {
+    ///
+    /// Islands for which `pinned` holds are still range-clamped (physics
+    /// does not care why a controller died) but contribute no slack to
+    /// the over-budget shave — their draw is a fact the healthy islands
+    /// must provision around.
+    fn normalize_pinned(&self, alloc: &mut [Watts], pinned: impl Fn(usize) -> bool) {
         let n = alloc.len();
         // Non-finite or negative policy outputs become the floor.
         for (a, r) in alloc.iter_mut().zip(&self.ranges) {
@@ -256,6 +274,14 @@ impl GlobalPowerManager {
                 *a = r.ceiling;
             }
         }
+        // An island's slack: what the shave may take from it.
+        let slack = |i: usize, a: Watts| {
+            if pinned(i) {
+                0.0
+            } else {
+                (a - self.ranges[i].floor).value()
+            }
+        };
         // Over budget: shave proportionally above floors (a few passes
         // converge for n ≤ 32; floors bound the shave per pass).
         for _ in 0..n + 2 {
@@ -264,22 +290,15 @@ impl GlobalPowerManager {
             if over.value() <= 1e-9 {
                 break;
             }
-            let slack: Vec<f64> = alloc
-                .iter()
-                .zip(&self.ranges)
-                .zip(pinned)
-                .map(|((a, r), &p)| if p { 0.0 } else { (*a - r.floor).value() })
-                .collect();
-            let total_slack: f64 = slack.iter().sum();
+            let total_slack: f64 = alloc.iter().enumerate().map(|(i, &a)| slack(i, a)).sum();
             if total_slack <= 1e-12 {
                 break;
             }
             let scale = (over.value() / total_slack).min(1.0);
-            for (a, s) in alloc.iter_mut().zip(&slack) {
-                *a -= Watts::new(s * scale);
+            for (i, a) in alloc.iter_mut().enumerate() {
+                *a -= Watts::new(slack(i, *a) * scale);
             }
         }
-        alloc
     }
 }
 

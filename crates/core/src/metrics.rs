@@ -30,22 +30,30 @@ pub struct TrackingSummary {
 impl TrackingSummary {
     /// Quality against a constant target (chip budget tracking, Fig. 10).
     pub fn against_constant(actual: &TimeSeries, target: f64) -> Self {
+        Self::against_constant_values(actual.values(), target)
+    }
+
+    /// [`TrackingSummary::against_constant`] over bare values, so a caller
+    /// can feed a lazily reduced trace without materializing it.
+    pub(crate) fn against_constant_values(values: impl Iterator<Item = f64>, target: f64) -> Self {
         assert!(target > 0.0, "target must be positive");
-        assert!(!actual.is_empty(), "empty trace");
         let mut over: f64 = 0.0;
         let mut under: f64 = 0.0;
         let mut abs_sum = 0.0;
-        for v in actual.values() {
+        let mut len = 0usize;
+        for v in values {
             let e = (v - target) / target;
             over = over.max(e);
             under = under.max(-e);
             abs_sum += e.abs();
+            len += 1;
         }
+        assert!(len > 0, "empty trace");
         Self {
             max_overshoot_percent: over * 100.0,
             max_undershoot_percent: under * 100.0,
-            mean_abs_error_percent: abs_sum / actual.len() as f64 * 100.0,
-            compared_samples: actual.len(),
+            mean_abs_error_percent: abs_sum / len as f64 * 100.0,
+            compared_samples: len,
             skipped_samples: 0,
         }
     }

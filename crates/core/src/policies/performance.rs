@@ -128,6 +128,12 @@ impl IslandHistory {
 #[derive(Debug, Clone, Default)]
 pub struct PerformanceAware {
     history: Vec<IslandHistory>,
+    /// Per-round working buffers (the Eq. 6 weights and the rebalancing
+    /// sums), kept so that `provision` allocates only the `Vec` it returns.
+    weights: Vec<f64>,
+    need: Vec<f64>,
+    surplus: Vec<f64>,
+    open: Vec<usize>,
 }
 
 impl PerformanceAware {
@@ -180,14 +186,12 @@ impl ProvisioningPolicy for PerformanceAware {
             h.learn(fb.bips, fb.allocated.value().max(1e-9));
             h.update_demand(fb.actual_power.value());
         }
-        let weights: Vec<f64> = feedback
-            .iter()
-            .zip(&self.history)
-            .map(|(fb, h)| {
-                let prior = fb.utilization.value().clamp(0.0, 1.0);
-                Self::phi(h, fb).sqrt() * (WEIGHT_FLOOR + h.sensitivity_or(prior))
-            })
-            .collect();
+        let weights = &mut self.weights;
+        weights.clear();
+        weights.extend(feedback.iter().zip(&self.history).map(|(fb, h)| {
+            let prior = fb.utilization.value().clamp(0.0, 1.0);
+            Self::phi(h, fb).sqrt() * (WEIGHT_FLOOR + h.sensitivity_or(prior))
+        }));
         let sum: f64 = weights.iter().sum();
         let mut alloc: Vec<Watts> = if sum <= 1e-12 {
             vec![budget / n as f64; n]
@@ -201,9 +205,12 @@ impl ProvisioningPolicy for PerformanceAware {
         // while a weight-poor island sits throttled below demand even when
         // the budget covers everyone — management would cost throughput at
         // a 100 % budget. Both transfers are sum-preserving.
+        let (need, surplus) = (&mut self.need, &mut self.surplus);
         for _ in 0..4 {
-            let mut need = vec![0.0f64; n];
-            let mut surplus = vec![0.0f64; n];
+            need.clear();
+            need.resize(n, 0.0);
+            surplus.clear();
+            surplus.resize(n, 0.0);
             for (i, (a, h)) in alloc.iter().zip(&self.history).enumerate() {
                 if h.demand_peak <= 0.0 {
                     continue;
@@ -227,7 +234,8 @@ impl ProvisioningPolicy for PerformanceAware {
         // converge; any un-placeable remainder stays unspent (safe).
         for _ in 0..3 {
             let mut freed = 0.0;
-            let mut open = Vec::new();
+            let open = &mut self.open;
+            open.clear();
             for (i, (a, h)) in alloc.iter_mut().zip(&self.history).enumerate() {
                 if h.demand_peak <= 0.0 {
                     open.push(i);
@@ -248,7 +256,7 @@ impl ProvisioningPolicy for PerformanceAware {
             if open_weight <= 1e-12 {
                 break;
             }
-            for &i in &open {
+            for &i in open.iter() {
                 alloc[i] += Watts::new(freed * weights[i] / open_weight);
             }
         }

@@ -212,7 +212,7 @@ impl ProvisioningPolicy for ThermalAware {
 
     fn provision(&mut self, budget: Watts, feedback: &[IslandFeedback]) -> Vec<Watts> {
         let mut alloc = self.inner.provision(budget, feedback);
-        let c = self.tracker.constraints().clone();
+        let c = self.tracker.constraints();
         // Preemptive single-island clamping: if one more capped interval
         // would complete a streak, pull the island below its cap now. The
         // shaved power is deliberately *stranded* — handing it to another

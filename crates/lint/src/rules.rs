@@ -214,7 +214,7 @@ const OUTPUT_CRATES: [&str; 1] = ["cpm-bench"];
 /// The complete set of files allowed to contain `unsafe`. Everything
 /// here exists to implement a test-only `GlobalAlloc` counting
 /// allocator; production code is 100 % safe Rust.
-pub const UNSAFE_ALLOWED_FILES: [&str; 1] = ["crates/sim/tests/alloc_free.rs"];
+pub const UNSAFE_ALLOWED_FILES: [&str; 1] = ["tests/alloc_free.rs"];
 
 /// The only library crate that may call host-libm transcendentals: the
 /// deterministic kernel crate itself (whose accuracy twins and

@@ -220,7 +220,7 @@ fn exempt_crates_do_not_fire_determinism_rules() {
     // unsafe is allowed only in the allow-listed file.
     assert!(firings(
         "unsafe_file_fire.rs",
-        "crates/sim/tests/alloc_free.rs",
+        "tests/alloc_free.rs",
         RuleId::UnsafeFile
     )
     .is_empty());

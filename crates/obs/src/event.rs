@@ -66,8 +66,9 @@ pub enum EventPayload {
     GpmRound {
         /// Causal span id ([`crate::SpanId::gpm_round`], raw).
         span: u64,
-        /// GPM invocation ordinal (matches `GpmAllocation::round`; the
-        /// pre-feedback equal split is round 0).
+        /// Round ordinal, counted across all of a coordinator's
+        /// measurements (matches `GpmAllocation::round`; the first
+        /// measurement's pre-feedback equal split is round 0).
         round: u64,
         /// Chip budget in force this round (injection scaling applied),
         /// watts.
@@ -80,8 +81,9 @@ pub enum EventPayload {
     },
     /// One island's allocation at a GPM invocation.
     GpmAllocation {
-        /// GPM invocation ordinal (1-based; the pre-feedback equal split
-        /// is round 0).
+        /// Round ordinal: the GPM invocation ordinal (1-based), or under a
+        /// coordinator its round ordinal, which also counts the
+        /// feedback-free first round of each measurement.
         round: u64,
         /// Island index.
         island: u32,

@@ -23,6 +23,21 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Gets the instrument registered under `name`, creating it with `make`
+/// when the name is new. A hit looks the name up by `&str` and allocates
+/// nothing; only a first registration allocates the key.
+fn get_or_insert<T: Clone>(
+    map: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    let mut map = lock_recover(map);
+    if let Some(instrument) = map.get(name) {
+        return instrument.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
@@ -164,18 +179,16 @@ impl Registry {
 
     /// Gets or creates the named counter.
     pub fn counter(&self, name: &str) -> Counter {
-        lock_recover(&self.inner.counters)
-            .entry(name.to_string())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
+        get_or_insert(&self.inner.counters, name, || {
+            Counter(Arc::new(AtomicU64::new(0)))
+        })
     }
 
     /// Gets or creates the named gauge (initially 0.0).
     pub fn gauge(&self, name: &str) -> Gauge {
-        lock_recover(&self.inner.gauges)
-            .entry(name.to_string())
-            .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-            .clone()
+        get_or_insert(&self.inner.gauges, name, || {
+            Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
+        })
     }
 
     /// Gets or creates the named histogram with the given inclusive upper
@@ -187,16 +200,13 @@ impl Registry {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        lock_recover(&self.inner.histograms)
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Histogram(Arc::new(HistogramCore {
-                    bounds: bounds.to_vec(),
-                    counts: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
-                    sum: Mutex::new(0.0),
-                }))
-            })
-            .clone()
+        get_or_insert(&self.inner.histograms, name, || {
+            Histogram(Arc::new(HistogramCore {
+                bounds: bounds.to_vec(),
+                counts: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
+                sum: Mutex::new(0.0),
+            }))
+        })
     }
 
     /// A point-in-time copy of every registered metric.

@@ -27,6 +27,15 @@ impl TimeSeries {
         Self::default()
     }
 
+    /// An empty series with room for `capacity` samples: a recorder that
+    /// knows how many samples it will push sizes the buffer once instead
+    /// of growing it push by push.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            samples: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a sample.
     pub fn push(&mut self, time: Seconds, value: f64) {
         self.samples.push(Sample { time, value });
@@ -84,16 +93,19 @@ impl TimeSeries {
     /// meter sampling at a coarser period (e.g. the GPM interval) would
     /// report the same trace.
     pub fn averaged_chunks(&self, n: usize) -> TimeSeries {
+        self.chunk_means(n).collect()
+    }
+
+    /// The samples of [`TimeSeries::averaged_chunks`], computed lazily
+    /// (nothing is allocated).
+    pub fn chunk_means(&self, n: usize) -> impl Iterator<Item = (Seconds, f64)> + '_ {
         assert!(n > 0, "chunk size must be positive");
-        self.samples
-            .chunks_exact(n)
-            .map(|c| {
-                (
-                    c[n - 1].time,
-                    c.iter().map(|s| s.value).sum::<f64>() / n as f64,
-                )
-            })
-            .collect()
+        self.samples.chunks_exact(n).map(move |c| {
+            (
+                c[n - 1].time,
+                c.iter().map(|s| s.value).sum::<f64>() / n as f64,
+            )
+        })
     }
 
     /// The mean of the final `n` samples (steady-state window); `None`
@@ -114,7 +126,8 @@ impl TimeSeries {
 
 impl FromIterator<(Seconds, f64)> for TimeSeries {
     fn from_iter<I: IntoIterator<Item = (Seconds, f64)>>(iter: I) -> Self {
-        let mut ts = Self::new();
+        let iter = iter.into_iter();
+        let mut ts = Self::with_capacity(iter.size_hint().0);
         for (t, v) in iter {
             ts.push(t, v);
         }

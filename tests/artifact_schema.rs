@@ -95,6 +95,7 @@ fn perf_artifact_passes_its_schema_gate() {
         "math_exp_lane",
         "pid_step",
         "maxbips_choose",
+        "coordinator_round_8",
         "thermal_step_32",
         "thermal_step_64",
         "thermal_step_128",

@@ -125,3 +125,48 @@ fn explain_walks_the_recorded_chain_for_a_specific_decision() {
     .expect("chain renders again");
     assert_eq!(text, text2);
 }
+
+#[test]
+fn span_ids_stay_unique_across_measurements() {
+    use cpm_core::{Coordinator, ExperimentConfig};
+    use cpm_obs::Recorder;
+
+    let mut coord = Coordinator::new(ExperimentConfig::paper_default()).expect("valid config");
+    let recorder = Recorder::enabled(1 << 16);
+    coord.set_recorder(recorder.clone());
+    coord.run_for_gpm_intervals(3);
+    coord.run_for_gpm_intervals(3);
+    let events = recorder.drain();
+    assert_eq!(recorder.dropped(), 0);
+
+    let mut spans = std::collections::BTreeSet::new();
+    let mut duplicates = 0usize;
+    let (mut rounds, mut current, mut allocations) = (Vec::new(), None, 0usize);
+    for e in &events {
+        match e.payload {
+            EventPayload::GpmRound { span, round, .. } => {
+                rounds.push(round);
+                current = Some(round);
+                duplicates += usize::from(!spans.insert(span));
+            }
+            EventPayload::PicDecision { span, .. } | EventPayload::Actuation { span, .. } => {
+                duplicates += usize::from(!spans.insert(span));
+            }
+            EventPayload::GpmAllocation { round, .. } => {
+                // An allocation belongs to the round whose root precedes it.
+                assert_eq!(Some(round), current, "allocation outside its round");
+                allocations += 1;
+            }
+            _ => {}
+        }
+    }
+    // The first measurement numbers its rounds 0, 1, 2 exactly as a lone
+    // measurement does; the second continues from there.
+    assert_eq!(rounds, [0, 1, 2, 3, 4, 5]);
+    assert_eq!(duplicates, 0, "span ids repeat across measurements");
+    // Each measurement provisions in every round but its feedback-free
+    // first: 2 × 2 rounds × 4 islands.
+    assert_eq!(allocations, 16);
+    // One root, 4 islands × 10 PIC steps of decisions and of actuations.
+    assert_eq!(spans.len(), 6 * (1 + 2 * 40));
+}

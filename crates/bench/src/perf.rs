@@ -90,6 +90,10 @@ pub fn run_perf(quick: bool) -> PerfReport {
         measure(quick, chip_step_target(8, 2, Mix::Mix1)),
     );
     push(
+        "chip_step_8x1",
+        measure(quick, chip_step_target(8, 1, Mix::Thermal)),
+    );
+    push(
         "chip_step_32",
         measure(quick, chip_step_target(32, 4, Mix::Mix3)),
     );

@@ -85,6 +85,7 @@ impl ArtifactKind {
             ArtifactKind::Perf => &[
                 "\"targets\"",
                 "\"chip_step_8\"",
+                "\"chip_step_8x1\"",
                 "\"chip_step_32\"",
                 "\"chip_step_1024\"",
                 "\"chip_step_1024_sharded\"",

@@ -169,12 +169,23 @@ impl DvfsTable {
         self.floor_index(f).unwrap_or(0)
     }
 
-    /// Index of the point nearest to `f` in frequency.
+    /// Index of the point nearest to `f` in frequency. A request beyond
+    /// either end of the table, ±∞ included, maps to that end. A `NaN`
+    /// request maps to the lowest point: with no defined frequency, the
+    /// power-safe choice is the point that draws the least.
     pub fn nearest_index(&self, f: Hertz) -> usize {
+        // Clamping sends ±∞ to the table ends (every distance to an
+        // unclamped ∞ is ∞) and changes no finite request's answer. `NaN`
+        // stays `NaN`, no distance compares below the first, and the
+        // lowest point is kept.
+        let f = f.value().clamp(
+            self.min_point().frequency.value(),
+            self.max_point().frequency.value(),
+        );
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (i, p) in self.points.iter().enumerate() {
-            let d = (p.frequency.value() - f.value()).abs();
+            let d = (p.frequency.value() - f).abs();
             if d < best_d {
                 best_d = d;
                 best = i;

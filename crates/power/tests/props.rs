@@ -29,6 +29,24 @@ fn nearest_index_minimizes_distance() {
     });
 }
 
+/// Requests beyond the table, ±∞ included, map to the matching end. A
+/// `NaN` request has no nearest point; the table answers with its lowest,
+/// the point that draws the least power.
+#[test]
+fn nearest_index_of_non_finite_and_out_of_range_requests() {
+    let t = DvfsTable::pentium_m();
+    let top = t.len() - 1;
+    assert_eq!(t.nearest_index(Hertz::new(f64::INFINITY)), top);
+    assert_eq!(t.nearest_index(Hertz::new(f64::NEG_INFINITY)), 0);
+    assert_eq!(t.nearest_index(Hertz::new(f64::NAN)), 0);
+    check::forall("nearest index beyond the table", |rng| {
+        let above = Hertz::from_mhz(rng.f64_in(2000.0, 1.0e12));
+        let below = Hertz::from_mhz(rng.f64_in(-1.0e12, 600.0));
+        assert_eq!(t.nearest_index(above), top);
+        assert_eq!(t.nearest_index(below), 0);
+    });
+}
+
 #[test]
 fn dynamic_power_monotone_in_each_argument() {
     check::forall("dynamic power monotone", |rng| {

@@ -100,6 +100,11 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     schedule.set_recorder(recorder.clone());
     coordinator.set_injection(Box::new(schedule));
     let outcome = coordinator.run_for_gpm_intervals(SCENARIO_ROUNDS);
+    // The renders below hold the scenario's peak memory. The coordinator
+    // (chip, controllers, injection schedule) has no further use, so its
+    // allocations go back to the allocator before the multi-MB buffers are
+    // placed.
+    drop(coordinator);
     let mut events = recorder.drain();
     if recorder.dropped() > 0 {
         return Err(format!(

@@ -2,7 +2,7 @@
 //! control interval at a time.
 
 use crate::config::CmpConfig;
-use crate::soa::{CoreBank, CoreView, IslandBank, IslandView};
+use crate::soa::{CoreBank, CoreView, IslandBank, IslandView, PhaseScales};
 use cpm_power::variation::VariationMap;
 use cpm_runtime::Pool;
 use cpm_thermal::ThermalGrid;
@@ -255,9 +255,8 @@ impl Chip {
         let mut total_dram_bytes = 0.0;
         let contention = self.mem_contention;
 
-        // One pass over all cores for the phase sequences (independent
-        // per-core streams, so this draws exactly what the per-island walk
-        // would), then one fused CPI+power pass per island segment.
+        // One pass over all cores for the phase sequences, then one fused
+        // CPI+power pass per island segment.
         self.cores.advance_phases(dt);
         for i in 0..self.islands.len() {
             let op = self.config.dvfs.point(self.islands.dvfs_index(i));
@@ -301,16 +300,16 @@ impl Chip {
     /// Advances the chip by `dt` with the per-island work sharded across
     /// `pool`, writing the observations into `out`.
     ///
-    /// Each island's segment is moved onto the pool whole (phases + CPI +
-    /// power for its cores), then restored and reduced in island order —
-    /// the exact serial reduction order — so trajectories are
-    /// byte-identical to [`Chip::step_into`] at any worker count. Per-core
-    /// phase streams are independent, which is what makes the per-segment
-    /// phase advance order-free.
+    /// The whole chip's phase streams advance serially first, in the one
+    /// pass the serial step makes; then each island's segment is moved onto
+    /// the pool whole (CPI + power for its cores, reading its slices of the
+    /// phase samples and temperatures), then restored and reduced in island
+    /// order — the exact serial reduction order — so trajectories are
+    /// byte-identical to [`Chip::step_into`] at any worker count.
     ///
     /// Unlike the serial path this one allocates per step (boxed pool jobs
-    /// and a temperature snapshot); it exists for large chips where the
-    /// parallelism pays for that overhead many times over.
+    /// and the phase-sample and temperature snapshots); it exists for large
+    /// chips where the parallelism pays for that overhead many times over.
     pub fn step_into_on(&mut self, dt: Seconds, out: &mut ChipSnapshot, pool: &Pool) {
         if pool.workers() <= 1 || self.islands.len() <= 1 {
             self.step_into(dt, out);
@@ -322,8 +321,14 @@ impl Chip {
         out.islands.clear();
         out.islands.reserve(n_islands);
         let contention = self.mem_contention;
-        // The job closure is 'static: snapshot the temperatures into a
-        // shared slice and clone the (stack-only) power model.
+        self.cores.advance_phases(dt);
+        // The job closure is 'static: snapshot the phase samples and the
+        // temperatures into shared slices and clone the (stack-only) power
+        // model.
+        let scales = self.cores.phase_scales();
+        let cpi_scale: Arc<[f64]> = Arc::from(scales.cpi);
+        let mem_scale: Arc<[f64]> = Arc::from(scales.mem);
+        let activity_scale: Arc<[f64]> = Arc::from(scales.activity);
         let temps: Arc<[f64]> = Arc::from(self.thermal.temperatures_deg());
         let power_model = self.config.power.clone();
 
@@ -340,8 +345,12 @@ impl Chip {
             jobs.push((i, seg, op.frequency, frozen, terms, leak_mult));
         }
         let results = pool.parallel_map(jobs, move |(i, mut seg, freq, frozen, terms, leak)| {
-            seg.advance_phases(dt);
-            let lo = i * width;
+            let cores = i * width..i * width + seg.len();
+            let scales = PhaseScales {
+                cpi: &cpi_scale,
+                mem: &mem_scale,
+                activity: &activity_scale,
+            };
             let totals = seg.step(
                 freq,
                 dt,
@@ -350,7 +359,8 @@ impl Chip {
                 &power_model,
                 terms,
                 leak,
-                &temps[lo..lo + seg.len()],
+                &temps[cores.clone()],
+                scales.slice(cores),
             );
             (seg, totals)
         });

@@ -7,11 +7,17 @@
 //! over a segment of parallel arrays, fusing the CPI model of
 //! [`crate::core_model`] with the per-island V²f/leakage power terms.
 //!
-//! A [`CoreBank`] is a list of per-island [`CoreSegment`]s. Each segment
-//! owns its island's columns outright (including its cores' phase streams
-//! and the per-core power/DRAM scratch the chip folds afterwards), so the
-//! chip stepper can move whole segments onto pool workers and restore them
-//! in island order — the sharded step reduces in exactly the serial order.
+//! A [`CoreBank`] owns the chip's phase streams — one [`PhaseBank`] in
+//! core order plus the chip-wide columns of the interval's phase samples —
+//! and a list of per-island [`CoreSegment`]s. Each segment owns its
+//! island's profile constants, lifetime accounting and the per-core
+//! power/DRAM scratch the chip folds afterwards; it reads its island's
+//! slice of the phase samples the way it reads its slice of the die
+//! temperatures. So the whole chip's phases advance in one pass (on the
+//! paper's 2-core islands a per-segment pass never fills a lane chunk),
+//! while the chip stepper can still move whole segments onto pool workers
+//! and restore them in island order — the sharded step reduces in exactly
+//! the serial order.
 //!
 //! Inside a segment the step runs in `LANES`-wide chunks: an elementwise
 //! CPI pass, a power pass through the lane kernels of `cpm-power`, and a
@@ -37,7 +43,7 @@ use std::ops::Range;
 /// this size, which is the shape LLVM's autovectorizer recognizes.
 const LANES: usize = 8;
 
-/// Island-level aggregates of one [`CoreSegment::step`] call — the
+/// Island-level aggregates of one [`CoreBank::step_island`] call — the
 /// quantities `Chip::step_into` folds into an `IslandSnapshot`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentTotals {
@@ -63,16 +69,37 @@ struct StepCtx {
     leak_mult: f64,
 }
 
+/// One interval's phase samples for a run of cores, in core order: the
+/// scale columns [`CoreBank::advance_phases`] fills, borrowed whole or as
+/// one island's slice.
+#[derive(Clone, Copy)]
+pub(crate) struct PhaseScales<'a> {
+    pub(crate) cpi: &'a [f64],
+    pub(crate) mem: &'a [f64],
+    pub(crate) activity: &'a [f64],
+}
+
+impl<'a> PhaseScales<'a> {
+    /// The samples of the cores in `range`.
+    pub(crate) fn slice(self, range: Range<usize>) -> Self {
+        Self {
+            cpi: &self.cpi[range.clone()],
+            mem: &self.mem[range.clone()],
+            activity: &self.activity[range],
+        }
+    }
+}
+
 /// One island's cores in structure-of-arrays form.
 ///
-/// Each index holds exactly the state of one scalar core: the profile's
-/// hot scalars, the (possibly calibrated) miss rates, lifetime accounting, and
-/// the per-core phase sequence. The three `*_scale` arrays are scratch for
-/// the interval's phase samples, filled by [`CoreSegment::advance_phases`]
-/// and consumed by [`CoreSegment::step`]; `core_powers` / `dram_bytes`
-/// are per-core step outputs the chip folds in core order afterwards.
+/// Each index holds the state of one scalar core apart from its phase
+/// sequence, which lives in the owning [`CoreBank`]: the profile's hot
+/// scalars, the (possibly calibrated) miss rates and lifetime accounting.
+/// `core_powers` / `dram_bytes` are per-core step outputs the chip folds
+/// in core order afterwards.
 ///
-/// The segment owns everything its step touches, so the chip stepper can
+/// The segment owns everything its step writes, and reads its phase
+/// samples and temperatures as borrowed slices, so the chip stepper can
 /// move it onto a pool worker (`std::mem::take` + restore) without any
 /// shared mutable state.
 #[derive(Debug, Clone, Default)]
@@ -89,24 +116,13 @@ pub struct CoreSegment {
     l2_bytes: Vec<f64>,
     total_instructions: Vec<f64>,
     total_time: Vec<f64>,
-    phases: PhaseBank,
-    cpi_scale: Vec<f64>,
-    mem_scale: Vec<f64>,
-    activity_scale: Vec<f64>,
     core_powers: Vec<Watts>,
     dram_bytes: Vec<f64>,
 }
 
 impl CoreSegment {
-    /// An empty segment.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the core running `profile`, with phase randomness derived
-    /// from `(seed, stream)`.
-    pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
-        self.phases.push(&profile, seed, stream);
+    /// Appends the core running `profile`.
+    fn push(&mut self, profile: BenchmarkProfile) {
         self.base_cpi.push(profile.base_cpi);
         self.activity.push(profile.activity);
         let (l1_term, l2_dram, l2_bytes) =
@@ -116,9 +132,6 @@ impl CoreSegment {
         self.l2_bytes.push(l2_bytes);
         self.total_instructions.push(0.0);
         self.total_time.push(0.0);
-        self.cpi_scale.push(1.0);
-        self.mem_scale.push(1.0);
-        self.activity_scale.push(1.0);
         self.core_powers.push(Watts::ZERO);
         self.dram_bytes.push(0.0);
         self.profiles.push(profile);
@@ -134,26 +147,13 @@ impl CoreSegment {
         self.profiles.is_empty()
     }
 
-    /// Advances every core's phase sequence by `dt`, leaving the interval's
-    /// samples in the scale scratch arrays. Per-core phase streams are
-    /// independent, so a segment-local pass draws exactly the numbers the
-    /// per-core walk would, regardless of how segments interleave.
-    pub fn advance_phases(&mut self, dt: Seconds) {
-        self.phases.advance_into(
-            dt,
-            &mut self.cpi_scale,
-            &mut self.mem_scale,
-            &mut self.activity_scale,
-        );
-    }
-
-    /// Per-core power of the last [`CoreSegment::step`], in segment-core
+    /// Per-core power of the last [`CoreBank::step_island`], in segment-core
     /// order — the thermal model's input for this island's slice.
     pub fn core_powers(&self) -> &[Watts] {
         &self.core_powers
     }
 
-    /// Per-core DRAM traffic of the last [`CoreSegment::step`], in bytes.
+    /// Per-core DRAM traffic of the last [`CoreBank::step_island`], in bytes.
     /// Folding these in core order reproduces the array-of-structs DRAM
     /// sum bit-for-bit (same addends, same addition order).
     pub fn dram_bytes(&self) -> &[f64] {
@@ -162,8 +162,9 @@ impl CoreSegment {
 
     /// Steps the segment through one interval at frequency `f`, fusing the
     /// CPI model with the power model whose island-constant `terms` the
-    /// caller hoisted. `temps_deg` is this segment's slice of the die
-    /// temperatures, one per core.
+    /// caller hoisted. `temps_deg` and `scales` are this segment's slices
+    /// of the die temperatures and of the interval's phase samples, one
+    /// entry per core.
     ///
     /// The loop runs in `LANES`-wide chunks of three passes — an
     /// elementwise CPI pass, the `cpm-power` lane kernels, a serial fold —
@@ -173,7 +174,7 @@ impl CoreSegment {
     // A params struct would hide the token-for-token identity with the
     // scalar path's signature.
     #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         f: Hertz,
         dt: Seconds,
@@ -183,6 +184,7 @@ impl CoreSegment {
         terms: IslandPowerTerms,
         leak_mult: f64,
         temps_deg: &[f64],
+        scales: PhaseScales<'_>,
     ) -> SegmentTotals {
         assert!(f.value() > 0.0, "core clock must be positive");
         assert!(
@@ -192,6 +194,10 @@ impl CoreSegment {
         assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
         let n = self.len();
         assert_eq!(temps_deg.len(), n, "one temperature per segment core");
+        assert!(
+            scales.cpi.len() == n && scales.mem.len() == n && scales.activity.len() == n,
+            "one phase sample per segment core"
+        );
         let avail = dt - frozen;
         let ctx = StepCtx {
             cycles: f.cycles_in(avail),
@@ -209,11 +215,11 @@ impl CoreSegment {
         };
         let mut base = 0;
         while base + LANES <= n {
-            self.step_chunk(base, ctx, power_model, temps_deg, &mut totals);
+            self.step_chunk(base, ctx, power_model, temps_deg, scales, &mut totals);
             base += LANES;
         }
         for i in base..n {
-            self.step_one(i, ctx, power_model, temps_deg, &mut totals);
+            self.step_one(i, ctx, power_model, temps_deg, scales, &mut totals);
         }
         totals
     }
@@ -225,6 +231,7 @@ impl CoreSegment {
         ctx: StepCtx,
         power_model: &CorePowerModel,
         temps_deg: &[f64],
+        scales: PhaseScales<'_>,
         totals: &mut SegmentTotals,
     ) {
         // Pass 1 — the CPI model, elementwise over the lanes (this is the
@@ -236,8 +243,8 @@ impl CoreSegment {
         let mut act = [0.0; LANES];
         for l in 0..LANES {
             let i = base + l;
-            let mem = self.mem_scale[i];
-            let on_chip = self.base_cpi[i] * self.cpi_scale[i] + self.l1_term[i] * mem;
+            let mem = scales.mem[i];
+            let on_chip = self.base_cpi[i] * scales.cpi[i] + self.l1_term[i] * mem;
             let dram_base = self.l2_dram[i] * mem * ctx.f_val;
             let dram = dram_base * ctx.dram_latency_mult;
             let cpi = on_chip + dram;
@@ -246,7 +253,7 @@ impl CoreSegment {
             let busy_frac = on_chip * inv_cpi;
             instr[l] = instructions;
             util[l] = (busy_frac * ctx.avail_frac).clamp(0.0, 1.0);
-            act[l] = (self.activity[i] * self.activity_scale[i] * busy_frac * ctx.avail_frac)
+            act[l] = (self.activity[i] * scales.activity[i] * busy_frac * ctx.avail_frac)
                 .clamp(0.0, 1.0);
             self.total_instructions[i] += instructions;
             self.total_time[i] += ctx.dt_val;
@@ -280,10 +287,11 @@ impl CoreSegment {
         ctx: StepCtx,
         power_model: &CorePowerModel,
         temps_deg: &[f64],
+        scales: PhaseScales<'_>,
         totals: &mut SegmentTotals,
     ) {
-        let mem = self.mem_scale[i];
-        let on_chip = self.base_cpi[i] * self.cpi_scale[i] + self.l1_term[i] * mem;
+        let mem = scales.mem[i];
+        let on_chip = self.base_cpi[i] * scales.cpi[i] + self.l1_term[i] * mem;
         let dram_base = self.l2_dram[i] * mem * ctx.f_val;
         let dram = dram_base * ctx.dram_latency_mult;
         let cpi = on_chip + dram;
@@ -292,7 +300,7 @@ impl CoreSegment {
         let busy_frac = on_chip * inv_cpi;
         let utilization = Ratio::new(busy_frac * ctx.avail_frac).clamped();
         let activity =
-            Ratio::new(self.activity[i] * self.activity_scale[i] * busy_frac * ctx.avail_frac)
+            Ratio::new(self.activity[i] * scales.activity[i] * busy_frac * ctx.avail_frac)
                 .clamped();
         self.total_instructions[i] += instructions;
         self.total_time[i] += ctx.dt_val;
@@ -310,15 +318,23 @@ impl CoreSegment {
     }
 }
 
-/// All cores of a chip, segmented by island.
+/// All cores of a chip: one phase bank in core order, and the per-island
+/// segments.
 ///
 /// Cores pushed in chip order land in `width`-sized [`CoreSegment`]s, so
 /// segment `i` is exactly island `i`'s contiguous core range and the chip
-/// stepper can hand whole segments to pool workers.
+/// stepper can hand whole segments to pool workers. Their phase sequences
+/// land in one chip-wide [`PhaseBank`], whose samples fill the three
+/// `*_scale` columns in core order; each segment step reads its island's
+/// slice of them.
 #[derive(Debug, Clone)]
 pub struct CoreBank {
     width: usize,
     segments: Vec<CoreSegment>,
+    phases: PhaseBank,
+    cpi_scale: Vec<f64>,
+    mem_scale: Vec<f64>,
+    activity_scale: Vec<f64>,
 }
 
 impl CoreBank {
@@ -329,6 +345,10 @@ impl CoreBank {
         Self {
             width,
             segments: Vec::new(),
+            phases: PhaseBank::new(),
+            cpi_scale: Vec::new(),
+            mem_scale: Vec::new(),
+            activity_scale: Vec::new(),
         }
     }
 
@@ -337,23 +357,27 @@ impl CoreBank {
     /// boundary.
     pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
         if self.len() % self.width == 0 {
-            self.segments.push(CoreSegment::new());
+            self.segments.push(CoreSegment::default());
         }
+        self.phases.push(&profile, seed, stream);
+        self.cpi_scale.push(1.0);
+        self.mem_scale.push(1.0);
+        self.activity_scale.push(1.0);
         let seg = self
             .segments
             .last_mut()
             .expect("push opened a segment at the island boundary");
-        seg.push(profile, seed, stream);
+        seg.push(profile);
     }
 
     /// Number of cores in the bank.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(CoreSegment::len).sum()
+        self.phases.len()
     }
 
     /// Whether the bank holds no cores.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.phases.is_empty()
     }
 
     /// Cores per segment (the island width).
@@ -372,17 +396,34 @@ impl CoreBank {
         &mut self.segments
     }
 
-    /// Advances every core's phase sequence by `dt` (see
-    /// [`CoreSegment::advance_phases`]).
-    pub fn advance_phases(&mut self, dt: Seconds) {
-        for seg in &mut self.segments {
-            seg.advance_phases(dt);
+    /// The phase samples of the last [`CoreBank::advance_phases`], chip
+    /// core order.
+    pub(crate) fn phase_scales(&self) -> PhaseScales<'_> {
+        PhaseScales {
+            cpi: &self.cpi_scale,
+            mem: &self.mem_scale,
+            activity: &self.activity_scale,
         }
     }
 
-    /// Steps island `island`'s segment through one interval (see
-    /// [`CoreSegment::step`]). `temps_deg` is the whole chip's temperature
-    /// array; the island's slice is carved out here.
+    /// Advances every core's phase sequence by `dt` in one pass over the
+    /// chip, leaving the interval's samples in the scale columns. Per-core
+    /// phase streams are independent, so this draws exactly the numbers
+    /// the per-core walk would.
+    pub fn advance_phases(&mut self, dt: Seconds) {
+        self.phases.advance_into(
+            dt,
+            &mut self.cpi_scale,
+            &mut self.mem_scale,
+            &mut self.activity_scale,
+        );
+    }
+
+    /// Steps island `island`'s segment through one interval at frequency
+    /// `f`, fusing the CPI model with the power model whose island-constant
+    /// `terms` the caller hoisted. `temps_deg` is the whole chip's
+    /// temperature array; the island's slices of it and of the phase
+    /// samples of the last [`CoreBank::advance_phases`] are carved out here.
     #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
     pub fn step_island(
         &mut self,
@@ -398,6 +439,12 @@ impl CoreBank {
     ) -> SegmentTotals {
         let lo = island * self.width;
         let seg = &mut self.segments[island];
+        let cores = lo..lo + seg.len();
+        let scales = PhaseScales {
+            cpi: &self.cpi_scale,
+            mem: &self.mem_scale,
+            activity: &self.activity_scale,
+        };
         seg.step(
             f,
             dt,
@@ -406,7 +453,8 @@ impl CoreBank {
             power_model,
             terms,
             leak_mult,
-            &temps_deg[lo..lo + seg.len()],
+            &temps_deg[cores.clone()],
+            scales.slice(cores),
         )
     }
 
@@ -578,7 +626,8 @@ mod tests {
     use cpm_workloads::parsec;
 
     /// The heart of the SoA contract, parameterized over island width: a
-    /// bank stepped island-at-a-time is bit-identical to the same cores
+    /// bank whose phases advance in one chip-wide pass and whose segments
+    /// then step island-at-a-time is bit-identical to the same cores
     /// stepped one `CoreModel` at a time, including lifetime accounting
     /// and the chip-order DRAM-byte sum.
     fn assert_bank_matches_scalars(width: usize, islands: usize, steps: usize) {
@@ -692,6 +741,19 @@ mod tests {
     fn bank_matches_scalars_at_non_lane_multiple_widths() {
         for width in [1, 3, 5, 7, 9, 13, 16] {
             assert_bank_matches_scalars(width, 2, 40);
+        }
+    }
+
+    /// The phase pass chunks over the whole chip and the segment step over
+    /// one island, so each shape here covers a different mix of full
+    /// `LANES` chunks and scalar tails: 1 × 8 and 2 × 4 (the paper's
+    /// chips) fill one phase chunk exactly while every segment step is a
+    /// pure tail; 3 × 3 runs a phase chunk plus a tail over pure-tail
+    /// segments; 64 × 2 fills whole chunks in both.
+    #[test]
+    fn chip_wide_bank_matches_scalars_at_chunk_and_tail_shapes() {
+        for (width, islands) in [(1, 8), (2, 4), (3, 3), (64, 2)] {
+            assert_bank_matches_scalars(width, islands, 60);
         }
     }
 

@@ -7,6 +7,9 @@
 //!   buffers of the `Outcome` it returns, each sized once, plus whatever
 //!   the provisioning policy allocates inside its own `provision`.
 //! * A registry lookup of a name already registered allocates nothing.
+//! * Building one of the paper's 8-core chips makes a pinned number of
+//!   allocations: the chip's phase streams live in one chip-wide bank, not
+//!   one bank per island segment.
 //!
 //! An accidental allocation on any of these paths shows up as a test
 //! failure, not a silent sweep slowdown.
@@ -90,6 +93,29 @@ fn steady_state_chip_step_is_allocation_free() {
         );
         // The snapshot still carries real data (the loop wasn't elided).
         assert_eq!(snap.core_powers.len(), cores);
+    }
+}
+
+/// `Chip::new` on the paper's two 8-core shapes. The counts follow the
+/// layout: each island segment holds ten per-core columns, while the phase
+/// streams and their sample columns are one chip-wide set that grows by
+/// reallocation as cores are pushed.
+#[test]
+fn building_a_paper_chip_makes_a_pinned_number_of_allocations() {
+    use cpm_sim::{Chip, CmpConfig};
+    use cpm_workloads::{Mix, WorkloadAssignment};
+
+    for (width, mix, want) in [(2usize, Mix::Mix1, (64, 17)), (1, Mix::Thermal, (104, 18))] {
+        let cfg = CmpConfig::with_topology(8, width);
+        let assignment = WorkloadAssignment::paper_mix(mix, 8);
+        let (allocs, reallocs, chip) = counted(|| Chip::new(cfg, &assignment));
+        assert_eq!(
+            (allocs, reallocs),
+            want,
+            "8-core chip, width {width}: Chip::new made {allocs} allocations \
+             and {reallocs} reallocations"
+        );
+        assert_eq!(chip.config().islands(), 8 / width);
     }
 }
 

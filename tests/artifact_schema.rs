@@ -88,6 +88,7 @@ fn perf_artifact_passes_its_schema_gate() {
     // requires each by name).
     let names = [
         "chip_step_8",
+        "chip_step_8x1",
         "chip_step_32",
         "chip_step_1024",
         "chip_step_1024_sharded",

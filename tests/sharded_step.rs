@@ -1,13 +1,16 @@
 //! Tier-1 determinism gate for the sharded chip step.
 //!
-//! The intra-chip shard path (`Chip::step_pic_into_on`) fans a large
-//! chip's island segments across the work-stealing pool. Its contract is
-//! the same one the experiment sweep pins: worker count is a throughput
-//! knob, never a results knob. This gate steps one 1024-core, 16-wide
-//! chip (64 islands) under pools of 1, 4, and 16 workers — the
-//! `CPM_WORKERS` values CI exercises — plus the serial reference path,
-//! and requires the trajectories to be byte-identical: every snapshot
-//! field equal and every per-core power/temperature bit-equal.
+//! The intra-chip shard path (`Chip::step_pic_into_on`) advances the
+//! chip's phase streams in one serial pass, then fans its island segments
+//! across the pool, each reading its island's slice of the phase samples.
+//! Its contract is the same one the experiment sweep pins: worker count is
+//! a throughput knob, never a results knob. This gate steps one 1024-core,
+//! 16-wide chip (64 islands) under pools of 1, 4, and 16 workers — the
+//! `CPM_WORKERS` values CI exercises — and the paper's 8-core chip at
+//! island widths 1 and 2 (where the slicing is finest) under 2 workers,
+//! each against the serial reference path, and requires the trajectories
+//! to be byte-identical: every snapshot field equal and every per-core
+//! power/temperature bit-equal.
 
 use cpm_runtime::Pool;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig};
@@ -32,14 +35,13 @@ fn kilocore_chip() -> Chip {
     Chip::new(cfg, &assignment)
 }
 
-/// Drives one chip for `STEPS` intervals on the given pool (serial
+/// Drives `chip` for `STEPS` intervals on the given pool (serial
 /// reference when `pool` is `None`), wandering the DVFS state so freezes
 /// and per-island operating points differ across islands, and returns
 /// every snapshot.
-fn trajectory(pool: Option<&Pool>) -> Vec<ChipSnapshot> {
-    let mut chip = kilocore_chip();
+fn trajectory(mut chip: Chip, pool: Option<&Pool>) -> Vec<ChipSnapshot> {
     let mut snap = ChipSnapshot::empty();
-    let islands = CORES / WIDTH;
+    let islands = chip.config().islands();
     let mut out = Vec::with_capacity(STEPS);
     for step in 0..STEPS {
         if step % 5 == 0 {
@@ -82,10 +84,26 @@ fn assert_bit_identical(label: &str, a: &[ChipSnapshot], b: &[ChipSnapshot]) {
 
 #[test]
 fn kilocore_trajectory_is_byte_identical_across_worker_counts() {
-    let serial = trajectory(None);
+    let serial = trajectory(kilocore_chip(), None);
     for workers in [1usize, 4, 16] {
         let pool = Pool::new(workers);
-        let sharded = trajectory(Some(&pool));
+        let sharded = trajectory(kilocore_chip(), Some(&pool));
         assert_bit_identical(&format!("workers={workers}"), &serial, &sharded);
+    }
+}
+
+#[test]
+fn eight_core_trajectories_are_byte_identical_at_narrow_islands() {
+    let pool = Pool::new(2);
+    for (width, mix) in [(1usize, Mix::Thermal), (2, Mix::Mix1)] {
+        let chip = || {
+            Chip::new(
+                CmpConfig::with_topology(8, width),
+                &WorkloadAssignment::paper_mix(mix, 8),
+            )
+        };
+        let serial = trajectory(chip(), None);
+        let sharded = trajectory(chip(), Some(&pool));
+        assert_bit_identical(&format!("8 cores, width {width}"), &serial, &sharded);
     }
 }

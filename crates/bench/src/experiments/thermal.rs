@@ -51,13 +51,15 @@ pub fn fig18() -> String {
     ];
     let mut results = Pool::global().run_jobs(jobs).into_iter();
     let (perf, base) = match results.next() {
-        Some(Cell::Perf(b)) => *b,
-        _ => unreachable!("perf cell is submitted first"),
-    };
+        Some(Cell::Perf(b)) => Some(*b),
+        _ => None,
+    }
+    .expect("perf cell is submitted first");
     let (thermal, enforced) = match results.next() {
-        Some(Cell::Thermal(b)) => *b,
-        _ => unreachable!("thermal cell is submitted second"),
-    };
+        Some(Cell::Thermal(b)) => Some(*b),
+        _ => None,
+    }
+    .expect("thermal cell is submitted second");
 
     // (c): replay the performance policy's recorded GPM allocations through
     // an observe-only tracker.

@@ -263,18 +263,20 @@ impl PerIslandController {
     /// One control invocation: sense, compute the error, run the PID, move
     /// the frequency state, and return the DVFS index to apply.
     ///
-    /// A non-finite reading on the configured sensor's input (true power
-    /// for the oracle, capacity utilization for the transducer) holds the
-    /// island instead: the frequency state, the PID and the gain estimator
-    /// stay untouched, no decision is recorded, and the current index is
-    /// returned. Left through, one NaN would survive every clamp into the
-    /// frequency state and park the island at its bottom operating point.
+    /// A non-finite or negative reading on the configured sensor's input
+    /// (true power for the oracle, capacity utilization for the
+    /// transducer) holds the island instead: the frequency state, the PID
+    /// and the gain estimator stay untouched, no decision is recorded, and
+    /// the current index is returned. Left through, one NaN would survive
+    /// every clamp into the frequency state and park the island at its
+    /// bottom operating point, and a negative power would read as deep
+    /// headroom and step the knob up.
     pub fn invoke(&mut self, capacity_utilization: Ratio, true_power: Watts) -> usize {
         let reading = match self.sensor {
             PicSensor::Transducer => capacity_utilization.value(),
             PicSensor::Oracle => true_power.value(),
         };
-        if !reading.is_finite() {
+        if !reading.is_finite() || reading < 0.0 {
             // The interval still passes: later decisions keep the step
             // ordinal the coordinator stamps on their actuations.
             self.step_in_round += 1;
@@ -492,6 +494,20 @@ mod tests {
         let held = pic.invoke(island.capacity_utilization(), Watts::new(f64::NAN));
         assert_eq!(held, settled, "a NaN reading must hold the island");
         island.apply(held, &table);
+        run_loop(&mut pic, &mut island, 200);
+        assert_eq!(pic.current_index(), settled, "back at the settled point");
+    }
+
+    #[test]
+    fn one_negative_power_reading_is_held_not_latched() {
+        let mut pic = controller(PicSensor::Oracle);
+        let mut island = FakeIsland::new();
+        pic.set_target(Watts::new(14.0));
+        run_loop(&mut pic, &mut island, 60);
+        let (settled, f_norm) = (pic.current_index(), pic.f_norm);
+        let held = pic.invoke(island.capacity_utilization(), Watts::new(-5.0));
+        assert_eq!(held, settled, "a negative reading must hold the island");
+        assert_eq!(pic.f_norm.to_bits(), f_norm.to_bits(), "state untouched");
         run_loop(&mut pic, &mut island, 200);
         assert_eq!(pic.current_index(), settled, "back at the settled point");
     }

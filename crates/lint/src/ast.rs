@@ -48,9 +48,7 @@ pub struct Expr {
 pub enum ExprKind {
     /// A (possibly multi-segment) path: `x`, `self`, `a::b::c`.
     Path(Vec<String>),
-    /// A numeric literal (dimensionless unless annotated).
-    Num,
-    /// A string/char/byte literal.
+    /// A numeric, string, char or byte literal.
     Lit,
     /// A path call: `f(a)`, `Type::method(a)`, `krate::module::f(a)`.
     Call {
@@ -82,21 +80,11 @@ pub enum ExprKind {
         /// Index expression.
         index: Box<Expr>,
     },
-    /// A macro invocation `name!(…)` with best-effort parsed arguments.
-    Macro {
-        /// Macro name (last path segment).
-        name: String,
-        /// Arguments we managed to parse as expressions.
-        args: Vec<Expr>,
-    },
-    /// A struct literal `Path { field: expr, .. }`.
-    Struct {
-        /// The struct path.
-        path: Vec<String>,
-        /// `(field, value)` pairs (shorthand fields get a Path value).
-        fields: Vec<(String, Expr)>,
-    },
-    /// Unary `-`, `!`, `*`, `&` — dimension-transparent.
+    /// A struct literal `Path { field: expr, .. }`: `(field, value)`
+    /// pairs (shorthand fields get a Path value).
+    Struct(Vec<(String, Expr)>),
+    /// Unary `-`, `!`, `*`, `&`, or an `expr as Type` cast with the
+    /// target dropped — dimension-transparent.
     Unary(Box<Expr>),
     /// A binary operation.
     Binary {
@@ -107,49 +95,13 @@ pub enum ExprKind {
         /// Right operand.
         rhs: Box<Expr>,
     },
-    /// `expr as Type` — the cast target is dropped.
-    Cast(Box<Expr>),
     /// A block `{ … }`, or the desugared body of `loop`/`unsafe`/labels.
     Block(Block),
-    /// `if cond { … } else …` (the else arm is an expr: block or `if`).
-    If {
-        /// Condition (absent for `if let`, whose pattern is skipped).
-        cond: Option<Box<Expr>>,
-        /// The then-block.
-        then_b: Block,
-        /// The else arm, when present.
-        else_b: Option<Box<Expr>>,
-    },
-    /// `match scrutinee { pat => arm, … }` — patterns are skipped, arm
-    /// bodies kept.
-    Match {
-        /// The matched expression.
-        scrutinee: Box<Expr>,
-        /// Arm body expressions in source order.
-        arms: Vec<Expr>,
-    },
-    /// `while cond { … }` / `while let … { … }`.
-    While {
-        /// Condition (absent for `while let`).
-        cond: Option<Box<Expr>>,
-        /// Loop body.
-        body: Block,
-    },
-    /// `for pat in iter { … }` — the pattern is skipped.
-    For {
-        /// The iterated expression.
-        iter: Box<Expr>,
-        /// Loop body.
-        body: Block,
-    },
-    /// A closure `|args| body` (parameter patterns are skipped).
-    Closure(Box<Expr>),
-    /// `return expr?` / `break expr?`.
-    Jump(Option<Box<Expr>>),
-    /// A tuple `(a, b)` or array `[a, b]` literal.
-    Seq(Vec<Expr>),
-    /// Anything the tolerant parser gave up on. Child expressions that
-    /// were recognized before bailing are preserved for the walks.
+    /// Every other form, as the child expressions the analyses walk, in
+    /// source order: tuples and arrays, macro arguments (best effort),
+    /// closures, `return`/`break` values, `if`/`match`/`while`/`for` heads
+    /// with their bodies and arms (patterns are skipped), and anything
+    /// the tolerant parser gave up on.
     Unknown(Vec<Expr>),
 }
 
@@ -191,14 +143,9 @@ pub struct FnDef {
     pub in_test: bool,
 }
 
-/// One struct definition (named fields only; tuple structs are skipped).
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Struct name.
-    pub name: String,
-    /// `(field name, rendered type)` pairs.
-    pub fields: Vec<(String, String)>,
-}
+/// One struct definition's named fields as `(field name, rendered type)`
+/// pairs (tuple structs are skipped).
+pub type StructDef = Vec<(String, String)>;
 
 /// A fully parsed source file.
 #[derive(Debug, Clone)]
@@ -216,8 +163,8 @@ impl Expr {
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match &self.kind {
-            ExprKind::Path(_) | ExprKind::Num | ExprKind::Lit => {}
-            ExprKind::Call { args, .. } | ExprKind::Macro { args, .. } => {
+            ExprKind::Path(_) | ExprKind::Lit => {}
+            ExprKind::Call { args, .. } => {
                 for a in args {
                     a.walk(f);
                 }
@@ -233,52 +180,18 @@ impl Expr {
                 base.walk(f);
                 index.walk(f);
             }
-            ExprKind::Struct { fields, .. } => {
+            ExprKind::Struct(fields) => {
                 for (_, e) in fields {
                     e.walk(f);
                 }
             }
-            ExprKind::Unary(e) | ExprKind::Cast(e) | ExprKind::Closure(e) => e.walk(f),
+            ExprKind::Unary(e) => e.walk(f),
             ExprKind::Binary { lhs, rhs, .. } => {
                 lhs.walk(f);
                 rhs.walk(f);
             }
             ExprKind::Block(b) => b.walk(f),
-            ExprKind::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                if let Some(c) = cond {
-                    c.walk(f);
-                }
-                then_b.walk(f);
-                if let Some(e) = else_b {
-                    e.walk(f);
-                }
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                scrutinee.walk(f);
-                for a in arms {
-                    a.walk(f);
-                }
-            }
-            ExprKind::While { cond, body } => {
-                if let Some(c) = cond {
-                    c.walk(f);
-                }
-                body.walk(f);
-            }
-            ExprKind::For { iter, body } => {
-                iter.walk(f);
-                body.walk(f);
-            }
-            ExprKind::Jump(e) => {
-                if let Some(e) = e {
-                    e.walk(f);
-                }
-            }
-            ExprKind::Seq(es) | ExprKind::Unknown(es) => {
+            ExprKind::Unknown(es) => {
                 for e in es {
                     e.walk(f);
                 }

@@ -1,18 +1,12 @@
-//! The rules that need expression structure rather than a token pattern.
-//! Each is implemented here once:
-//!
-//! * **`lock-unwrap`** — `.unwrap()`/`.expect()` on a `.lock()` result,
-//!   whether chained directly (`m.lock().unwrap()`) or through a local
-//!   alias (`let guard = m.lock(); guard.unwrap()`). Either form wedges
-//!   every later caller after one panic. `let` bindings whose initializer
-//!   ends in a `.lock()` call are tracked as guards; rebinding the name to
-//!   anything else (the sanctioned `unwrap_or_else(PoisonError::into_inner)`
-//!   recovery) releases it.
-//! * **`panic-bare`** — `panic!`, and the placeholder panics `todo!` and
-//!   `unimplemented!`, carry no invariant and never belong in library
-//!   code; a bare `unreachable!()` (no message) panics without documenting
-//!   the invariant it guards. An `unreachable!("why")` carries its
-//!   invariant like `assert!` and stays legal.
+//! The rule that needs expression structure rather than a token pattern:
+//! **`lock-unwrap`**, `.unwrap()`/`.expect()` on a `.lock()` result,
+//! whether chained directly (`m.lock().unwrap()`) or through a local alias
+//! (`let guard = m.lock(); guard.unwrap()`). Either form wedges every
+//! later caller after one panic. `let` bindings whose initializer ends in
+//! a `.lock()` call are tracked as guards; rebinding the name to anything
+//! else (the sanctioned `unwrap_or_else(PoisonError::into_inner)`
+//! recovery) releases it. No clippy lint is this narrow: `unwrap_used`
+//! and `expect_used` flag every `Option`/`Result` unwrap.
 
 use crate::ast::{Block, Expr, ExprKind, ParsedFile, Stmt};
 use crate::rules::{Role, RuleId, Violation};
@@ -23,13 +17,13 @@ use std::collections::BTreeSet;
 fn ends_in_lock(e: &Expr) -> bool {
     match &e.kind {
         ExprKind::Method { name, .. } => name == "lock",
-        ExprKind::Unary(inner) | ExprKind::Cast(inner) => ends_in_lock(inner),
+        ExprKind::Unary(inner) => ends_in_lock(inner),
         _ => false,
     }
 }
 
-/// Runs the AST-level rules over every library, non-test function of one
-/// parsed file.
+/// Runs `lock-unwrap` over every library, non-test function of one parsed
+/// file.
 pub fn check(file: &ParsedFile) -> Vec<Violation> {
     let mut out = Vec::new();
     if file.ctx.role != Role::Library {
@@ -102,25 +96,6 @@ fn check_expr(e: &Expr, guards: &BTreeSet<String>, rel_path: &str, out: &mut Vec
                 });
             }
         }
-        ExprKind::Macro { name, args } => {
-            let bare = match name.as_str() {
-                "panic" | "todo" | "unimplemented" => true,
-                "unreachable" => args.is_empty(),
-                _ => false,
-            };
-            if bare {
-                out.push(Violation {
-                    rule: RuleId::PanicBare,
-                    path: rel_path.to_string(),
-                    line: node.line,
-                    message: format!(
-                        "`{name}!` in library code panics without stating an invariant; \
-                         return an error, or use `unreachable!(\"why\")` / `assert!` with \
-                         the invariant written out"
-                    ),
-                });
-            }
-        }
         _ => {}
     });
 }
@@ -176,36 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn panic_family_macros_fire_only_when_bare() {
-        let src = "fn a() { todo!() }\n\
-                   fn b() { unimplemented!() }\n\
-                   fn c() -> u8 { match 1 { 1 => 0, _ => unreachable!() } }\n\
-                   fn d() -> u8 { match 1 { 1 => 0, _ => unreachable!(\"one-armed\") } }\n";
-        let v = run_on("crates/sim/src/x.rs", src);
-        assert_eq!(
-            v,
-            vec![
-                (RuleId::PanicBare, 1),
-                (RuleId::PanicBare, 2),
-                (RuleId::PanicBare, 3),
-            ],
-            "messaged unreachable! documents its invariant and stays legal"
-        );
-    }
-
-    #[test]
-    fn direct_lock_chain_and_literal_panic_fire() {
+    fn direct_lock_chain_fires() {
         let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n\
-                   \u{20}   if *m.lock().expect(\"held\") > 1 { panic!(\"too big\") }\n\
+                   \u{20}   if *m.lock().expect(\"held\") > 1 { return 0; }\n\
                    \u{20}   *m.lock().unwrap()\n\
                    }\n";
         assert_eq!(
             run_on("crates/sim/src/x.rs", src),
-            vec![
-                (RuleId::LockUnwrap, 2),
-                (RuleId::PanicBare, 2),
-                (RuleId::LockUnwrap, 3),
-            ]
+            vec![(RuleId::LockUnwrap, 2), (RuleId::LockUnwrap, 3)]
         );
     }
 

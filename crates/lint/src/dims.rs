@@ -25,8 +25,8 @@
 //!
 //! Everything else is Unknown, and Unknown never fires — the pass is
 //! deliberately quiet on raw-`f64` code it cannot prove anything about.
-//! A deliberate cross-dimension site takes a `lint-waivers.toml` entry,
-//! which counts against the waiver budget.
+//! There is no waiver: a deliberate cross-dimension site converts
+//! explicitly, through the unit types, so the pass can follow it.
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, ParsedFile, Stmt};
 use crate::rules::{Role, RuleId, Violation};
@@ -58,39 +58,22 @@ const C: Dim = [0, 0, 0, 1];
 const HZ: Dim = [0, 0, -1, 0];
 const J: Dim = [1, 0, 1, 0];
 
-/// Renders a dimension for diagnostics: `W`, `Hz`, `W·s`, `W/s²`, `1`.
+/// Renders a dimension for diagnostics: `W`, `Hz`, `J`, `W·s^-2`, `1`.
 pub fn render_dim(d: Dim) -> String {
-    if d == DIMENSIONLESS {
-        return "1".to_string();
-    }
-    if d == HZ {
-        return "Hz".to_string();
-    }
-    if d == J {
-        return "J".to_string();
-    }
-    let names = ["W", "V", "s", "°C"];
-    let mut num = String::new();
-    let mut den = String::new();
-    for (i, &e) in d.iter().enumerate() {
-        let target = if e > 0 { &mut num } else { &mut den };
-        let mag = e.unsigned_abs();
-        if mag == 0 {
-            continue;
+    match d {
+        DIMENSIONLESS => "1".to_string(),
+        HZ => "Hz".to_string(),
+        J => "J".to_string(),
+        _ => {
+            let names = ["W", "V", "s", "°C"].iter().zip(d).filter(|(_, e)| *e != 0);
+            let parts: Vec<String> = names
+                .map(|(n, e)| match e {
+                    1 => n.to_string(),
+                    _ => format!("{n}^{e}"),
+                })
+                .collect();
+            parts.join("·")
         }
-        if !target.is_empty() {
-            target.push('·');
-        }
-        target.push_str(names[i]);
-        if mag > 1 {
-            target.push_str(&format!("^{mag}"));
-        }
-    }
-    match (num.is_empty(), den.is_empty()) {
-        (false, true) => num,
-        (false, false) => format!("{num}/{den}"),
-        (true, false) => format!("1/{den}"),
-        (true, true) => "1".to_string(),
     }
 }
 
@@ -111,19 +94,16 @@ fn type_dim(ty: &str) -> DimVal {
 
 /// Conservative full-word name-suffix conventions for raw `f64`s.
 fn name_dim(name: &str) -> DimVal {
-    for (suffix, d) in [
+    let suffixes = [
         ("_watts", W),
         ("_volts", V),
         ("_hertz", HZ),
         ("_joules", J),
         ("_seconds", S),
         ("_celsius", C),
-    ] {
-        if name.ends_with(suffix) {
-            return Known(d);
-        }
-    }
-    Unknown
+    ];
+    let found = suffixes.iter().find(|(suffix, _)| name.ends_with(suffix));
+    found.map_or(Unknown, |&(_, d)| Known(d))
 }
 
 /// Methods that preserve their receiver's dimension.
@@ -138,6 +118,17 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
+    fn fire(&mut self, line: usize, message: String) {
+        let path = self.file.to_string();
+        let rule = RuleId::DimConsistency;
+        self.out.push(Violation {
+            rule,
+            path,
+            line,
+            message,
+        });
+    }
+
     fn bind(&mut self, name: &str, d: DimVal) {
         match (self.env.get(name), d) {
             // Conflicting rebinds poison the name: branches may disagree.
@@ -153,15 +144,10 @@ impl<'a> Checker<'a> {
     fn block(&mut self, b: &Block) {
         for s in &b.stmts {
             match s {
-                Stmt::Let { name, ty, init, .. } => {
-                    let mut d = Unknown;
-                    if let Some(e) = init {
-                        d = self.eval(e);
-                    }
-                    if let Some(t) = ty {
-                        if let Known(td) = type_dim(t) {
-                            d = Known(td);
-                        }
+                Stmt::Let { name, ty, init } => {
+                    let mut d = init.as_ref().map_or(Unknown, |e| self.eval(e));
+                    if let Known(td) = ty.as_deref().map_or(Unknown, type_dim) {
+                        d = Known(td);
                     }
                     if let Some(n) = name {
                         if d == Unknown {
@@ -181,22 +167,16 @@ impl<'a> Checker<'a> {
     /// in its subtree along the way.
     fn eval(&mut self, e: &Expr) -> DimVal {
         match &e.kind {
-            ExprKind::Num | ExprKind::Lit => Unknown,
-            ExprKind::Path(segs) => {
-                if segs.len() == 1 {
-                    if let Some(&d) = self.env.get(&segs[0]) {
-                        return d;
-                    }
-                    return name_dim(&segs[0]);
-                }
-                Unknown
+            ExprKind::Lit => Unknown,
+            ExprKind::Path(segs) if segs.len() == 1 => {
+                let local = self.env.get(&segs[0]).copied();
+                local.unwrap_or_else(|| name_dim(&segs[0]))
             }
+            ExprKind::Path(_) => Unknown,
             ExprKind::Field { base, name } => {
                 self.eval(base);
-                if let Some(&d) = self.fields.get(name) {
-                    return d;
-                }
-                name_dim(name)
+                let field = self.fields.get(name).copied();
+                field.unwrap_or_else(|| name_dim(name))
             }
             ExprKind::Index { base, index } => {
                 let d = self.eval(base);
@@ -230,31 +210,13 @@ impl<'a> Checker<'a> {
                     n if PRESERVING_METHODS.contains(&n) => rd,
                     "ratio_of" | "percent" | "cycles_in" | "clamped" => Known(DIMENSIONLESS),
                     "period" => Known(S),
-                    "ms" => {
-                        // `Seconds::ms` rescales time; on anything else we
-                        // know nothing.
-                        if rd == Known(S) {
-                            Known(S)
-                        } else {
-                            Unknown
-                        }
-                    }
-                    "mhz" | "ghz" => {
-                        if rd == Known(HZ) {
-                            Known(HZ)
-                        } else {
-                            Unknown
-                        }
-                    }
+                    // Unit rescalings; on anything else we know nothing.
+                    "ms" if rd == Known(S) => rd,
+                    "mhz" | "ghz" if rd == Known(HZ) => rd,
                     _ => Unknown,
                 }
             }
             ExprKind::Unary(inner) => self.eval(inner),
-            ExprKind::Cast(inner) => self.eval(inner),
-            ExprKind::Closure(inner) => {
-                self.eval(inner);
-                Unknown
-            }
             ExprKind::Binary { op, lhs, rhs } => {
                 let ld = self.eval(lhs);
                 let rd = self.eval(rhs);
@@ -262,18 +224,14 @@ impl<'a> Checker<'a> {
                     BinOp::Add | BinOp::Sub | BinOp::Cmp | BinOp::Eq => {
                         if let (Known(a), Known(b)) = (ld, rd) {
                             if a != b {
-                                self.out.push(Violation {
-                                    rule: RuleId::DimConsistency,
-                                    path: self.file.to_string(),
-                                    line: e.line,
-                                    message: format!(
-                                        "`{}` mixes dimensions: left is {}, right is {}; \
-                                         convert explicitly",
-                                        op_sym(*op),
-                                        render_dim(a),
-                                        render_dim(b)
-                                    ),
-                                });
+                                let message = format!(
+                                    "`{}` mixes dimensions: left is {}, right is {}; \
+                                     convert explicitly",
+                                    op_sym(*op),
+                                    render_dim(a),
+                                    render_dim(b)
+                                );
+                                self.fire(e.line, message);
                             }
                         }
                         if matches!(op, BinOp::Cmp | BinOp::Eq) {
@@ -298,30 +256,23 @@ impl<'a> Checker<'a> {
                             let suspicious =
                                 overflow || r[3] >= 2 || r.iter().any(|&x| x.unsigned_abs() >= 3);
                             if suspicious {
-                                self.out.push(Violation {
-                                    rule: RuleId::DimConsistency,
-                                    path: self.file.to_string(),
-                                    line: e.line,
-                                    message: format!(
-                                        "suspicious `{}` result: {} {} {} gives {} — no \
-                                         physical quantity here has that shape",
-                                        op_sym(*op),
-                                        render_dim(a),
-                                        op_sym(*op),
-                                        render_dim(b),
-                                        render_dim(r)
-                                    ),
-                                });
+                                let message = format!(
+                                    "suspicious `{0}` result: {1} {0} {2} gives {3} — no \
+                                     physical quantity here has that shape",
+                                    op_sym(*op),
+                                    render_dim(a),
+                                    render_dim(b),
+                                    render_dim(r)
+                                );
+                                self.fire(e.line, message);
                             }
                             Known(r)
                         } else {
                             Unknown
                         }
                     }
-                    BinOp::Rem => {
-                        // `a % b` has a's dimension.
-                        ld
-                    }
+                    // `a % b` has a's dimension.
+                    BinOp::Rem => ld,
                     BinOp::Other => {
                         // Plain assignment rebinds the target name; a
                         // conflicting dimension poisons it (see `bind`).
@@ -334,13 +285,13 @@ impl<'a> Checker<'a> {
                     }
                 }
             }
-            ExprKind::Struct { fields, .. } => {
+            ExprKind::Struct(fields) => {
                 for (_, v) in fields {
                     self.eval(v);
                 }
                 Unknown
             }
-            ExprKind::Macro { args, .. } | ExprKind::Seq(args) | ExprKind::Unknown(args) => {
+            ExprKind::Unknown(args) => {
                 for a in args {
                     self.eval(a);
                 }
@@ -348,45 +299,6 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Block(b) => {
                 self.block(b);
-                Unknown
-            }
-            ExprKind::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                if let Some(c) = cond {
-                    self.eval(c);
-                }
-                self.block(then_b);
-                if let Some(e) = else_b {
-                    self.eval(e);
-                }
-                Unknown
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                self.eval(scrutinee);
-                for a in arms {
-                    self.eval(a);
-                }
-                Unknown
-            }
-            ExprKind::While { cond, body } => {
-                if let Some(c) = cond {
-                    self.eval(c);
-                }
-                self.block(body);
-                Unknown
-            }
-            ExprKind::For { iter, body } => {
-                self.eval(iter);
-                self.block(body);
-                Unknown
-            }
-            ExprKind::Jump(inner) => {
-                if let Some(e) = inner {
-                    self.eval(e);
-                }
                 Unknown
             }
         }
@@ -413,7 +325,7 @@ fn field_dims(files: &[ParsedFile]) -> BTreeMap<String, DimVal> {
     let mut map: BTreeMap<String, DimVal> = BTreeMap::new();
     for pf in files {
         for st in &pf.structs {
-            for (name, ty) in &st.fields {
+            for (name, ty) in st {
                 let d = type_dim(ty);
                 match map.get(name) {
                     None => {

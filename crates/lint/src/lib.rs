@@ -6,41 +6,38 @@
 //! 0-alloc steady state. One stray `HashMap` iteration or `Instant::now()`
 //! in a library crate silently re-introduces nondeterminism until an
 //! end-to-end gate happens to catch it. This crate makes the invariant
-//! catalogue machine-checked on every `cargo test`:
+//! catalogue (DESIGN.md §3f) machine-checked on every `cargo test`, with
+//! two checkers:
 //!
-//! * tokenizes every `.rs` file in the workspace (comment/string/raw-
-//!   string aware — see [`tokenizer`]; no regex-over-source false
-//!   positives),
-//! * enforces the rule catalogue in [`rules`] (see DESIGN.md §3f for the
-//!   full table): token rules that resolve `use … as` renames, so a
-//!   determinism source fires on the line where it is written; the two
-//!   rules that need expression structure in [`ast_rules`]; and the
-//!   workspace dimension pass in [`dims`],
-//! * reconciles firings against the committed `lint-waivers.toml`
-//!   ([`waivers`]) — a waived violation is intended and documented, a
-//!   stale waiver is itself an error, so the file can only shrink, and
-//!   the determinism rules cannot be waived at all.
+//! * **clippy**, for every rule whose scope is non-test code: the root
+//!   `clippy.toml` lists the banned types and methods, and
+//!   `tests/clippy_gate.rs` runs `cargo clippy` over every library,
+//!   binary and example target with those lints forbidden ([`clippy`]);
+//! * **the in-tree analyzer**, for the rules clippy cannot express: it
+//!   tokenizes every `.rs` file in the workspace (comment/string/raw-
+//!   string aware — see [`tokenizer`]), runs the token rules of
+//!   [`rules`], which resolve `use … as` renames so a source fires on the
+//!   line where it is written, the AST rule of [`ast_rules`], and the
+//!   workspace dimension pass of [`dims`]; `tests/workspace.rs` fails on
+//!   any firing.
 //!
-//! It runs three ways: as a binary (`cargo run -p cpm-lint -- --deny`),
-//! as a workspace test (`crates/lint/tests/workspace.rs`, so tier-1
-//! `cargo test` gates it hermetically), and as a CI lane. A mutation
-//! corpus (`crates/lint/tests/mutations.rs`) pins what each rule
-//! catches. It is std-only with zero external dependencies, like
-//! everything else here.
+//! There is no waiver file. An exemption is a crate-level `clippy.toml`
+//! that omits the entries the crate owns, or a justified site
+//! `#[allow(clippy::…)] // why` whose count a tier-1 test pins. A mutation
+//! corpus (`tests/mutations.rs`) pins what each rule catches. The crate is
+//! std-only with zero external dependencies, like everything else here.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod ast_rules;
+pub mod clippy;
 pub mod dims;
-pub mod output;
 pub mod parser;
 pub mod rules;
 pub mod tokenizer;
-pub mod waivers;
 
 pub use rules::{classify, FileContext, RuleId, Violation, ALL_RULES};
-pub use waivers::{Budget, Waiver, WaiverError, WaiverFile};
 
 use std::path::{Path, PathBuf};
 
@@ -48,33 +45,22 @@ use std::path::{Path, PathBuf};
 /// fixture corpus (which exists to contain violations).
 const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
-/// Name of the waiver file at the workspace root.
-pub const WAIVER_FILE: &str = "lint-waivers.toml";
-
-/// Outcome of a full run: what fired, what was waived, what went stale.
+/// Outcome of an in-tree run over the workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Violations not covered by any waiver — these fail the build.
+    /// Every firing; any one fails the build.
     pub active: Vec<Violation>,
-    /// Violations suppressed by a waiver (kept for reporting).
-    pub waived: Vec<Violation>,
-    /// Waivers that suppressed nothing — these also fail the build.
-    pub stale: Vec<Waiver>,
-    /// Set when the waiver count exceeds the `[budget]` ratchet; the
-    /// message explains the overrun. Also fails the build.
-    pub over_budget: Option<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when the run should fail: any active violation, stale
-    /// waiver, or budget overrun.
+    /// True when the run should fail: any violation.
     pub fn is_failure(&self) -> bool {
-        !self.active.is_empty() || !self.stale.is_empty() || self.over_budget.is_some()
+        !self.active.is_empty()
     }
 
-    /// Renders the report as the text the binary prints.
+    /// Renders the report as one line per violation plus a summary.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -88,25 +74,11 @@ impl Report {
                 v.message
             );
         }
-        for w in &self.stale {
-            let _ = writeln!(
-                s,
-                "error[stale-waiver]: {} no longer fires `{}` — remove its waiver ({})",
-                w.path,
-                w.rule.name(),
-                w.reason
-            );
-        }
-        if let Some(msg) = &self.over_budget {
-            let _ = writeln!(s, "error[waiver-budget]: {msg}");
-        }
         let _ = writeln!(
             s,
-            "cpm-lint: {} files scanned, {} active violations, {} waived, {} stale waivers",
+            "cpm-lint: {} files scanned, {} active violations",
             self.files_scanned,
-            self.active.len(),
-            self.waived.len(),
-            self.stale.len()
+            self.active.len()
         );
         s
     }
@@ -147,39 +119,6 @@ pub fn lint_sources(files: &[(FileContext, String)]) -> Vec<Violation> {
     all
 }
 
-/// Reconciles raw violations against a waiver set: splits them into
-/// active/waived and reports stale waivers (those that matched nothing).
-pub fn reconcile(violations: Vec<Violation>, waiver_set: &[Waiver]) -> Report {
-    let mut matched = vec![false; waiver_set.len()];
-    let mut active = Vec::new();
-    let mut waived = Vec::new();
-    for v in violations {
-        match waiver_set
-            .iter()
-            .position(|w| w.rule == v.rule && w.path == v.path)
-        {
-            Some(k) => {
-                matched[k] = true;
-                waived.push(v);
-            }
-            None => active.push(v),
-        }
-    }
-    let stale = waiver_set
-        .iter()
-        .zip(&matched)
-        .filter(|(_, &m)| !m)
-        .map(|(w, _)| w.clone())
-        .collect();
-    Report {
-        active,
-        waived,
-        stale,
-        over_budget: None,
-        files_scanned: 0,
-    }
-}
-
 /// Recursively collects every `.rs` file under `root`, skipping
 /// `target`/`.git`/`fixtures` dirs, sorted by path so reports are
 /// deterministic.
@@ -207,19 +146,9 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lints the whole workspace at `root` against its committed waiver
-/// file: per-file rules, dimension pass, waiver reconciliation, and the
-/// budget ratchet. Purely local and offline: reads only files
-/// under `root`.
-pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    let waiver_path = root.join(WAIVER_FILE);
-    let waiver_file = if waiver_path.exists() {
-        let text = std::fs::read_to_string(&waiver_path)
-            .map_err(|e| format!("reading {}: {e}", waiver_path.display()))?;
-        waivers::parse_file(&text).map_err(|e| e.to_string())?
-    } else {
-        WaiverFile::default()
-    };
+/// Reads every `.rs` file of the workspace at `root`, classified by its
+/// workspace-relative path.
+pub fn read_workspace(root: &Path) -> Result<Vec<(FileContext, String)>, String> {
     let files = collect_rs_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
     let mut inputs = Vec::with_capacity(files.len());
     for path in &files {
@@ -232,26 +161,22 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         inputs.push((classify(&rel), source));
     }
-    let violations = lint_sources(&inputs);
-    let mut report = reconcile(violations, &waiver_file.waivers);
-    report.files_scanned = inputs.len();
-    if let Some(b) = &waiver_file.budget {
-        if waiver_file.waivers.len() > b.max {
-            report.over_budget = Some(format!(
-                "{} waivers exceed the budget of {} — fix a violation or deliberately bump \
-                 [budget] max with an updated justification ({})",
-                waiver_file.waivers.len(),
-                b.max,
-                b.justification
-            ));
-        }
-    }
-    Ok(report)
+    Ok(inputs)
+}
+
+/// Runs the in-tree half of the catalogue over the whole workspace at
+/// `root`: per-file rules, then the dimension pass. Purely local and
+/// offline: reads only files under `root`.
+pub fn lint_workspace(root: &Path) -> Result<Report, String> {
+    let inputs = read_workspace(root)?;
+    Ok(Report {
+        active: lint_sources(&inputs),
+        files_scanned: inputs.len(),
+    })
 }
 
 /// Locates the workspace root from the linter's own manifest directory
-/// (`crates/lint` → two levels up). Used by the workspace test and the
-/// binary's default.
+/// (`crates/lint` → two levels up).
 pub fn workspace_root_from_manifest(manifest_dir: &str) -> PathBuf {
     let p = Path::new(manifest_dir);
     p.parent()
@@ -274,7 +199,7 @@ mod tests {
             classify("crates/bench/src/bin/experiments.rs").role,
             Role::Binary
         );
-        assert_eq!(classify("crates/lint/src/main.rs").role, Role::Binary);
+        assert_eq!(classify("crates/x/src/main.rs").role, Role::Binary);
         assert_eq!(classify("crates/core/tests/props.rs").role, Role::Test);
         assert_eq!(classify("crates/bench/benches/maxbips.rs").role, Role::Test);
         assert_eq!(classify("examples/quickstart.rs").role, Role::Example);
@@ -283,33 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_waives_and_detects_stale() {
-        let v = |rule, path: &str| Violation {
-            rule,
-            path: path.to_string(),
-            line: 1,
-            message: String::new(),
-        };
-        let w = |rule, path: &str| Waiver {
-            rule,
-            path: path.to_string(),
-            reason: "r".to_string(),
-        };
-        let report = reconcile(
-            vec![v(RuleId::Timing, "a.rs"), v(RuleId::Output, "b.rs")],
-            &[w(RuleId::Timing, "a.rs"), w(RuleId::PanicBare, "gone.rs")],
-        );
-        assert_eq!(report.active.len(), 1);
-        assert_eq!(report.active[0].rule, RuleId::Output);
-        assert_eq!(report.waived.len(), 1);
-        assert_eq!(report.stale.len(), 1);
-        assert_eq!(report.stale[0].path, "gone.rs");
-        assert!(report.is_failure());
-    }
-
-    #[test]
     fn clean_report_is_success() {
-        let report = reconcile(Vec::new(), &[]);
+        let report = Report::default();
         assert!(!report.is_failure());
         assert!(report.render().contains("0 active violations"));
     }

@@ -38,6 +38,15 @@ pub fn parse_file(ctx: &FileContext, toks: &[Tok<'_>]) -> ParsedFile {
     p.out
 }
 
+fn node(kind: ExprKind, line: usize) -> Expr {
+    Expr { kind, line }
+}
+
+/// An [`ExprKind::Unknown`] node over `kids`.
+fn unknown(kids: Vec<Expr>, line: usize) -> Expr {
+    node(ExprKind::Unknown(kids), line)
+}
+
 struct P<'a, 'b> {
     t: &'a [Tok<'b>],
     i: usize,
@@ -205,21 +214,13 @@ impl<'a, 'b> P<'a, 'b> {
     /// `#[cfg(test)]` regions.
     fn items(&mut self, in_test: bool, mut budget: usize) {
         let mut pending_test = false;
-        let mut pending_attr_test;
-        while !self.done() && budget > 0 {
+        while !self.done() && budget > 0 && !self.at("}") {
             budget -= 1;
-            if self.at("}") {
-                return;
-            }
             // Attributes: remember cfg(test) / #[test] for the next item.
-            pending_attr_test = false;
             while self.at("#") {
                 let a = self.skip_attr();
-                if a.contains("cfg(test") || a == "test" || a.starts_with("test)") {
-                    pending_attr_test = true;
-                }
+                pending_test |= a.contains("cfg(test") || a == "test" || a.starts_with("test)");
             }
-            pending_test |= pending_attr_test;
             // Visibility.
             if self.eat("pub") {
                 if self.at("(") {
@@ -227,137 +228,63 @@ impl<'a, 'b> P<'a, 'b> {
                 }
                 continue;
             }
+            let test = in_test || pending_test;
+            pending_test = false;
+            let next = self.peek(1).map_or("", |t| t.text);
             match self.ident() {
-                Some("use") => {
-                    self.skip_use();
-                    pending_test = false;
-                }
-                Some("fn") => {
-                    self.parse_fn(in_test || pending_test);
-                    pending_test = false;
-                }
-                Some("unsafe") | Some("async") | Some("const") | Some("extern") if matches!(self.peek(1), Some(t) if t.is("fn")) =>
-                {
+                Some("fn") => self.parse_fn(test),
+                Some("unsafe" | "async" | "const" | "extern") if next == "fn" => {
                     self.bump();
-                    self.parse_fn(in_test || pending_test);
-                    pending_test = false;
+                    self.parse_fn(test);
                 }
+                Some("use" | "type" | "static" | "const") => self.skip_to_semicolon(),
                 Some("impl") => {
                     self.bump();
-                    self.parse_impl(in_test || pending_test);
-                    pending_test = false;
-                }
-                Some("trait") => {
-                    self.bump();
-                    if self.ident().is_some() {
-                        self.bump();
-                    }
-                    self.skip_balanced("<", ">");
-                    // Supertraits / where clause: skip to the body.
-                    while !self.done() && !self.at("{") && !self.at(";") {
-                        self.bump();
-                    }
-                    if self.at("{") {
-                        self.bump();
-                        self.items(in_test || pending_test, budget);
-                        self.eat("}");
-                    } else {
-                        self.eat(";");
-                    }
-                    pending_test = false;
-                }
-                Some("mod") => {
-                    self.bump();
-                    if self.ident().is_some() {
-                        self.bump();
-                    }
-                    if self.at("{") {
-                        self.bump();
-                        self.items(in_test || pending_test, budget);
-                        self.eat("}");
-                    } else {
-                        self.eat(";");
-                    }
-                    pending_test = false;
+                    self.parse_impl(test);
                 }
                 Some("struct") => {
                     self.bump();
                     self.parse_struct();
-                    pending_test = false;
                 }
-                Some("enum") | Some("union") => {
+                Some("trait" | "mod" | "enum" | "union") => {
+                    let nested = !matches!(self.ident(), Some("enum" | "union"));
+                    self.skip_to_body();
+                    if !self.at("{") {
+                        self.eat(";");
+                    } else if nested {
+                        self.bump();
+                        self.items(test, budget);
+                        self.eat("}");
+                    } else {
+                        self.skip_balanced("{", "}");
+                    }
+                }
+                Some(_) if next == "!" => {
+                    // Item-level macro invocation or definition
+                    // (`thread_local! { … }`, `quantity!(…);`,
+                    // `macro_rules! name { … }`); skip its delimited body
+                    // wholesale so a brace inside doesn't close the
+                    // enclosing scope.
+                    self.bump();
                     self.bump();
                     if self.ident().is_some() {
                         self.bump();
                     }
-                    self.skip_balanced("<", ">");
-                    while !self.done() && !self.at("{") && !self.at(";") {
-                        self.bump();
-                    }
-                    if self.at("{") {
-                        self.skip_balanced("{", "}");
-                    } else {
-                        self.eat(";");
-                    }
-                    pending_test = false;
-                }
-                Some("macro_rules") => {
-                    self.bump();
-                    self.eat("!");
-                    if self.ident().is_some() {
-                        self.bump();
-                    }
-                    if self.at("{") {
-                        self.skip_balanced("{", "}");
-                    } else if self.at("(") {
-                        self.skip_balanced("(", ")");
-                        self.eat(";");
-                    }
-                    pending_test = false;
-                }
-                Some("type") | Some("static") | Some("const") => {
-                    // `type X = …;`, `static X: T = …;`, `const X: T = …;`
-                    while !self.done() && !self.at(";") && !self.at("}") {
-                        if self.at("{") {
-                            self.skip_balanced("{", "}");
-                            continue;
-                        }
-                        self.bump();
+                    for (open, close) in [("(", ")"), ("[", "]"), ("{", "}")] {
+                        self.skip_balanced(open, close);
                     }
                     self.eat(";");
-                    pending_test = false;
                 }
-                Some(_) if matches!(self.peek(1), Some(t) if t.is("!")) => {
-                    // Item-level macro invocation (`thread_local! { … }`,
-                    // `quantity!(…)`); skip its delimited body wholesale so
-                    // a brace inside doesn't close the enclosing scope.
-                    self.bump();
-                    self.bump();
-                    if self.at("(") {
-                        self.skip_balanced("(", ")");
-                    } else if self.at("[") {
-                        self.skip_balanced("[", "]");
-                    } else if self.at("{") {
-                        self.skip_balanced("{", "}");
-                    }
-                    self.eat(";");
-                    pending_test = false;
-                }
-                _ => {
-                    if self.at("{") {
-                        // A stray block at item level: skip it whole.
-                        self.skip_balanced("{", "}");
-                    } else {
-                        self.bump();
-                    }
-                }
+                // A stray block at item level: skip it whole.
+                _ if self.at("{") => self.skip_balanced("{", "}"),
+                _ => self.bump(),
             }
         }
     }
 
-    /// Skips a `use` declaration through its `;` (renames are resolved on
-    /// the token stream, see [`crate::rules`]).
-    fn skip_use(&mut self) {
+    /// Skips a `use`, `type`, `static` or `const` item through its `;`
+    /// (renames are resolved on the token stream, see [`crate::rules`]).
+    fn skip_to_semicolon(&mut self) {
         while !self.done() && !self.at(";") && !self.at("}") {
             if self.at("{") {
                 self.skip_balanced("{", "}");
@@ -369,8 +296,7 @@ impl<'a, 'b> P<'a, 'b> {
     }
 
     fn parse_struct(&mut self) {
-        let name = self.ident().unwrap_or("").to_string();
-        if !name.is_empty() {
+        if self.ident().is_some() {
             self.bump();
         }
         self.skip_balanced("<", ">");
@@ -410,28 +336,24 @@ impl<'a, 'b> P<'a, 'b> {
             self.eat(",");
         }
         self.eat("}");
-        self.out.structs.push(StructDef { name, fields });
+        self.out.structs.push(fields);
     }
 
-    fn parse_impl(&mut self, in_test: bool) {
-        self.skip_balanced("<", ">");
-        // Skip the header (`Trait for Type`, `Type<T>`, a where clause)
-        // to the body.
+    /// Skips an item header (`Trait for Type<T>`, a where clause) to its
+    /// body `{` or a closing `;`.
+    fn skip_to_body(&mut self) {
         while !self.done() && !self.at("{") && !self.at(";") {
-            if self.at("where") {
-                while !self.done() && !self.at("{") && !self.at(";") {
-                    self.bump();
-                }
-                break;
-            }
             if self.at("<") {
                 self.skip_balanced("<", ">");
                 continue;
             }
             self.bump();
         }
-        if self.at("{") {
-            self.bump();
+    }
+
+    fn parse_impl(&mut self, in_test: bool) {
+        self.skip_to_body();
+        if self.eat("{") {
             self.items(in_test, usize::MAX - 2);
             self.eat("}");
         } else {
@@ -517,16 +439,7 @@ impl<'a, 'b> P<'a, 'b> {
             self.bump();
             self.render_type(&["{", ";", "where"]);
         }
-        // Where clause.
-        if self.at("where") {
-            while !self.done() && !self.at("{") && !self.at(";") {
-                if self.at("<") {
-                    self.skip_balanced("<", ">");
-                    continue;
-                }
-                self.bump();
-            }
-        }
+        self.skip_to_body();
         let body = if self.at("{") {
             Some(self.parse_block())
         } else {
@@ -560,58 +473,28 @@ impl<'a, 'b> P<'a, 'b> {
             }
             while self.at("#") {
                 let a = self.skip_attr();
-                if a.contains("cfg(test") || a == "test" {
-                    pending_test = true;
-                }
+                pending_test |= a.contains("cfg(test") || a == "test";
             }
-            // Nested items inside the block.
-            match self.ident() {
-                Some("let") => {
-                    stmts.push(self.parse_let());
-                    continue;
-                }
-                Some("fn") => {
-                    self.parse_fn(pending_test);
-                    pending_test = false;
-                    continue;
-                }
-                Some("use") => {
-                    self.skip_use();
-                    pending_test = false;
-                    continue;
-                }
-                Some("struct") => {
+            if self.at("let") {
+                stmts.push(self.parse_let());
+                continue;
+            }
+            // Nested items inside the block: one item each.
+            let item = matches!(
+                self.ident(),
+                Some("fn" | "use" | "struct" | "impl" | "mod" | "trait" | "enum")
+                    | Some("macro_rules" | "static" | "type")
+            );
+            let const_item =
+                self.at("const") && self.peek(1).is_some_and(|t| t.kind == TokKind::Ident);
+            if item || const_item {
+                let before = self.i;
+                self.items(pending_test, 1);
+                pending_test = false;
+                if self.i == before {
                     self.bump();
-                    self.parse_struct();
-                    continue;
                 }
-                Some("impl") => {
-                    self.bump();
-                    self.parse_impl(pending_test);
-                    pending_test = false;
-                    continue;
-                }
-                Some("mod") | Some("trait") | Some("enum") | Some("macro_rules")
-                | Some("static") | Some("type") => {
-                    // Rare inside fns; reuse the item machinery for one item.
-                    let before = self.i;
-                    self.items(pending_test, 1);
-                    pending_test = false;
-                    if self.i == before {
-                        self.bump();
-                    }
-                    continue;
-                }
-                Some("const") if matches!(self.peek(1), Some(t) if t.kind == TokKind::Ident && t.text != "fn") =>
-                {
-                    let before = self.i;
-                    self.items(pending_test, 1);
-                    if self.i == before {
-                        self.bump();
-                    }
-                    continue;
-                }
-                _ => {}
+                continue;
             }
             let e = self.expr(true);
             stmts.push(Stmt::Expr(e));
@@ -649,22 +532,11 @@ impl<'a, 'b> P<'a, 'b> {
                 None
             }
         };
-        let ty = if self.eat(":") {
-            Some(self.render_type(&["=", ";"]))
-        } else {
-            None
-        };
-        let init = if self.eat("=") {
-            Some(self.expr(true))
-        } else {
-            None
-        };
+        let ty = self.eat(":").then(|| self.render_type(&["=", ";"]));
+        let init = self.eat("=").then(|| self.expr(true));
         // `let … else { … }`.
-        if self.at("else") {
-            self.bump();
-            if self.at("{") {
-                self.parse_block();
-            }
+        if self.eat("else") && self.at("{") {
+            self.parse_block();
         }
         self.eat(";");
         Stmt::Let { name, ty, init }
@@ -697,15 +569,13 @@ impl<'a, 'b> P<'a, 'b> {
             if op == BinOp::Other && width == 0 {
                 break;
             }
-            let rhs = self.expr_bp(rbp, structs_ok);
-            lhs = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
+            let rhs = Box::new(self.expr_bp(rbp, structs_ok));
+            let kind = ExprKind::Binary {
+                op,
+                lhs: Box::new(lhs),
+                rhs,
             };
+            lhs = node(kind, line);
         }
         lhs
     }
@@ -759,53 +629,26 @@ impl<'a, 'b> P<'a, 'b> {
     fn prefix(&mut self, structs_ok: bool) -> Expr {
         let line = self.line();
         if self.done() {
-            return Expr {
-                kind: ExprKind::Unknown(Vec::new()),
-                line,
-            };
+            return unknown(vec![], line);
         }
         let t = &self.t[self.i];
-        // Literals.
-        match t.kind {
-            TokKind::Number => {
-                self.bump();
-                return self.postfix(Expr {
-                    kind: ExprKind::Num,
-                    line,
-                });
-            }
-            TokKind::Literal | TokKind::Lifetime => {
-                self.bump();
-                // Loop labels: `'outer: loop { … }`.
-                if t.kind == TokKind::Lifetime && self.at(":") {
-                    self.bump();
-                    return self.prefix(structs_ok);
-                }
-                return self.postfix(Expr {
-                    kind: ExprKind::Lit,
-                    line,
-                });
-            }
-            _ => {}
-        }
-        // Unary / sigils.
-        if self.at("-") || self.at("!") || self.at("*") {
+        // Literals, and loop labels (`'outer: loop { … }`).
+        if matches!(
+            t.kind,
+            TokKind::Number | TokKind::Literal | TokKind::Lifetime
+        ) {
             self.bump();
-            let e = self.expr_bp(15, structs_ok);
-            return Expr {
-                kind: ExprKind::Unary(Box::new(e)),
-                line,
-            };
+            if t.kind == TokKind::Lifetime && self.eat(":") {
+                return self.prefix(structs_ok);
+            }
+            return self.postfix(node(ExprKind::Lit, line));
         }
-        if self.at("&") {
-            self.bump();
+        // Unary / sigils (`&&x` is two borrows, `&mut x` one).
+        if self.eat("-") || self.eat("!") || self.eat("*") || self.eat("&") {
             self.eat("&");
             self.eat("mut");
             let e = self.expr_bp(15, structs_ok);
-            return Expr {
-                kind: ExprKind::Unary(Box::new(e)),
-                line,
-            };
+            return node(ExprKind::Unary(Box::new(e)), line);
         }
         // Closures.
         if self.at("move") {
@@ -828,175 +671,84 @@ impl<'a, 'b> P<'a, 'b> {
                 self.bump();
             }
             let body = self.expr(structs_ok);
-            return Expr {
-                kind: ExprKind::Closure(Box::new(body)),
-                line,
-            };
+            return unknown(vec![body], line);
         }
         // Grouping / tuples / arrays / blocks.
-        if self.at("(") {
-            self.bump();
-            let mut items = Vec::new();
-            while !self.done() && !self.at(")") {
-                items.push(self.expr(true));
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.eat(")");
-            let e = if items.len() == 1 {
-                items.pop().unwrap_or(Expr {
-                    kind: ExprKind::Unknown(Vec::new()),
-                    line,
-                })
-            } else {
-                Expr {
-                    kind: ExprKind::Seq(items),
-                    line,
-                }
+        if self.eat("(") {
+            let mut items = self.args(")");
+            let e = match items.len() {
+                1 => items.remove(0),
+                _ => unknown(items, line),
             };
             return self.postfix(e);
         }
-        if self.at("[") {
-            self.bump();
-            let mut items = Vec::new();
-            while !self.done() && !self.at("]") {
-                items.push(self.expr(true));
-                if !self.eat(",") && !self.eat(";") {
-                    break;
-                }
-            }
-            self.eat("]");
-            return self.postfix(Expr {
-                kind: ExprKind::Seq(items),
-                line,
-            });
+        if self.eat("[") {
+            let items = self.args("]");
+            return self.postfix(unknown(items, line));
         }
         if self.at("{") {
-            let b = self.parse_block();
-            return self.postfix(Expr {
-                kind: ExprKind::Block(b),
-                line,
-            });
+            let b = self.block_expr();
+            return self.postfix(b);
         }
-        // Control flow.
-        if self.at("if") {
-            self.bump();
-            let cond = if self.at("let") {
-                // `if let pat = expr` — skip pattern, keep the matched expr.
-                self.bump();
-                self.skip_pattern_to("=");
-                self.eat("=");
-                Some(Box::new(self.expr(false)))
-            } else {
-                Some(Box::new(self.expr(false)))
-            };
-            let then_b = self.parse_block();
-            let else_b = if self.at("else") {
-                self.bump();
-                if self.at("if") {
-                    Some(Box::new(self.prefix(structs_ok)))
+        // Control flow: heads and bodies, in source order.
+        if self.eat("if") {
+            let mut kids = vec![self.cond(), self.block_expr()];
+            if self.eat("else") {
+                kids.push(if self.at("if") {
+                    self.prefix(structs_ok)
                 } else {
-                    let b = self.parse_block();
-                    Some(Box::new(Expr {
-                        kind: ExprKind::Block(b),
-                        line,
-                    }))
-                }
-            } else {
-                None
-            };
-            return Expr {
-                kind: ExprKind::If {
-                    cond,
-                    then_b,
-                    else_b,
-                },
-                line,
-            };
+                    self.block_expr()
+                });
+            }
+            return unknown(kids, line);
         }
-        if self.at("match") {
-            self.bump();
-            let scrutinee = Box::new(self.expr(false));
-            let mut arms = Vec::new();
+        if self.eat("match") {
+            let mut kids = vec![self.expr(false)];
             if self.eat("{") {
                 while !self.done() && !self.at("}") {
                     while self.at("#") {
                         self.skip_attr();
                     }
                     self.skip_pattern_to("=>");
-                    if self.at2("=", ">") {
-                        self.bump();
-                        self.bump();
-                        arms.push(self.expr(true));
-                        self.eat(",");
-                    } else {
+                    if !self.at2("=", ">") {
                         break;
                     }
+                    self.bump();
+                    self.bump();
+                    kids.push(self.expr(true));
+                    self.eat(",");
                 }
                 self.eat("}");
             }
-            return Expr {
-                kind: ExprKind::Match { scrutinee, arms },
-                line,
-            };
+            return unknown(kids, line);
         }
-        if self.at("while") {
-            self.bump();
-            let cond = if self.at("let") {
-                self.bump();
-                self.skip_pattern_to("=");
-                self.eat("=");
-                Some(Box::new(self.expr(false)))
-            } else {
-                Some(Box::new(self.expr(false)))
-            };
-            let body = self.parse_block();
-            return Expr {
-                kind: ExprKind::While { cond, body },
-                line,
-            };
+        if self.eat("while") {
+            let kids = vec![self.cond(), self.block_expr()];
+            return unknown(kids, line);
         }
-        if self.at("for") {
-            self.bump();
+        if self.eat("for") {
             self.skip_pattern_to("in");
             self.eat("in");
-            let iter = Box::new(self.expr(false));
-            let body = self.parse_block();
-            return Expr {
-                kind: ExprKind::For { iter, body },
-                line,
+            let kids = vec![self.expr(false), self.block_expr()];
+            return unknown(kids, line);
+        }
+        if self.eat("loop") || self.eat("unsafe") || self.eat("async") {
+            return match self.at("{") {
+                true => self.block_expr(),
+                false => self.prefix(structs_ok),
             };
         }
-        if self.at("loop") || self.at("unsafe") || self.at("async") {
-            self.bump();
-            if self.at("{") {
-                let b = self.parse_block();
-                return Expr {
-                    kind: ExprKind::Block(b),
-                    line,
-                };
-            }
-            return self.prefix(structs_ok);
-        }
-        if self.at("return") || self.at("break") {
-            self.bump();
-            let arg = if self.at(";") || self.at("}") || self.at(",") || self.at(")") {
-                None
+        if self.eat("return") || self.eat("break") {
+            let bare = self.at(";") || self.at("}") || self.at(",") || self.at(")");
+            let arg = if bare {
+                vec![]
             } else {
-                Some(Box::new(self.expr(structs_ok)))
+                vec![self.expr(structs_ok)]
             };
-            return Expr {
-                kind: ExprKind::Jump(arg),
-                line,
-            };
+            return unknown(arg, line);
         }
-        if self.at("continue") {
-            self.bump();
-            return Expr {
-                kind: ExprKind::Jump(None),
-                line,
-            };
+        if self.eat("continue") {
+            return unknown(vec![], line);
         }
         // `.` leading ranges `..expr` / stray punctuation → Unknown.
         if self.at(".") {
@@ -1004,16 +756,10 @@ impl<'a, 'b> P<'a, 'b> {
             self.eat(".");
             self.eat("=");
             if self.at(";") || self.at(")") || self.at("]") || self.at("}") || self.at(",") {
-                return Expr {
-                    kind: ExprKind::Unknown(Vec::new()),
-                    line,
-                };
+                return unknown(vec![], line);
             }
             let e = self.expr_bp(2, structs_ok);
-            return Expr {
-                kind: ExprKind::Unknown(vec![e]),
-                line,
-            };
+            return unknown(vec![e], line);
         }
         // Paths, calls, struct literals, macros.
         if self.ident().is_some() {
@@ -1039,30 +785,14 @@ impl<'a, 'b> P<'a, 'b> {
                 break;
             }
             // Macro invocation.
-            if self.at("!") {
-                self.bump();
-                let name = segs.last().cloned().unwrap_or_default();
+            if self.eat("!") {
                 let args = self.macro_args();
-                return self.postfix(Expr {
-                    kind: ExprKind::Macro { name, args },
-                    line,
-                });
+                return self.postfix(unknown(args, line));
             }
             // Call.
-            if self.at("(") {
-                self.bump();
-                let mut args = Vec::new();
-                while !self.done() && !self.at(")") {
-                    args.push(self.expr(true));
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.eat(")");
-                return self.postfix(Expr {
-                    kind: ExprKind::Call { path: segs, args },
-                    line,
-                });
+            if self.eat("(") {
+                let args = self.args(")");
+                return self.postfix(node(ExprKind::Call { path: segs, args }, line));
             }
             // Struct literal.
             if structs_ok && self.at("{") && self.struct_literal_ahead() {
@@ -1089,35 +819,52 @@ impl<'a, 'b> P<'a, 'b> {
                         fields.push((fname, v));
                     } else {
                         // Shorthand `Struct { field }`.
-                        fields.push((
-                            fname.clone(),
-                            Expr {
-                                kind: ExprKind::Path(vec![fname]),
-                                line: fline,
-                            },
-                        ));
+                        fields.push((fname.clone(), node(ExprKind::Path(vec![fname]), fline)));
                     }
                     if !self.eat(",") {
                         break;
                     }
                 }
                 self.eat("}");
-                return self.postfix(Expr {
-                    kind: ExprKind::Struct { path: segs, fields },
-                    line,
-                });
+                return self.postfix(node(ExprKind::Struct(fields), line));
             }
-            return self.postfix(Expr {
-                kind: ExprKind::Path(segs),
-                line,
-            });
+            return self.postfix(node(ExprKind::Path(segs), line));
         }
         // Anything else: consume one token so the parser advances.
         self.bump();
-        Expr {
-            kind: ExprKind::Unknown(Vec::new()),
-            line,
+        unknown(vec![], line)
+    }
+
+    /// Parses a comma-separated expression list after its opener, through
+    /// `close`; array literals also separate by `;` (`[x; n]`).
+    fn args(&mut self, close: &str) -> Vec<Expr> {
+        let mut args = Vec::new();
+        while !self.done() && !self.at(close) {
+            args.push(self.expr(true));
+            let separated = self.eat(",") || close == "]" && self.eat(";");
+            if !separated {
+                break;
+            }
         }
+        self.eat(close);
+        args
+    }
+
+    /// An `if`/`while` condition; for `if let`/`while let` the pattern is
+    /// skipped and the matched expression kept.
+    fn cond(&mut self) -> Expr {
+        if self.eat("let") {
+            self.skip_pattern_to("=");
+            self.eat("=");
+        }
+        self.expr(false)
+    }
+
+    /// A `{ … }` block as an expression.
+    fn block_expr(&mut self) -> Expr {
+        let line = self.line();
+        let b = self.parse_block();
+        node(ExprKind::Block(b), line)
     }
 
     /// After a path, decides whether `{` starts a struct literal: yes if
@@ -1153,7 +900,6 @@ impl<'a, 'b> P<'a, 'b> {
         };
         self.bump();
         let mut args = Vec::new();
-        let mut guard = 0usize;
         while !self.done() && !self.at(close) {
             let before = self.i;
             args.push(self.expr(true));
@@ -1162,10 +908,6 @@ impl<'a, 'b> P<'a, 'b> {
             // by the tokenizer, but named args `x = expr` parse fine).
             if self.i == before {
                 self.bump();
-            }
-            guard += 1;
-            if guard > 4096 {
-                break;
             }
         }
         // Resync: we may be deep in unparsed macro soup; skip to close.
@@ -1233,10 +975,7 @@ impl<'a, 'b> P<'a, 'b> {
                     ";", ",", ")", "]", "}", "{", "+", "-", "*", "/", "%", "=", "<", ">", "?", ".",
                     "&", "|",
                 ]);
-                e = Expr {
-                    kind: ExprKind::Cast(Box::new(e)),
-                    line,
-                };
+                e = node(ExprKind::Unary(Box::new(e)), line);
                 continue;
             }
             if self.at(".") && !self.peek(1).is_some_and(|t| t.is(".")) {
@@ -1246,25 +985,12 @@ impl<'a, 'b> P<'a, 'b> {
                     self.bump();
                     continue;
                 }
-                if let Some(t) = self.peek(0) {
-                    if t.kind == TokKind::Number {
-                        let name = t.text.to_string();
-                        self.bump();
-                        e = Expr {
-                            kind: ExprKind::Field {
-                                base: Box::new(e),
-                                name,
-                            },
-                            line,
-                        };
-                        continue;
-                    }
-                }
-                let Some(id) = self.ident() else {
+                // A field, method or tuple index (`.0`).
+                let named = |t: &&Tok| matches!(t.kind, TokKind::Ident | TokKind::Number);
+                let Some(name) = self.peek(0).filter(named).map(|t| t.text.to_string()) else {
                     // `.` followed by something unexpected; stop the chain.
                     return e;
                 };
-                let name = id.to_string();
                 self.bump();
                 // Turbofish on methods: `.collect::<Vec<_>>()`.
                 if self.at2(":", ":") {
@@ -1272,67 +998,39 @@ impl<'a, 'b> P<'a, 'b> {
                     self.bump();
                     self.skip_balanced("<", ">");
                 }
-                if self.at("(") {
-                    self.bump();
-                    let mut args = Vec::new();
-                    while !self.done() && !self.at(")") {
-                        args.push(self.expr(true));
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                    self.eat(")");
-                    e = Expr {
-                        kind: ExprKind::Method {
-                            recv: Box::new(e),
-                            name,
-                            args,
-                        },
-                        line,
-                    };
-                } else {
-                    e = Expr {
-                        kind: ExprKind::Field {
-                            base: Box::new(e),
-                            name,
-                        },
-                        line,
-                    };
-                }
+                let base = Box::new(e);
+                let kind = match self.eat("(") {
+                    true => ExprKind::Method {
+                        recv: base,
+                        name,
+                        args: self.args(")"),
+                    },
+                    false => ExprKind::Field { base, name },
+                };
+                e = node(kind, line);
                 continue;
             }
             if self.at("(") {
                 // Call-on-expression `(f)(x)`: keep args, drop callee shape.
                 let line = self.line();
                 self.bump();
-                let mut args = Vec::new();
-                while !self.done() && !self.at(")") {
-                    args.push(self.expr(true));
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.eat(")");
                 let mut children = vec![e];
-                children.extend(args);
-                e = Expr {
-                    kind: ExprKind::Unknown(children),
-                    line,
-                };
+                children.extend(self.args(")"));
+                e = unknown(children, line);
                 continue;
             }
             if self.at("[") {
                 let line = self.line();
                 self.bump();
-                let idx = self.expr(true);
+                let index = Box::new(self.expr(true));
                 self.eat("]");
-                e = Expr {
-                    kind: ExprKind::Index {
+                e = node(
+                    ExprKind::Index {
                         base: Box::new(e),
-                        index: Box::new(idx),
+                        index,
                     },
                     line,
-                };
+                );
                 continue;
             }
             return e;
@@ -1364,7 +1062,7 @@ mod tests {
         assert_eq!(p.fns[1].name, "m");
         assert_eq!(p.fns[2].name, "clone");
         assert_eq!(p.structs.len(), 1);
-        assert_eq!(p.structs[0].fields[0].0, "x");
+        assert_eq!(p.structs[0][0].0, "x");
     }
 
     #[test]
@@ -1410,7 +1108,7 @@ mod tests {
         let p = parse("fn f(c: bool, v: f64) -> S { if c { S { x: v } } else { S { x: 0.0 } } }");
         let mut structs = 0;
         p.fns[0].walk(&mut |e| {
-            if matches!(e.kind, ExprKind::Struct { .. }) {
+            if matches!(e.kind, ExprKind::Struct(_)) {
                 structs += 1;
             }
         });

@@ -93,27 +93,15 @@ pub fn tokenize(src: &str) -> Vec<Tok<'_>> {
             count_lines(b, start, i, &mut line);
             continue;
         }
-        // Raw strings and byte/raw-byte prefixes: r"", r#""#, b"", br"", b''.
-        if c == b'r' || c == b'b' {
-            if let Some(end) = raw_or_byte_literal_end(b, i) {
-                toks.push(Tok {
-                    kind: TokKind::Literal,
-                    text: "",
-                    line,
-                });
-                count_lines(b, i, end, &mut line);
-                i = end;
-                continue;
-            }
-        }
-        // Plain string literal.
-        if c == b'"' {
-            let end = quoted_end(b, i + 1, b'"');
-            toks.push(Tok {
-                kind: TokKind::Literal,
-                text: "",
-                line,
-            });
+        // Plain strings, raw strings and byte/raw-byte prefixes: "",
+        // r"", r#""#, b"", br"", b''.
+        let literal_end = match c {
+            b'"' => Some(quoted_end(b, i + 1, b'"')),
+            b'r' | b'b' => raw_or_byte_literal_end(b, i),
+            _ => None,
+        };
+        if let Some(end) = literal_end {
+            toks.push(tok(TokKind::Literal, "", line));
             count_lines(b, i, end, &mut line);
             i = end;
             continue;
@@ -128,29 +116,17 @@ pub fn tokenize(src: &str) -> Vec<Tok<'_>> {
                 }
                 if j < b.len() && b[j] == b'\'' {
                     // Char literal like 'a'.
-                    toks.push(Tok {
-                        kind: TokKind::Literal,
-                        text: "",
-                        line,
-                    });
+                    toks.push(tok(TokKind::Literal, "", line));
                     i = j + 1;
                 } else {
-                    toks.push(Tok {
-                        kind: TokKind::Lifetime,
-                        text: "",
-                        line,
-                    });
+                    toks.push(tok(TokKind::Lifetime, "", line));
                     i = j;
                 }
                 continue;
             }
             // Escaped or non-alphabetic char literal: '\n', '0', ' ', etc.
             let end = quoted_end(b, i + 1, b'\'');
-            toks.push(Tok {
-                kind: TokKind::Literal,
-                text: "",
-                line,
-            });
+            toks.push(tok(TokKind::Literal, "", line));
             count_lines(b, i, end, &mut line);
             i = end;
             continue;
@@ -172,11 +148,7 @@ pub fn tokenize(src: &str) -> Vec<Tok<'_>> {
             while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                 i += 1;
             }
-            toks.push(Tok {
-                kind: TokKind::Ident,
-                text: &src[start..i],
-                line,
-            });
+            toks.push(tok(TokKind::Ident, &src[start..i], line));
             continue;
         }
         // Numeric literal (approximate: consumes digits, `_`, `.`, and
@@ -198,22 +170,18 @@ pub fn tokenize(src: &str) -> Vec<Tok<'_>> {
                 }
                 i += 1;
             }
-            toks.push(Tok {
-                kind: TokKind::Number,
-                text: &src[start..i],
-                line,
-            });
+            toks.push(tok(TokKind::Number, &src[start..i], line));
             continue;
         }
         // Anything else: one punctuation character.
-        toks.push(Tok {
-            kind: TokKind::Punct,
-            text: &src[i..i + 1],
-            line,
-        });
+        toks.push(tok(TokKind::Punct, &src[i..i + 1], line));
         i += 1;
     }
     toks
+}
+
+fn tok(kind: TokKind, text: &str, line: usize) -> Tok<'_> {
+    Tok { kind, text, line }
 }
 
 /// End index (exclusive) of a quoted run starting *inside* the quotes at

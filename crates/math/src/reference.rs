@@ -4,11 +4,11 @@
 //! Gaussian tail in `cpm-rng`) and the accuracy baselines still want the
 //! host's transcendentals — they either never touch a golden trajectory
 //! or exist precisely to *measure* the deterministic kernels against
-//! libm. Routing them through this module keeps the `math-scope` lint
-//! rule simple: a bare `.sin()`/`.exp()`/`.ln()`/`.powf()` in a library
-//! crate is always a violation, and the handful of legitimate libm uses
-//! are greppable as `reference::` calls (plus the two documented
-//! `*_reference` hot-path twins, which carry waivers).
+//! libm. Routing them through this module keeps the `math-scope` rule
+//! simple: a bare `.sin()`/`.exp()`/`.ln()`/`.powf()` in non-test code
+//! outside this crate is always a violation (clippy's
+//! `disallowed_methods`, from the root `clippy.toml`), and the handful
+//! of legitimate libm uses are greppable as `reference::` calls.
 //!
 //! Nothing here is deterministic across platforms. Do not let a value
 //! produced by this module reach a golden digest.

@@ -33,6 +33,7 @@ pub fn forall(name: &str, body: impl Fn(&mut Xoshiro256pp)) {
 }
 
 /// Runs `body` for `cases` deterministic cases, each on its own stream.
+#[allow(clippy::panic)] // the harness reports a failing case by panicking with it
 pub fn forall_cases(name: &str, cases: usize, body: impl Fn(&mut Xoshiro256pp)) {
     // Fold the property name into the seed so two properties in one test
     // binary never see identical input streams.

@@ -8,14 +8,14 @@
 //! filled the entry first. The computation runs outside the lock; a racing
 //! double compute writes the same bits.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A `Debug`-string-keyed memo table with hit/miss counters.
 #[derive(Default)]
 pub struct Memo<V> {
-    table: OnceLock<Mutex<HashMap<String, V>>>,
+    table: OnceLock<Mutex<BTreeMap<String, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -33,7 +33,7 @@ impl<V: Clone> Memo<V> {
     /// Locks the table, recovering a poisoned lock: entries are inserted
     /// whole, so a panic elsewhere cannot leave one half-written, and
     /// wedging later lookups would turn one failed cell into an outage.
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, V>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, V>> {
         let table = self.table.get_or_init(Default::default);
         table.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -60,6 +60,7 @@ impl<V: Clone> Memo<V> {
     /// Test support: panics while holding the lock (caught here), leaving
     /// it poisoned as a computation dying mid-lookup would.
     #[doc(hidden)]
+    #[allow(clippy::panic)] // the panic poisons the lock; it is caught right here
     pub fn poison_for_tests(&self) {
         let _ = std::panic::catch_unwind(|| {
             let _guard = self.lock();

@@ -3,7 +3,7 @@
 
 use crate::report::{f, heading, Table};
 use cpm_control::jury::jury_test;
-use cpm_control::{analysis, closed_loop, island_plant, FrequencyResponse, PidGains, RootLocus};
+use cpm_control::{analysis, closed_loop, PidGains};
 
 /// Derives the Eq. 12 closed-loop transfer function and its poles for the
 /// paper's design point.
@@ -32,58 +32,6 @@ pub fn poles() -> String {
         "Jury criterion (algebraic cross-check): {:?}\n",
         jury_test(cl.denominator())
     ));
-    out
-}
-
-/// Extension: Bode frequency response of the open loop, with the classical
-/// gain/phase margins — a second, independent route to the §II-D
-/// stability guarantee.
-pub fn bode() -> String {
-    let open = island_plant(0.79).series(&PidGains::paper().transfer_function());
-    let fr = FrequencyResponse::sweep(&open, 1e-3, 20_000);
-    let mut out = heading("Extension — Bode analysis of the open loop (a = 0.79)");
-    let mut t = Table::new(&["omega (rad/sample)", "|H| dB", "phase (deg)"]);
-    for k in (0..fr.points().len()).step_by(fr.points().len() / 12) {
-        let p = fr.points()[k];
-        t.row(&[
-            f(p.omega, 4),
-            f(p.magnitude_db, 1),
-            f(p.phase.to_degrees(), 1),
-        ]);
-    }
-    out.push_str(&t.render());
-    if let Some(gm) = fr.gain_margin() {
-        out.push_str(&format!(
-            "\nBode gain margin: {gm:.3}   (pole-placement margin: {:.3})\n",
-            analysis::gain_margin(PidGains::paper(), 0.79, 1e-4)
-        ));
-    }
-    if let Some(pm) = fr.phase_margin() {
-        out.push_str(&format!("phase margin: {:.1}°\n", pm.to_degrees()));
-    }
-    out
-}
-
-/// Extension: root locus of the closed loop as the plant-gain perturbation
-/// g sweeps — the pole trajectories behind Eq. 13.
-pub fn locus() -> String {
-    let locus = RootLocus::sweep(|g| closed_loop(PidGains::paper(), g * 0.79), 0.1, 2.6, 500);
-    let mut out = heading("Extension — root locus over the gain perturbation g");
-    let mut t = Table::new(&["g", "spectral radius", "stable"]);
-    for k in (0..locus.points().len()).step_by(locus.points().len() / 14) {
-        let p = &locus.points()[k];
-        t.row(&[
-            f(p.parameter, 2),
-            f(p.spectral_radius, 4),
-            (p.spectral_radius < 1.0).to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    if let Some(onset) = locus.instability_onset() {
-        out.push_str(&format!(
-            "\nlocus leaves the unit circle at g = {onset:.3}   (paper: 2.1)\n"
-        ));
-    }
     out
 }
 
@@ -126,13 +74,5 @@ mod tests {
             s.contains("g_max = 2.1") || s.contains("g_max = 2.0"),
             "{s}"
         );
-    }
-
-    #[test]
-    fn bode_and_locus_agree_on_the_margin() {
-        let b = bode();
-        assert!(b.contains("gain margin"), "{b}");
-        let l = locus();
-        assert!(l.contains("g = 2.1") || l.contains("g = 2.0"), "{l}");
     }
 }

@@ -36,8 +36,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "table3",
     "poles",
     "margin",
-    "bode",
-    "locus",
     "fig5",
     "fig6",
     "fig7",
@@ -230,8 +228,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "table3" => ex::tables::table3(),
         "poles" => ex::analysis::poles(),
         "margin" => ex::analysis::margin(),
-        "bode" => ex::analysis::bode(),
-        "locus" => ex::analysis::locus(),
         "fig5" => ex::model::fig5(),
         "fig6" => ex::model::fig6(),
         "fig7" => ex::tracking::fig7(),

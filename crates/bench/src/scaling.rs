@@ -19,12 +19,11 @@
 
 use crate::microbench::{black_box, measure, Measurement};
 use cpm_control::PidGains;
-use cpm_core::gpm::IslandRange;
+use cpm_core::gpm::island_ranges;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
 use cpm_core::pic::PicSensor;
 use cpm_core::{GlobalPowerManager, IslandFeedback, PerIslandController, PerformanceAware};
 use cpm_obs::json_num;
-use cpm_power::LeakageModel;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig};
 use cpm_units::{IslandId, Ratio, Watts};
 use cpm_workloads::{BenchmarkProfile, Mix, WorkloadAssignment};
@@ -103,27 +102,6 @@ fn profiles_for(cores: usize) -> Vec<BenchmarkProfile> {
         .cloned()
         .cycle()
         .take(cores)
-        .collect()
-}
-
-/// Physical allocation range per island — floor at the idle power of the
-/// lowest operating point, ceiling at the max-power basis share (mirrors
-/// the coordinator's provisioning setup).
-fn island_ranges(chip: &Chip) -> Vec<IslandRange> {
-    let cfg = chip.config();
-    let min_op = cfg.dvfs.min_point();
-    (0..cfg.islands())
-        .map(|i| {
-            let mult = chip.variation().multiplier(IslandId(i));
-            let idle_core =
-                cfg.power
-                    .total_power(min_op, Ratio::ZERO, LeakageModel::HOT_REFERENCE, mult);
-            let max_core = cfg.power.max_power(&cfg.dvfs, mult);
-            IslandRange {
-                floor: idle_core * cfg.cores_per_island as f64,
-                ceiling: max_core * cfg.cores_per_island as f64,
-            }
-        })
         .collect()
 }
 

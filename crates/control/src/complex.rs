@@ -58,12 +58,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// The argument `arg(z)` in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// The multiplicative inverse `1/z`.
     #[inline]
     pub fn recip(self) -> Self {
@@ -197,7 +191,6 @@ mod tests {
     fn polar_roundtrip() {
         let z = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_3);
         assert!((z.norm() - 2.0).abs() < 1e-12);
-        assert!((z.arg() - std::f64::consts::FRAC_PI_3).abs() < 1e-12);
     }
 
     #[test]

@@ -20,18 +20,12 @@
 //!   `0 < g < 2.1` guarantee),
 //! * [`jury`] — the Jury stability criterion (algebraic unit-circle test,
 //!   cross-validating the root finder),
-//! * [`freq`] — frequency response sweeps with Bode-style gain/phase
-//!   margins,
-//! * [`locus`] — root-locus sweeps (pole trajectories vs a loop
-//!   parameter),
 //! * [`noise`] — seeded white-noise sources for the model-validation
 //!   experiment (Fig. 5).
 
 pub mod analysis;
 pub mod complex;
-pub mod freq;
 pub mod jury;
-pub mod locus;
 pub mod noise;
 pub mod pid;
 pub mod poly;
@@ -41,9 +35,7 @@ pub mod tf;
 
 pub use analysis::{gain_margin, step_metrics, StepMetrics};
 pub use complex::Complex;
-pub use freq::FrequencyResponse;
 pub use jury::{is_stable_jury, jury_test, JuryResult};
-pub use locus::RootLocus;
 pub use pid::{Pid, PidGains, PidTerms};
 pub use poly::Polynomial;
 pub use sysid::{

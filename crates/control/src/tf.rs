@@ -89,12 +89,6 @@ impl TransferFunction {
         )
     }
 
-    /// Evaluates `H` at a complex point `z` (the frequency response when
-    /// `z = e^{jω}`).
-    pub fn eval(&self, z: Complex) -> Complex {
-        self.num.eval_complex(z) / self.den.eval_complex(z)
-    }
-
     /// DC gain `H(z = 1)` — the steady-state output for a unit step input.
     pub fn dc_gain(&self) -> f64 {
         self.num.eval(1.0) / self.den.eval(1.0)
@@ -264,17 +258,6 @@ mod tests {
         let dc = h.dc_gain();
         assert!((dc - 1.0).abs() < 1e-12);
         assert!((y.last().unwrap() - dc).abs() < 1e-6);
-    }
-
-    #[test]
-    fn eval_matches_dc_gain_at_one() {
-        let h = TransferFunction::new(
-            Polynomial::new(vec![0.3, 0.2]),
-            Polynomial::new(vec![0.25, -1.0, 1.0]),
-        );
-        let at_one = h.eval(Complex::real(1.0));
-        assert!((at_one.re - h.dc_gain()).abs() < 1e-12);
-        assert!(at_one.im.abs() < 1e-12);
     }
 
     #[test]

@@ -172,6 +172,23 @@ fn closed_loop_is_stable_within_the_gain_margin() {
             frac * margin,
             margin
         );
+        // The algebraic Jury test is the independent route to the margin:
+        // it never finds a root, so it cannot share the bisection's errors.
+        let expected = if inside {
+            JuryResult::Stable
+        } else {
+            JuryResult::Unstable
+        };
+        match jury_test(cl.denominator()) {
+            JuryResult::Marginal => {} // numerically indeterminate — no claim
+            verdict => assert_eq!(
+                verdict,
+                expected,
+                "jury at g = {} against margin {}",
+                frac * margin,
+                margin
+            ),
+        }
     });
 }
 

@@ -18,7 +18,7 @@
 //! the utilization↔power pairs are fed to every island's transducer
 //! (standing in for the platform characterization of §II-D/Fig. 6).
 
-use crate::gpm::{GlobalPowerManager, IslandFeedback, IslandRange, ProvisioningPolicy};
+use crate::gpm::{island_ranges, GlobalPowerManager, IslandFeedback, ProvisioningPolicy};
 use crate::maxbips::{MaxBips, MaxBipsObservation};
 use crate::metrics::TrackingSummary;
 use crate::pic::{PerIslandController, PicSensor};
@@ -449,7 +449,7 @@ impl Coordinator {
         let manager = match &cfg.scheme {
             ManagementScheme::Cpm(kind) => {
                 let islands = cfg.cmp.islands();
-                let ranges = Self::island_ranges(&chip);
+                let ranges = island_ranges(&chip);
                 let policy: Box<dyn ProvisioningPolicy + Send> = match kind {
                     PolicyKind::Performance => Box::new(PerformanceAware::new()),
                     PolicyKind::Thermal(c) => Box::new(ThermalAware::new(
@@ -640,33 +640,10 @@ impl Coordinator {
         }
     }
 
-    /// Physical allocation range per island: floor = idle power at the
-    /// lowest operating point; ceiling = the max-power basis share.
-    fn island_ranges(chip: &Chip) -> Vec<IslandRange> {
-        let cfg = chip.config();
-        let min_op = cfg.dvfs.min_point();
-        (0..cfg.islands())
-            .map(|i| {
-                let mult = chip.variation().multiplier(IslandId(i));
-                let idle_core = cfg.power.total_power(
-                    min_op,
-                    Ratio::ZERO,
-                    cpm_power::LeakageModel::HOT_REFERENCE,
-                    mult,
-                );
-                let max_core = cfg.power.max_power(&cfg.dvfs, mult);
-                IslandRange {
-                    floor: idle_core * cfg.cores_per_island as f64,
-                    ceiling: max_core * cfg.cores_per_island as f64,
-                }
-            })
-            .collect()
-    }
-
     /// Rejects a budget below the chip's idle floor, the least budget any
     /// allocation can meet (every island idle at the bottom operating point).
     fn check_budget(chip: &Chip, budget: Watts) -> Result<(), ConfigError> {
-        let floor: Watts = Self::island_ranges(chip).iter().map(|r| r.floor).sum();
+        let floor: Watts = island_ranges(chip).iter().map(|r| r.floor).sum();
         if budget < floor {
             return Err(ConfigError::InfeasibleBudget(format!(
                 "budget {budget} below chip idle floor {floor}"

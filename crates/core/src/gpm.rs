@@ -13,6 +13,7 @@
 //! * the total never exceeds the chip budget.
 
 use cpm_obs::{EventPayload, Recorder};
+use cpm_sim::Chip;
 use cpm_units::{IslandId, Joules, Ratio, Watts};
 
 /// What the GPM observed about one island over the last GPM interval.
@@ -86,6 +87,29 @@ pub struct IslandRange {
     pub floor: Watts,
     /// Power at the top V/F point, fully active.
     pub ceiling: Watts,
+}
+
+/// Physical allocation range per island of `chip`: floor = idle power at
+/// the lowest operating point; ceiling = the max-power basis share.
+pub fn island_ranges(chip: &Chip) -> Vec<IslandRange> {
+    let cfg = chip.config();
+    let min_op = cfg.dvfs.min_point();
+    (0..cfg.islands())
+        .map(|i| {
+            let mult = chip.variation().multiplier(IslandId(i));
+            let idle_core = cfg.power.total_power(
+                min_op,
+                Ratio::ZERO,
+                cpm_power::LeakageModel::HOT_REFERENCE,
+                mult,
+            );
+            let max_core = cfg.power.max_power(&cfg.dvfs, mult);
+            IslandRange {
+                floor: idle_core * cfg.cores_per_island as f64,
+                ceiling: max_core * cfg.cores_per_island as f64,
+            }
+        })
+        .collect()
 }
 
 /// The GPM: budget + policy + allocation post-processing.

@@ -37,12 +37,6 @@ pub fn ln(x: f64) -> f64 {
     x.ln()
 }
 
-/// Host-libm `log10`. Cold paths and accuracy baselines only.
-#[inline]
-pub fn log10(x: f64) -> f64 {
-    x.log10()
-}
-
 /// Host-libm `powf`. Cold paths and accuracy baselines only.
 #[inline]
 pub fn powf(x: f64, y: f64) -> f64 {

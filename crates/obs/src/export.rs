@@ -473,11 +473,6 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
     s
 }
 
-/// Writes a JSONL event trace to `w`.
-pub fn write_jsonl<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
-    w.write_all(events_to_jsonl(events).as_bytes())
-}
-
 /// A CSV time-series writer: a header of column names, then rows of
 /// fixed-precision values. Rows shorter than the header are padded with
 /// empty cells so the column count is constant.

@@ -51,7 +51,7 @@ pub mod span;
 pub use chrome::{events_to_chrome, validate_chrome_trace};
 pub use digest::{digest_str, fnv1a64, format_digest, Fnv1a64};
 pub use event::{Event, EventKind, EventPayload, ThermalSource};
-pub use export::{events_to_jsonl, fold_event_jsonl, write_event_jsonl, write_jsonl, CsvSeries};
+pub use export::{events_to_jsonl, fold_event_jsonl, write_event_jsonl, CsvSeries};
 pub use fixed::json_num;
 pub use recorder::Recorder;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};

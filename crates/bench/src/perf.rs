@@ -5,8 +5,9 @@
 //! artifact CI uploads. The targets mirror the hot loops the PR 3
 //! performance pass optimized: chip stepping (8/32 cores), the PIC's PID
 //! step, the MaxBIPS DP search, one warm coordinator control call, the
-//! thermal RC step, a cache-hierarchy access, and one full cache-simulator
-//! calibration.
+//! thermal RC step, a cache-hierarchy access, one full cache-simulator
+//! calibration, and the scenario exporters (golden fold plus Chrome
+//! trace) over one recorded trajectory.
 //!
 //! Built on [`crate::microbench::measure`] — the same calibrated-batch
 //! protocol `experiments scaling` and the benchmark package's probes use,
@@ -18,8 +19,9 @@ use cpm_core::coordinator::SensorMode;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
 use cpm_core::pic::PerIslandController;
 use cpm_core::{Coordinator, ExperimentConfig};
-use cpm_obs::json_num;
+use cpm_obs::{events_to_chrome, json_num};
 use cpm_power::dvfs::DvfsTable;
+use cpm_scenario::{record_scenario, GoldenDoc};
 use cpm_sim::{cache::Hierarchy, calibration, Chip, ChipSnapshot, CmpConfig};
 use cpm_thermal::{Floorplan, ThermalGrid, ThermalParams};
 use cpm_units::{IslandId, Ratio, Seconds, Watts};
@@ -262,6 +264,22 @@ pub fn run_perf(quick: bool) -> PerfReport {
             "calibration",
             measure(quick, move || {
                 black_box(calibration::calibrate(&profile, &cache, 7))
+            }),
+        );
+    }
+
+    {
+        // The two renders a scenario run spends most of its time in, over
+        // `budget-step@thermal`'s drained stream with its alarms appended
+        // (4,238 events): the JSONL walk with its golden fold, and the
+        // Chrome trace.
+        let s = cpm_scenario::find("budget-step@thermal").expect("catalogue entry");
+        let (_, events, _) = record_scenario(s).expect("catalogue entries run");
+        push(
+            "scenario_render_thermal",
+            measure(quick, move || {
+                let golden = GoldenDoc::render_events(s.name, black_box(&events));
+                black_box((golden, events_to_chrome(black_box(&events))))
             }),
         );
     }

@@ -99,6 +99,7 @@ impl ArtifactKind {
                 "\"thermal_step_128\"",
                 "\"cache_access\"",
                 "\"calibration\"",
+                "\"scenario_render_thermal\"",
                 "\"sweep\"",
                 "\"baseline_seconds\"",
                 "\"speedup\"",

@@ -155,6 +155,19 @@ fn jury_agrees_with_the_root_finder() {
 #[test]
 fn closed_loop_is_stable_within_the_gain_margin() {
     let margin = analysis::gain_margin(PidGains::paper(), 0.79, 1e-3);
+    // Half a percent either side of the margin, both routes give a
+    // verdict and agree with the bisection. A stability test that is
+    // off by more than that moves the bisected margin with it, and the
+    // Jury test, which never finds a root, then disagrees.
+    for (frac, expected) in [(0.995, JuryResult::Stable), (1.005, JuryResult::Unstable)] {
+        let cl = closed_loop(PidGains::paper(), frac * margin * 0.79);
+        assert_eq!(
+            jury_test(cl.denominator()),
+            expected,
+            "jury at {frac}·g_max, g_max = {margin}"
+        );
+        assert_eq!(cl.is_stable(), expected == JuryResult::Stable);
+    }
     check::forall("stable within margin, unstable beyond", |rng| {
         // Inside: g in [0.05, 0.95]·g_max. Beyond: g in [1.01, 100]·g_max,
         // log-uniform, so each decade past the margin gets as many draws.

@@ -16,10 +16,14 @@
 //!   allocated vs actual watts,
 //! * everything else → instant events (`"ph": "i"`) on their island's
 //!   lane with the payload as `args`.
+//!
+//! The writer appends bytes to one `Vec<u8>`, through the same field
+//! writers and fixed-precision formatter as the JSONL exporter, and the
+//! document is checked as UTF-8 once, when it becomes a `String`.
 
 use crate::event::{Event, EventPayload};
 use crate::export::{boolean, int, label, real};
-use crate::fixed::{push_fixed, push_u64};
+use crate::fixed::{into_text, push_fixed, push_u64};
 use std::collections::BTreeSet;
 
 /// Thread-id lane for an island's PIC.
@@ -34,7 +38,7 @@ fn worker_tid(worker: u32) -> u64 {
 
 /// Appends seconds as microseconds with fixed sub-µs precision
 /// (`{:.3}`; non-finite renders as `0.000`).
-fn push_us(s: &mut String, seconds: f64) {
+fn push_us(s: &mut Vec<u8>, seconds: f64) {
     let v = seconds * 1e6;
     push_fixed(s, if v.is_finite() { v } else { 0.0 }, 3);
 }
@@ -60,29 +64,29 @@ fn tid_of(event: &Event) -> u64 {
 }
 
 /// Appends a trace event's opening: `{"ph": "<ph>", "pid": 0, "tid": <tid>`.
-fn open(s: &mut String, ph: &str, tid: u64) {
-    s.push_str("{\"ph\": \"");
-    s.push_str(ph);
-    s.push_str("\", \"pid\": 0, \"tid\": ");
+fn open(s: &mut Vec<u8>, ph: &str, tid: u64) {
+    s.extend_from_slice(b"{\"ph\": \"");
+    s.extend_from_slice(ph.as_bytes());
+    s.extend_from_slice(b"\", \"pid\": 0, \"tid\": ");
     push_u64(s, tid);
 }
 
 /// Appends an instant event's head up to the opening of its `args`
 /// object; its name is `name` followed by `suffix`.
-fn instant(s: &mut String, e: &Event, scope: &str, name: &str, suffix: &str) {
+fn instant(s: &mut Vec<u8>, e: &Event, scope: &str, name: &str, suffix: &str) {
     open(s, "i", tid_of(e));
-    s.push_str(", \"ts\": ");
+    s.extend_from_slice(b", \"ts\": ");
     push_us(s, e.time_s);
-    s.push_str(", \"s\": \"");
-    s.push_str(scope);
-    s.push_str("\", \"name\": \"");
-    s.push_str(name);
-    s.push_str(suffix);
-    s.push_str("\", \"args\": {");
+    s.extend_from_slice(b", \"s\": \"");
+    s.extend_from_slice(scope.as_bytes());
+    s.extend_from_slice(b"\", \"name\": \"");
+    s.extend_from_slice(name.as_bytes());
+    s.extend_from_slice(suffix.as_bytes());
+    s.extend_from_slice(b"\", \"args\": {");
 }
 
 /// Appends one event as a single trace-event line (no separator).
-fn write_trace_event(s: &mut String, e: &Event) {
+fn write_trace_event(s: &mut Vec<u8>, e: &Event) {
     match e.payload {
         EventPayload::WorkerSpan {
             label: name,
@@ -91,10 +95,10 @@ fn write_trace_event(s: &mut String, e: &Event) {
             ..
         } => {
             open(s, "X", tid_of(e));
-            s.push_str(", \"ts\": ");
+            s.extend_from_slice(b", \"ts\": ");
             push_us(s, start_s);
             let dur = ((end_s - start_s) * 1e6).max(0.0);
-            s.push_str(", \"dur\": ");
+            s.extend_from_slice(b", \"dur\": ");
             push_fixed(s, if dur.is_finite() { dur } else { 0.0 }, 3);
             label(s, ", \"name\": ", name);
             int(s, ", \"args\": {\"seq\": ", e.seq);
@@ -107,7 +111,7 @@ fn write_trace_event(s: &mut String, e: &Event) {
             ..
         } => {
             open(s, "C", tid_of(e));
-            s.push_str(", \"ts\": ");
+            s.extend_from_slice(b", \"ts\": ");
             push_us(s, e.time_s);
             int(s, ", \"name\": \"island", island);
             real(s, " power_w\", \"args\": {\"allocated\": ", allocated_w);
@@ -240,41 +244,45 @@ fn write_trace_event(s: &mut String, e: &Event) {
             }
         }
     }
-    s.push_str("}}");
+    s.extend_from_slice(b"}}");
 }
 
 /// Renders a drained event slice as a Chrome `trace_event` JSON
 /// document (object form, one trace-event per line).
 pub fn events_to_chrome(events: &[Event]) -> String {
-    let mut s = String::with_capacity(events.len() * 160 + 256);
-    s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
+    // A scenario's trace runs about 243 B per event, so this buffer
+    // grows once. Reserving 256 B per event made the scenario op no
+    // faster and raised its peak RSS 7–9 % at each of five checkout
+    // paths (DESIGN.md §3c), so the smaller reservation stays.
+    let mut s = Vec::with_capacity(events.len() * 160 + 256);
+    s.extend_from_slice(b"{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
     // Metadata first: name the process and every lane in use.
-    s.push_str(
-        "{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"process_name\", \
+    s.extend_from_slice(
+        b"{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": \"process_name\", \
          \"args\": {\"name\": \"cpm-chip\"}}",
     );
     let tids: BTreeSet<u64> = events.iter().map(tid_of).collect();
     for tid in tids {
-        s.push_str(",\n");
+        s.extend_from_slice(b",\n");
         open(&mut s, "M", tid);
-        s.push_str(", \"name\": \"thread_name\", \"args\": {\"name\": \"");
+        s.extend_from_slice(b", \"name\": \"thread_name\", \"args\": {\"name\": \"");
         if tid == 0 {
-            s.push_str("gpm");
+            s.extend_from_slice(b"gpm");
         } else if tid >= 1000 {
-            s.push_str("worker");
+            s.extend_from_slice(b"worker");
             push_u64(&mut s, tid - 1000);
         } else {
-            s.push_str("island");
+            s.extend_from_slice(b"island");
             push_u64(&mut s, tid - 1);
         }
-        s.push_str("\"}}");
+        s.extend_from_slice(b"\"}}");
     }
     for e in events {
-        s.push_str(",\n");
+        s.extend_from_slice(b",\n");
         write_trace_event(&mut s, e);
     }
-    s.push_str("\n]}\n");
-    s
+    s.extend_from_slice(b"\n]}\n");
+    into_text(s)
 }
 
 /// Structural validation of a rendered Chrome trace: the envelope keys,

@@ -208,7 +208,7 @@ mod tests {
     fn event_digest_tracks_the_jsonl_rendering() {
         // The folded walk's whole chain is the digest of the JSONL text.
         fn digest(events: &[Event]) -> String {
-            let (mut text, mut whole, mut block) = (String::new(), Fnv1a64::new(), Fnv1a64::new());
+            let (mut text, mut whole, mut block) = (Vec::new(), Fnv1a64::new(), Fnv1a64::new());
             for e in events {
                 crate::export::fold_event_jsonl(&mut text, e, &mut whole, &mut block);
             }

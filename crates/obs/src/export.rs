@@ -4,9 +4,11 @@
 //! decimal precision** (six decimals, byte-identical to `{:.6}`, through
 //! the crate's `fixed` formatter), because the CI determinism lane diffs
 //! exported artifacts byte-for-byte across worker counts. Every renderer
-//! appends to one caller-owned buffer: no per-event or per-number
-//! `String`. All numbers in events are finite by construction; non-finite
-//! values render as `0.0` rather than producing invalid JSON.
+//! appends bytes to one caller-owned `Vec<u8>`: no per-event or
+//! per-number `String`, and no per-number UTF-8 check. A document
+//! becomes a `String` once, at the end, through one UTF-8 check. All
+//! numbers in events are finite by construction; non-finite values
+//! render as `0.0` rather than producing invalid JSON.
 //!
 //! A JSONL line is written by one field walk over a table of constant
 //! text. The same walk serves plain rendering ([`write_event_jsonl`],
@@ -16,37 +18,37 @@
 
 use crate::digest::{Fnv1a64, FnvJump, FnvLiteral};
 use crate::event::{Event, EventPayload};
-use crate::fixed::{push_num, push_u64};
+use crate::fixed::{into_text, push_num, push_u64};
 use std::io::{self, Write};
 
 // Field writers with plain `&str` keys, for the Chrome and health
 // renderers, which no digest reads.
 
 /// Appends `key` (a literal `, "name": ` fragment) and an integer.
-pub(crate) fn int(s: &mut String, key: &str, v: impl Into<u64>) {
-    s.push_str(key);
+pub(crate) fn int(s: &mut Vec<u8>, key: &str, v: impl Into<u64>) {
+    s.extend_from_slice(key.as_bytes());
     push_u64(s, v.into());
 }
 
 /// Appends `key` and a fixed-precision number.
-pub(crate) fn real(s: &mut String, key: &str, x: f64) {
-    s.push_str(key);
+pub(crate) fn real(s: &mut Vec<u8>, key: &str, x: f64) {
+    s.extend_from_slice(key.as_bytes());
     push_num(s, x, 6);
 }
 
 /// Appends `key` and a boolean.
-pub(crate) fn boolean(s: &mut String, key: &str, b: bool) {
-    s.push_str(key);
-    s.push_str(if b { "true" } else { "false" });
+pub(crate) fn boolean(s: &mut Vec<u8>, key: &str, b: bool) {
+    s.extend_from_slice(key.as_bytes());
+    s.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
 /// Appends `key` and a quoted label (labels are static identifiers and
 /// need no escaping).
-pub(crate) fn label(s: &mut String, key: &str, text: &str) {
-    s.push_str(key);
-    s.push('"');
-    s.push_str(text);
-    s.push('"');
+pub(crate) fn label(s: &mut Vec<u8>, key: &str, text: &str) {
+    s.extend_from_slice(key.as_bytes());
+    s.push(b'"');
+    s.extend_from_slice(text.as_bytes());
+    s.push(b'"');
 }
 
 /// A literal of the JSONL field table: `text` paired with its FNV-1a
@@ -147,9 +149,9 @@ trait Line {
     fn label(&mut self, text: &str);
 }
 
-impl Line for String {
+impl Line for Vec<u8> {
     fn lit(&mut self, text: &'static FnvLiteral) {
-        self.push_str(text.text());
+        self.extend_from_slice(text.text().as_bytes());
     }
 
     fn int(&mut self, v: u64) {
@@ -161,16 +163,16 @@ impl Line for String {
     }
 
     fn label(&mut self, text: &str) {
-        self.push('"');
-        self.push_str(text);
-        self.push('"');
+        self.push(b'"');
+        self.extend_from_slice(text.as_bytes());
+        self.push(b'"');
     }
 }
 
 /// A line appended to `out` and folded into two FNV-1a chains as it is
 /// written: constant text through its jump, values byte by byte.
 struct Folded<'a> {
-    out: &'a mut String,
+    out: &'a mut Vec<u8>,
     whole: &'a mut Fnv1a64,
     block: &'a mut Fnv1a64,
 }
@@ -178,8 +180,7 @@ struct Folded<'a> {
 impl Folded<'_> {
     /// Folds what was appended since `start` into both chains.
     fn fold_from(&mut self, start: usize) {
-        self.whole
-            .update_pair(self.block, &self.out.as_bytes()[start..]);
+        self.whole.update_pair(self.block, &self.out[start..]);
     }
 }
 
@@ -440,7 +441,7 @@ fn walk(s: &mut impl Line, event: &Event) {
 ///
 /// Field order is fixed: `seq`, `t`, `kind`, then payload fields in
 /// declaration order.
-pub fn write_event_jsonl(s: &mut String, event: &Event) {
+pub fn write_event_jsonl(s: &mut Vec<u8>, event: &Event) {
     walk(s, event);
     // The walk writes whole lines; this one goes without its newline.
     s.pop();
@@ -452,7 +453,7 @@ pub fn write_event_jsonl(s: &mut String, event: &Event) {
 /// [`Fnv1a64::update`] over that text on each chain. Constant text costs
 /// O(1) per literal (see [`crate::digest`]); numbers and labels are
 /// hashed byte by byte.
-pub fn fold_event_jsonl(s: &mut String, event: &Event, whole: &mut Fnv1a64, block: &mut Fnv1a64) {
+pub fn fold_event_jsonl(s: &mut Vec<u8>, event: &Event, whole: &mut Fnv1a64, block: &mut Fnv1a64) {
     walk(
         &mut Folded {
             out: s,
@@ -466,11 +467,11 @@ pub fn fold_event_jsonl(s: &mut String, event: &Event, whole: &mut Fnv1a64, bloc
 /// Renders a slice of events as a JSONL document (one event per line,
 /// trailing newline after the last).
 pub fn events_to_jsonl(events: &[Event]) -> String {
-    let mut s = String::new();
+    let mut s = Vec::new();
     for e in events {
         walk(&mut s, e);
     }
-    s
+    into_text(s)
 }
 
 /// A CSV time-series writer: a header of column names, then rows of
@@ -510,20 +511,20 @@ impl CsvSeries {
 
     /// Renders the series as a CSV document.
     pub fn to_csv(&self) -> String {
-        let mut s = self.columns.join(",");
-        s.push('\n');
+        let mut s = self.columns.join(",").into_bytes();
+        s.push(b'\n');
         for row in &self.rows {
             for (i, _) in self.columns.iter().enumerate() {
                 if i > 0 {
-                    s.push(',');
+                    s.push(b',');
                 }
                 if let Some(v) = row.get(i) {
                     push_num(&mut s, *v, 6);
                 }
             }
-            s.push('\n');
+            s.push(b'\n');
         }
-        s
+        into_text(s)
     }
 
     /// Writes the CSV document to `w`.
@@ -546,9 +547,9 @@ mod tests {
     }
 
     fn render(event: &Event) -> String {
-        let mut s = String::new();
+        let mut s = Vec::new();
         write_event_jsonl(&mut s, event);
-        s
+        into_text(s)
     }
 
     /// SplitMix64: the seeded stream of the synthetic tests.
@@ -717,12 +718,12 @@ mod tests {
     fn folded_walk_writes_and_hashes_like_the_byte_walk() {
         let events = synthetic_stream(600);
         let text = events_to_jsonl(&events);
-        let (mut s, mut whole, mut block) = (String::new(), Fnv1a64::new(), Fnv1a64::new());
+        let (mut s, mut whole, mut block) = (Vec::new(), Fnv1a64::new(), Fnv1a64::new());
         block.update(b"head|");
         for e in &events {
             fold_event_jsonl(&mut s, e, &mut whole, &mut block);
         }
-        assert!(s == text, "folded walk wrote different text");
+        assert!(s == text.as_bytes(), "folded walk wrote different text");
         assert_eq!(whole.finish(), crate::fnv1a64(text.as_bytes()));
         assert_eq!(
             block.finish(),
@@ -730,15 +731,19 @@ mod tests {
         );
         // `write_event_jsonl` writes the same lines without newlines, and
         // each line's merged kind literal names the event's kind.
-        let mut lines = String::new();
+        let mut lines = Vec::new();
         for e in &events {
             let start = lines.len();
             write_event_jsonl(&mut lines, e);
             let kind = format!(", \"kind\": \"{}\", ", e.kind().as_str());
-            assert!(lines[start..].contains(&kind), "{}", &lines[start..]);
-            lines.push('\n');
+            let line = String::from_utf8_lossy(&lines[start..]);
+            assert!(line.contains(&kind), "{line}");
+            lines.push(b'\n');
         }
-        assert!(lines == text, "write_event_jsonl drifted from the walk");
+        assert!(
+            lines == text.as_bytes(),
+            "write_event_jsonl drifted from the walk"
+        );
     }
 
     #[test]
@@ -752,9 +757,9 @@ mod tests {
                 offset_w: 0.08,
             },
         );
-        let mut s = String::from("prefix|");
+        let mut s = b"prefix|".to_vec();
         write_event_jsonl(&mut s, &e);
-        assert_eq!(s, format!("prefix|{}", render(&e)));
+        assert_eq!(into_text(s), format!("prefix|{}", render(&e)));
     }
 
     #[test]

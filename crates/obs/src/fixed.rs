@@ -1,4 +1,5 @@
-//! Fixed-precision decimal rendering straight into a caller's buffer.
+//! Fixed-precision decimal rendering straight into a caller's byte
+//! buffer.
 //!
 //! Every number in an exported artifact (JSONL, Chrome, CSV, health and
 //! metrics JSON) is printed with a fixed count of decimals, and the
@@ -12,10 +13,17 @@
 //! `f / 2^-e` with `f = m mod 2^-e`, so the `prec` decimals are
 //! `f · 10^prec / 2^-e` rounded half to even — one `u128` product (below
 //! 2^53 · 10^17 < 2^110) and one shift. A carry out of the fraction moves
-//! into the integer part. Larger magnitudes, longer precisions and
-//! non-finite values go to `std`, the only path that serves them.
+//! into the integer part. The six decimals every event real carries are
+//! three independent two-digit table lookups. Larger magnitudes, longer
+//! precisions and non-finite values go to `std`, the only path that
+//! serves them, written into the same buffer.
+//!
+//! The renderers append bytes to a `Vec<u8>` and never check UTF-8 per
+//! number: everything they append is ASCII digits or the bytes of a
+//! `&str`, so the buffer is valid UTF-8 by construction, and
+//! [`into_text`] checks it once per document.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Longest precision the exact path serves; longer ones go to `std`.
 const MAX_PREC: usize = 17;
@@ -37,7 +45,7 @@ const POW10: [u64; MAX_PREC + 1] = {
 
 /// Appends `x` with `prec` decimals, byte for byte as
 /// `format!("{x:.prec$}")` would render it.
-pub(crate) fn push_fixed(out: &mut String, x: f64, prec: usize) {
+pub(crate) fn push_fixed(out: &mut Vec<u8>, x: f64, prec: usize) {
     let bits = x.to_bits();
     let biased = ((bits >> 52) & 0x7ff) as i32;
     let frac = bits & ((1u64 << 52) - 1);
@@ -75,10 +83,18 @@ pub(crate) fn push_fixed(out: &mut String, x: f64, prec: usize) {
         dec = 0;
     }
     // Sign, integer digits, `.` and decimals go into one stack buffer,
-    // right to left, and reach `out` in one push.
+    // right to left, and reach `out` in one append.
     let mut buf = [b'0'; BUF];
     let mut i = BUF;
-    if prec > 0 {
+    if prec == 6 {
+        // `dec < 10^6`: three lookups that do not wait on each other.
+        let d = dec as usize;
+        buf[BUF - 6..BUF - 4].copy_from_slice(pair(d / 10_000));
+        buf[BUF - 4..BUF - 2].copy_from_slice(pair(d / 100 % 100));
+        buf[BUF - 2..].copy_from_slice(pair(d % 100));
+        i = BUF - 7;
+        buf[i] = b'.';
+    } else if prec > 0 {
         i = put_digits(&mut buf, i, dec, prec) - 1;
         buf[i] = b'.';
     }
@@ -87,16 +103,16 @@ pub(crate) fn push_fixed(out: &mut String, x: f64, prec: usize) {
         i -= 1;
         buf[i] = b'-';
     }
-    push_ascii(out, &buf[i..]);
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Appends `x` with `prec` decimals; non-finite values render as `0.0`
 /// so the output stays valid JSON.
-pub(crate) fn push_num(out: &mut String, x: f64, prec: usize) {
+pub(crate) fn push_num(out: &mut Vec<u8>, x: f64, prec: usize) {
     if x.is_finite() {
         push_fixed(out, x, prec);
     } else {
-        out.push_str("0.0");
+        out.extend_from_slice(b"0.0");
     }
 }
 
@@ -104,16 +120,26 @@ pub(crate) fn push_num(out: &mut String, x: f64, prec: usize) {
 /// `format!("{x:.prec$}")` renders it, and `0.0` for non-finite values so
 /// the output stays valid JSON.
 pub fn json_num(x: f64, prec: usize) -> String {
-    let mut s = String::with_capacity(16);
+    let mut s = Vec::with_capacity(16);
     push_num(&mut s, x, prec);
-    s
+    into_text(s)
 }
 
 /// Appends the decimal digits of `v`.
-pub(crate) fn push_u64(out: &mut String, v: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     let mut buf = [b'0'; BUF];
     let i = put_digits(&mut buf, BUF, v, 1);
-    push_ascii(out, &buf[i..]);
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// A rendered document as text: the one UTF-8 check of its bytes.
+///
+/// The renderers append only ASCII and the bytes of `&str`s, so the check
+/// always passes; were a renderer to break that, the lossy decoding keeps
+/// the document readable, with U+FFFD marking the bad bytes, instead of
+/// failing the export.
+pub(crate) fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// `"00" "01" … "99"`: two digits per table lookup halves the dependent
@@ -124,21 +150,24 @@ const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 6061626364656667686970717273747576777879\
 8081828384858687888990919293949596979899";
 
+/// The two digits of `v < 100`.
+fn pair(v: usize) -> &'static [u8] {
+    &PAIRS[2 * v..2 * v + 2]
+}
+
 /// Writes the decimal digits of `v` into `buf` so that they end at `end`,
 /// zero-padded to at least `width` (the bytes before `end` must be
 /// `b'0'`), and returns where they start.
 fn put_digits(buf: &mut [u8; BUF], end: usize, mut v: u64, width: usize) -> usize {
     let mut i = end;
     while v >= 100 {
-        let d = (v % 100) as usize * 2;
-        v /= 100;
         i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        buf[i..i + 2].copy_from_slice(pair((v % 100) as usize));
+        v /= 100;
     }
     if v >= 10 {
-        let d = v as usize * 2;
         i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        buf[i..i + 2].copy_from_slice(pair(v as usize));
     } else {
         i -= 1;
         buf[i] = b'0' + v as u8;
@@ -146,21 +175,14 @@ fn put_digits(buf: &mut [u8; BUF], end: usize, mut v: u64, width: usize) -> usiz
     i.min(end - width)
 }
 
-/// Appends rendered digits; ASCII is always valid UTF-8.
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    if let Ok(text) = std::str::from_utf8(bytes) {
-        out.push_str(text);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn fixed(x: f64, prec: usize) -> String {
-        let mut s = String::new();
+        let mut s = Vec::new();
         push_fixed(&mut s, x, prec);
-        s
+        into_text(s)
     }
 
     fn assert_same(x: f64) {
@@ -215,13 +237,17 @@ mod tests {
 
     fn sweep(seed: u64, n: u64) {
         let mut state = seed;
-        let mut a = String::new();
+        let mut a = Vec::new();
         for i in 0..n {
             let x = draw(&mut state, i);
             for prec in [3, 6] {
                 a.clear();
                 push_fixed(&mut a, x, prec);
-                assert_eq!(a, format!("{x:.prec$}"), "x = {x:e}, prec {prec}, draw {i}");
+                assert_eq!(
+                    a,
+                    format!("{x:.prec$}").as_bytes(),
+                    "x = {x:e}, prec {prec}, draw {i}"
+                );
             }
         }
     }
@@ -309,9 +335,9 @@ mod tests {
     #[test]
     fn integers_render_in_full() {
         for v in [0, 7, 10, 99, 100, 1_152_921_508_901_814_272, u64::MAX] {
-            let mut s = String::new();
+            let mut s = Vec::new();
             push_u64(&mut s, v);
-            assert_eq!(s, v.to_string());
+            assert_eq!(s, v.to_string().as_bytes());
         }
     }
 

@@ -13,8 +13,9 @@
 //!   with stable field order and fixed decimal precision, so CI can diff
 //!   artifacts byte-for-byte across worker counts.
 //! * **Fixed-precision formatter** (crate-internal) — `{:.N}`-identical
-//!   decimal rendering straight into the caller's buffer, shared by
-//!   every exporter.
+//!   decimal rendering straight into the caller's byte buffer, shared by
+//!   every exporter. Every renderer appends bytes to one `Vec<u8>` and
+//!   checks UTF-8 once per document.
 //! * **Digests** ([`digest`]) — FNV-1a 64 fingerprints of rendered JSONL
 //!   traces, the currency of the scenario harness's committed golden
 //!   trajectories, folded as the JSONL is written with O(1) jumps over

@@ -9,9 +9,10 @@
 //! every snapshot renders in a stable, sorted order — a requirement for
 //! the byte-identical artifacts the CI determinism gates diff.
 
-use crate::fixed::{json_num, push_num};
+use crate::fixed::{into_text, json_num, push_num};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -254,29 +255,29 @@ impl Snapshot {
     /// Renders the snapshot as a JSON document (hand-rolled — the
     /// workspace builds with zero external crates).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
+        let mut s = b"{\n  \"counters\": {".to_vec();
         for (i, (k, v)) in self.counters.iter().enumerate() {
             let sep = if i + 1 < self.counters.len() { "," } else { "" };
             let _ = write!(s, "\n    \"{k}\": {v}{sep}");
         }
-        s.push_str(if self.counters.is_empty() {
-            "},\n"
+        s.extend_from_slice(if self.counters.is_empty() {
+            b"},\n"
         } else {
-            "\n  },\n"
+            b"\n  },\n"
         });
-        s.push_str("  \"gauges\": {");
+        s.extend_from_slice(b"  \"gauges\": {");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             let sep = if i + 1 < self.gauges.len() { "," } else { "" };
             let _ = write!(s, "\n    \"{k}\": ");
             push_num(&mut s, *v, 6);
-            s.push_str(sep);
+            s.extend_from_slice(sep.as_bytes());
         }
-        s.push_str(if self.gauges.is_empty() {
-            "},\n"
+        s.extend_from_slice(if self.gauges.is_empty() {
+            b"},\n"
         } else {
-            "\n  },\n"
+            b"\n  },\n"
         });
-        s.push_str("  \"histograms\": {");
+        s.extend_from_slice(b"  \"histograms\": {");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             let sep = if i + 1 < self.histograms.len() {
                 ","
@@ -293,13 +294,13 @@ impl Snapshot {
                 json_num(h.sum, 6)
             );
         }
-        s.push_str(if self.histograms.is_empty() {
-            "}\n"
+        s.extend_from_slice(if self.histograms.is_empty() {
+            b"}\n"
         } else {
-            "\n  }\n"
+            b"\n  }\n"
         });
-        s.push_str("}\n");
-        s
+        s.extend_from_slice(b"}\n");
+        into_text(s)
     }
 
     /// Renders the snapshot as a one-page text report.

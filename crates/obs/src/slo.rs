@@ -28,9 +28,10 @@
 
 use crate::event::{Event, EventPayload};
 use crate::export::{int, label, real};
-use crate::fixed::json_num;
+use crate::fixed::{into_text, json_num};
 use crate::span::SpanId;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Ring capacity for the churn window (policy windows are clamped to it).
 const CHURN_RING: usize = 16;
@@ -446,28 +447,28 @@ impl HealthReport {
 
     /// Deterministic JSON rendering (`cpm-health-v1`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n  \"schema\": \"cpm-health-v1\",\n");
+        let mut s = Vec::with_capacity(512);
+        s.extend_from_slice(b"{\n  \"schema\": \"cpm-health-v1\",\n");
         let _ = writeln!(s, "  \"subject\": \"{}\",", self.subject);
         let _ = writeln!(s, "  \"events\": {},", self.events);
         let _ = writeln!(s, "  \"rounds\": {},", self.rounds);
         let _ = writeln!(s, "  \"alarms_total\": {},", self.alarms_total);
         let _ = writeln!(s, "  \"verdict\": \"{}\",", self.verdict());
-        s.push_str("  \"monitors\": [\n");
+        s.extend_from_slice(b"  \"monitors\": [\n");
         for (i, m) in self.monitors.iter().enumerate() {
             label(&mut s, "    {\"monitor\": ", m.monitor.as_str());
             int(&mut s, ", \"alarms\": ", m.alarms);
             real(&mut s, ", \"worst_value\": ", m.worst_value);
             real(&mut s, ", \"threshold\": ", m.threshold);
-            s.push('}');
-            s.push_str(if i + 1 < self.monitors.len() {
-                ",\n"
+            s.push(b'}');
+            s.extend_from_slice(if i + 1 < self.monitors.len() {
+                b",\n"
             } else {
-                "\n"
+                b"\n"
             });
         }
-        s.push_str("  ]\n}\n");
-        s
+        s.extend_from_slice(b"  ]\n}\n");
+        into_text(s)
     }
 
     /// Human-readable one-page rendering.

@@ -7,12 +7,14 @@
 //! the variant fixture, so any change to the envelope, metadata ordering,
 //! or per-event field order shows up as a fixture diff rather than a
 //! silently re-shaped artifact. Between them the two fixtures cover
-//! every payload variant.
+//! every payload variant. A third fixture sends reals down every path of
+//! the fixed-precision formatter through all three event renderers.
 
 use cpm_obs::{
     events_to_chrome, events_to_jsonl, validate_chrome_trace, CsvSeries, Event, EventPayload,
     Recorder, SpanId, ThermalSource,
 };
+use cpm_scenario::GoldenDoc;
 
 #[test]
 fn empty_event_stream_renders_empty_jsonl() {
@@ -321,4 +323,106 @@ fn every_payload_variant_matches_its_pinned_jsonl_and_chrome() {
         doc, expected_chrome,
         "Chrome exporter drifted from the pinned fixture"
     );
+}
+
+/// The value after `"key": ` in a rendered line.
+fn field<'a>(line: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\": ");
+    let start = line.find(&pat).map(|i| i + pat.len());
+    let rest = &line[start.unwrap_or_else(|| panic!("no {key} in {line}"))..];
+    &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+}
+
+/// A decision whose eight reals are `reals[k..]` and then `reals[..k]`,
+/// so that over `reals.len()` events every value lands in every field.
+fn decision(k: usize, reals: &[f64]) -> Event {
+    let x = |j: usize| reals[(k + j) % reals.len()];
+    Event {
+        seq: k as u64,
+        time_s: 0.0055,
+        payload: EventPayload::PicDecision {
+            span: 7,
+            parent: 3,
+            round: 1,
+            step: 0,
+            island: 0,
+            sensed_w: x(0),
+            utilization: x(1),
+            target_w: x(2),
+            error: x(3),
+            p_term: x(4),
+            i_term: x(5),
+            d_term: x(6),
+            output: x(7),
+            dvfs_index: 5,
+            saturated: false,
+        },
+    }
+}
+
+/// Reals on every path of the formatter, through the JSONL walk, the
+/// golden fold and the Chrome writer: the carry out of the sixth decimal,
+/// negative zero and a negative value that rounds to it, a subnormal,
+/// magnitudes of 2^53 and more (the `std` fallback, written into the same
+/// byte buffer), and non-finite values. Each renders as
+/// `format!("{x:.6}")` does, and a non-finite value as `0.0`.
+#[test]
+fn every_formatter_path_renders_like_std_in_every_renderer() {
+    let two53 = 9_007_199_254_740_992.0_f64;
+    let reals = [
+        0.999_999_5,
+        9.999_999_5,
+        0.999_999_75,
+        -0.0,
+        -1e-9,
+        f64::MIN_POSITIVE / 3.0,
+        two53 + 2.0,
+        -(two53 * 128.0),
+        f64::NAN,
+        f64::NEG_INFINITY,
+    ];
+    let expected = |x: f64| {
+        if x.is_finite() {
+            format!("{x:.6}")
+        } else {
+            "0.0".to_string()
+        }
+    };
+    assert_eq!(expected(-0.0), "-0.000000");
+    assert_eq!(expected(-1e-9), "-0.000000");
+    assert_eq!(expected(0.999_999_75), "1.000000");
+
+    let events: Vec<Event> = (0..reals.len()).map(|k| decision(k, &reals)).collect();
+    let jsonl = events_to_jsonl(&events);
+    let (folded, golden) = GoldenDoc::render_events("formatter", &events);
+    assert!(folded == jsonl, "the golden fold wrote different text");
+    assert_eq!(golden, GoldenDoc::from_jsonl("formatter", &jsonl));
+    let chrome = events_to_chrome(&events);
+    validate_chrome_trace(&chrome).expect("fixture validates");
+    let chrome_lines: Vec<&str> = chrome
+        .lines()
+        .filter(|l| l.contains("PicDecision"))
+        .collect();
+    assert_eq!(chrome_lines.len(), events.len());
+
+    let jsonl_keys = [
+        "sensed_w",
+        "utilization",
+        "target_w",
+        "error",
+        "p",
+        "i",
+        "d",
+        "output",
+    ];
+    for (k, (line, chrome_line)) in jsonl.lines().zip(&chrome_lines).enumerate() {
+        for (j, key) in jsonl_keys.iter().enumerate() {
+            let x = reals[(k + j) % reals.len()];
+            assert_eq!(field(line, key), expected(x), "JSONL {key} = {x:e}");
+            // Chrome's decision args carry four of the eight reals.
+            if matches!(*key, "sensed_w" | "target_w" | "error" | "output") {
+                assert_eq!(field(chrome_line, key), expected(x), "Chrome {key} = {x:e}");
+            }
+        }
+    }
 }

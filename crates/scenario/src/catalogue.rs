@@ -18,7 +18,8 @@
 use cpm_core::coordinator::PolicyKind;
 use cpm_core::{ExperimentConfig, ManagementScheme, Outcome, ThermalConstraints};
 use cpm_obs::{
-    append_alarm_events, events_to_chrome, Event, EventKind, HealthReport, Recorder, SloPolicy,
+    append_alarm_events, events_to_chrome, Event, EventKind, HealthReport, Recorder, SloAlarm,
+    SloPolicy,
 };
 use cpm_units::IslandId;
 use cpm_workloads::Mix;
@@ -90,8 +91,13 @@ impl ScenarioRun {
     }
 }
 
-/// Runs one scenario deterministically.
-pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
+/// Records one scenario deterministically: its outcome, and its drained
+/// event stream with the SLO watchdog's alarms appended (the stream the
+/// golden pins), plus those alarms. Fails when the recorder dropped
+/// events.
+pub fn record_scenario(
+    scenario: &Scenario,
+) -> Result<(Outcome, Vec<Event>, Vec<SloAlarm>), String> {
     let (cfg, mut schedule) = (scenario.build)();
     let mut coordinator =
         cpm_core::Coordinator::new(cfg).map_err(|e| format!("{}: {e}", scenario.name))?;
@@ -100,10 +106,10 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     schedule.set_recorder(recorder.clone());
     coordinator.set_injection(Box::new(schedule));
     let outcome = coordinator.run_for_gpm_intervals(SCENARIO_ROUNDS);
-    // The renders below hold the scenario's peak memory. The coordinator
-    // (chip, controllers, injection schedule) has no further use, so its
-    // allocations go back to the allocator before the multi-MB buffers are
-    // placed.
+    // The renders that follow hold the scenario's peak memory. The
+    // coordinator (chip, controllers, injection schedule) has no further
+    // use, so its allocations go back to the allocator before the
+    // multi-MB buffers are placed.
     drop(coordinator);
     let mut events = recorder.drain();
     if recorder.dropped() > 0 {
@@ -115,13 +121,19 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     }
     // SLO watchdog pass: the alarms are appended to the stream itself,
     // so goldens pin them and behavioral checks can consume them.
-    let policy = SloPolicy::default();
-    let slo_alarms = cpm_obs::slo::scan(&events, policy);
+    let slo_alarms = cpm_obs::slo::scan(&events, SloPolicy::default());
     append_alarm_events(&mut events, &slo_alarms);
+    Ok((outcome, events, slo_alarms))
+}
+
+/// Runs one scenario deterministically: [`record_scenario`], then the
+/// golden fold, the checks and the health and Chrome renders.
+pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
+    let (outcome, events, slo_alarms) = record_scenario(scenario)?;
     let (jsonl, golden) = GoldenDoc::render_events(scenario.name, &events);
     let digest = golden.digest.clone();
     let checks = (scenario.checks)(&outcome, &events);
-    let health = HealthReport::new(scenario.name, &events, &slo_alarms, &policy);
+    let health = HealthReport::new(scenario.name, &events, &slo_alarms, &SloPolicy::default());
     Ok(ScenarioRun {
         name: scenario.name,
         events: events.len(),

@@ -165,10 +165,12 @@ impl GoldenDoc {
 
     /// Renders `events` as JSONL and fingerprints each line as it is
     /// written: `(events_to_jsonl(events), from_jsonl(scenario, ..))`
-    /// without reading the text back. The field walk folds constant text
-    /// through its FNV-1a jump and hashes only the values byte by byte.
+    /// without reading the text back. The field walk appends bytes,
+    /// folds constant text through its FNV-1a jump and hashes only the
+    /// values byte by byte. The text is checked as UTF-8 once, at the
+    /// end, and each block's anchor line once when its block opens.
     pub fn render_events(scenario: &str, events: &[Event]) -> (String, Self) {
-        let mut jsonl = String::new();
+        let mut jsonl = Vec::new();
         let mut fp = Fingerprint::new(events.len());
         for e in events {
             let start = jsonl.len();
@@ -176,9 +178,13 @@ impl GoldenDoc {
             fold_event_jsonl(&mut jsonl, e, &mut fp.whole, &mut fp.block);
             if opens {
                 // The line without its newline.
-                fp.anchor(&jsonl[start..jsonl.len() - 1]);
+                fp.anchor(&String::from_utf8_lossy(&jsonl[start..jsonl.len() - 1]));
             }
         }
+        // The walk appends only ASCII and `&str` bytes, so the check
+        // passes; the lossy fallback only keeps a broken render readable.
+        let jsonl = String::from_utf8(jsonl)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
         (jsonl, fp.finish(scenario))
     }
 

@@ -33,7 +33,9 @@ pub mod checks;
 pub mod effect;
 pub mod golden;
 
-pub use catalogue::{find, run_scenario, Scenario, ScenarioRun, CATALOGUE, SCENARIO_ROUNDS};
+pub use catalogue::{
+    find, record_scenario, run_scenario, Scenario, ScenarioRun, CATALOGUE, SCENARIO_ROUNDS,
+};
 pub use checks::ScenarioCheck;
 pub use effect::{Effect, InjectionSchedule, TimedEffect};
 pub use golden::{

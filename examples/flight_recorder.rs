@@ -62,9 +62,12 @@ fn main() {
         .iter()
         .find(|e| e.kind() == EventKind::ThermalViolation)
         .expect("the tight budget and low watchdog threshold force one");
-    let mut line = String::new();
+    let mut line = Vec::new();
     write_event_jsonl(&mut line, violation);
-    println!("\nfirst thermal violation:\n  {line}");
+    println!(
+        "\nfirst thermal violation:\n  {}",
+        String::from_utf8_lossy(&line)
+    );
 
     // The registry's one-page report: counters and gauges the coordinator
     // published at the end of the measurement.

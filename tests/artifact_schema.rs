@@ -102,6 +102,7 @@ fn perf_artifact_passes_its_schema_gate() {
         "thermal_step_128",
         "cache_access",
         "calibration",
+        "scenario_render_thermal",
     ];
     let report = PerfReport {
         entries: names

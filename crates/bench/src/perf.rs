@@ -6,8 +6,9 @@
 //! performance pass optimized: chip stepping (8/32 cores), the PIC's PID
 //! step, the MaxBIPS DP search, one warm coordinator control call, the
 //! thermal RC step, a cache-hierarchy access, one full cache-simulator
-//! calibration, and the scenario exporters (golden fold plus Chrome
-//! trace) over one recorded trajectory.
+//! calibration, and the scenario exporters (JSONL with its golden
+//! fingerprint, with and without the Chrome trace) over one recorded
+//! trajectory.
 //!
 //! Built on [`crate::microbench::measure`] — the same calibrated-batch
 //! protocol `experiments scaling` and the benchmark package's probes use,
@@ -271,15 +272,21 @@ pub fn run_perf(quick: bool) -> PerfReport {
     {
         // The two renders a scenario run spends most of its time in, over
         // `budget-step@thermal`'s drained stream with its alarms appended
-        // (4,238 events): the JSONL walk with its golden fold, and the
-        // Chrome trace.
+        // (4,238 events): the JSONL walk with its golden fingerprint, and
+        // the Chrome trace; then the first of them alone.
         let s = cpm_scenario::find("budget-step@thermal").expect("catalogue entry");
         let (_, events, _) = record_scenario(s).expect("catalogue entries run");
         push(
             "scenario_render_thermal",
-            measure(quick, move || {
+            measure(quick, || {
                 let golden = GoldenDoc::render_events(s.name, black_box(&events));
                 black_box((golden, events_to_chrome(black_box(&events))))
+            }),
+        );
+        push(
+            "scenario_fingerprint_thermal",
+            measure(quick, || {
+                black_box(GoldenDoc::render_events(s.name, black_box(&events)))
             }),
         );
     }

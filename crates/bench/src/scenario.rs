@@ -117,9 +117,10 @@ pub fn scenario_stem(name: &str) -> String {
 ///
 /// `goldens` maps scenario name → committed golden text (the binary
 /// loads `goldens/<stem>.golden`); names absent from the map count as
-/// [`ScenarioStatus::Missing`]. With `update_goldens`, divergent and
-/// missing goldens are refreshed instead of failing, and the new text is
-/// returned in [`ScenarioReport::refreshed_golden`].
+/// [`ScenarioStatus::Missing`]. With `update_goldens`, every golden that
+/// is missing or not byte-equal to a fresh render is refreshed instead
+/// of failing, and the new text is returned in
+/// [`ScenarioReport::refreshed_golden`].
 pub fn run_scenario_suite(
     goldens: BTreeMap<String, String>,
     update_goldens: bool,
@@ -199,13 +200,18 @@ fn run_cell(
         },
     };
     report.golden_digest = Some(golden.digest.clone());
+    if update_goldens {
+        // Refresh any golden that is not byte-equal to a fresh render,
+        // including one whose stale blocks `matches` does not compare.
+        let fresh = run.golden.render();
+        if golden_text != Some(fresh.as_str()) {
+            report.status = ScenarioStatus::Updated;
+            report.refreshed_golden = Some(fresh);
+            return Ok(report);
+        }
+    }
     if golden.matches(&run.golden) {
         report.status = ScenarioStatus::Match;
-        return Ok(report);
-    }
-    if update_goldens {
-        report.status = ScenarioStatus::Updated;
-        report.refreshed_golden = Some(run.golden.render());
         return Ok(report);
     }
     // Differential replay: re-run the scenario and let the report tell
@@ -305,8 +311,8 @@ mod tests {
         ScenarioReport {
             name,
             stem: scenario_stem(name),
-            digest: "fnv1a64:00000000000000aa".to_string(),
-            golden_digest: Some("fnv1a64:00000000000000bb".to_string()),
+            digest: "xxh64:00000000000000aa".to_string(),
+            golden_digest: Some("xxh64:00000000000000bb".to_string()),
             status,
             checks: vec![ScenarioCheck {
                 name: "tracks-at-end",
@@ -321,6 +327,21 @@ mod tests {
             refreshed_golden: None,
             divergence: None,
         }
+    }
+
+    #[test]
+    fn update_refreshes_a_golden_with_a_stale_block_digest() {
+        let s = &CATALOGUE[0];
+        let fresh = run_scenario(s).expect("catalogue entries run").golden;
+        let mut stale = fresh.clone();
+        stale.blocks[0].digest = "xxh64:0000000000000000".to_string();
+        assert!(stale.matches(&fresh), "the whole digest still matches");
+        let goldens = BTreeMap::from([(s.name.to_string(), stale.render())]);
+        let suite = run_scenario_suite(goldens, true).expect("suite runs");
+        let report = &suite.reports[0];
+        assert_eq!(report.name, s.name);
+        assert_eq!(report.status, ScenarioStatus::Updated);
+        assert_eq!(report.refreshed_golden, Some(fresh.render()));
     }
 
     #[test]
@@ -344,8 +365,8 @@ mod tests {
             "\"schema\": \"cpm-scenarios-v1\"",
             "\"scenarios\": [",
             "\"name\": \"baseline@pid\"",
-            "\"digest\": \"fnv1a64:00000000000000aa\"",
-            "\"golden_digest\": \"fnv1a64:00000000000000bb\"",
+            "\"digest\": \"xxh64:00000000000000aa\"",
+            "\"golden_digest\": \"xxh64:00000000000000bb\"",
             "\"status\": \"diverged\"",
             "\"checks\": [",
             "\"alarms\": 3",

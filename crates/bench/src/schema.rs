@@ -100,6 +100,7 @@ impl ArtifactKind {
                 "\"cache_access\"",
                 "\"calibration\"",
                 "\"scenario_render_thermal\"",
+                "\"scenario_fingerprint_thermal\"",
                 "\"sweep\"",
                 "\"baseline_seconds\"",
                 "\"speedup\"",

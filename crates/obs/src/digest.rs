@@ -1,25 +1,20 @@
-//! Stable digests over flight-recorder traces.
+//! Stable digests over rendered text.
 //!
-//! The scenario harness pins each named fault-injection scenario to a
-//! *golden trajectory*: a short committed fingerprint of the full JSONL
-//! event stream. The fingerprint is FNV-1a 64 — tiny, dependency-free,
-//! and byte-stable across platforms because it hashes the *rendered*
-//! JSONL text (fixed field order, `{:.6}` precision), never raw floats
-//! or struct layouts. Collision resistance is irrelevant here: the
-//! digest defends against accidental behavioral drift, not adversaries,
-//! and any divergence is re-verified by an event-level diff before it is
-//! reported.
+//! Two hashes live here, both tiny, dependency-free and byte-stable
+//! across platforms because they hash *rendered* text (fixed field
+//! order, `{:.6}` precision), never raw floats or struct layouts.
+//! Collision resistance is irrelevant: a digest defends against
+//! accidental behavioral drift, not adversaries.
 //!
-//! Most of a JSONL line is constant key text, and constant text folds in
-//! O(1): FNV-1a's `h ^ b` touches only the low 8 bits of `h`, and the low
-//! 8 bits of a product mod 2^64 depend only on the low 8 bits of its
-//! factors. So for a constant string `K` of length `L`,
-//! `fnv(h, K) = h·P^L + C_K[h & 0xff]` (mod 2^64), with the 256-entry
-//! table `C_K[l] = fnv(l, K) − l·P^L` built at compile time by
-//! `FnvJump::new` and applied by `Fnv1a64::update_literal`. The
-//! identity is exact, not approximate: both sides are the same integer
-//! mod 2^64 for every `h`. The JSONL writers apply it through
-//! [`crate::fold_event_jsonl`].
+//! * **XXH64** (seed 0, [`xxh64_digest`]) fingerprints the
+//!   scenario harness's golden trajectories. It hashes a finished buffer
+//!   in 32-byte stripes over four independent lanes, several bytes per
+//!   cycle, so fingerprinting a trajectory costs a small fraction of
+//!   rendering it.
+//! * **FNV-1a 64** ([`Fnv1a64`], [`fnv1a64`], [`digest_str`]) is a
+//!   serial multiply per byte. It stays for short digests that other
+//!   code folds value by value, such as the benchmark's per-workload
+//!   result digests.
 
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,13 +34,6 @@ impl Fnv1a64 {
         Self { state: FNV_OFFSET }
     }
 
-    /// A hasher at an arbitrary state, for checking jumps from every
-    /// state.
-    #[cfg(test)]
-    pub(crate) fn at_state(state: u64) -> Self {
-        Self { state }
-    }
-
     /// Folds `bytes` into the state.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut h = self.state;
@@ -54,28 +42,6 @@ impl Fnv1a64 {
             h = h.wrapping_mul(FNV_PRIME);
         }
         self.state = h;
-    }
-
-    /// Folds `bytes` into this state and into `twin`'s in one loop. The
-    /// two FNV-1a chains are independent, so their multiplies overlap and
-    /// both digests cost about what one does.
-    pub fn update_pair(&mut self, twin: &mut Fnv1a64, bytes: &[u8]) {
-        let (mut a, mut b) = (self.state, twin.state);
-        for &x in bytes {
-            a = (a ^ x as u64).wrapping_mul(FNV_PRIME);
-            b = (b ^ x as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.state = a;
-        twin.state = b;
-    }
-
-    /// Folds `lit`'s text into the state in O(1), whatever its length:
-    /// the same state as `update(lit.text().as_bytes())`.
-    pub(crate) fn update_literal(&mut self, lit: &FnvLiteral) {
-        let (h, jump) = (self.state, lit.jump);
-        self.state = h
-            .wrapping_mul(jump.pow)
-            .wrapping_add(jump.table[(h & 0xff) as usize]);
     }
 
     /// The current 64-bit digest.
@@ -90,65 +56,6 @@ impl Default for Fnv1a64 {
     }
 }
 
-/// The FNV-1a jump over a constant string of length `L`: `P^L` and the
-/// 256-entry table `C[l] = fnv(l, text) − l·P^L` (module docs), 2,056
-/// bytes. It holds no pointer, so a `static` of it is plain read-only
-/// data that the loader never relocates or dirties.
-#[derive(Debug)]
-pub(crate) struct FnvJump {
-    pow: u64,
-    table: [u64; 256],
-}
-
-impl FnvJump {
-    /// The jump over `text`, computed at compile time when used in a
-    /// `static`.
-    pub(crate) const fn new(text: &str) -> Self {
-        let bytes = text.as_bytes();
-        let mut pow = 1u64;
-        let mut k = 0;
-        while k < bytes.len() {
-            pow = pow.wrapping_mul(FNV_PRIME);
-            k += 1;
-        }
-        let mut table = [0u64; 256];
-        let mut low = 0;
-        while low < 256 {
-            let mut h = low as u64;
-            let mut k = 0;
-            while k < bytes.len() {
-                h = (h ^ bytes[k] as u64).wrapping_mul(FNV_PRIME);
-                k += 1;
-            }
-            table[low] = h.wrapping_sub((low as u64).wrapping_mul(pow));
-            low += 1;
-        }
-        Self { pow, table }
-    }
-}
-
-/// Constant text with its FNV-1a jump, for writers that render the text
-/// and fold it into a digest as they go. Declare it as
-/// `static K: FnvLiteral = FnvLiteral::new(T, &FnvJump::new(T));` with
-/// the same `T` twice.
-#[derive(Debug)]
-pub(crate) struct FnvLiteral {
-    text: &'static str,
-    jump: &'static FnvJump,
-}
-
-impl FnvLiteral {
-    /// Pairs `text` with its jump, which must be `FnvJump::new(text)`.
-    pub(crate) const fn new(text: &'static str, jump: &'static FnvJump) -> Self {
-        Self { text, jump }
-    }
-
-    /// The constant text.
-    pub(crate) fn text(&self) -> &'static str {
-        self.text
-    }
-}
-
 /// FNV-1a 64 of a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
@@ -156,21 +63,109 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Renders a digest value in the committed golden format:
-/// `fnv1a64:<16 lowercase hex digits>`.
+/// Renders an FNV-1a digest value as `fnv1a64:<16 lowercase hex
+/// digits>`.
 pub fn format_digest(value: u64) -> String {
     format!("fnv1a64:{value:016x}")
 }
 
-/// Digest of an arbitrary text fragment, in golden format.
+/// FNV-1a digest of an arbitrary text fragment, in [`format_digest`]'s
+/// format.
 pub fn digest_str(text: &str) -> String {
     format_digest(fnv1a64(text.as_bytes()))
+}
+
+// The five XXH64 primes.
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// The little-endian word at the front of `bytes` (at least 8 long).
+fn le64(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// One XXH64 lane round.
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// XXH64 of `bytes` with seed 0, as the reference implementation
+/// computes it.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh_round(*a, le64(lane));
+            }
+        }
+        let mut h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for a in acc {
+            h = (h ^ xxh_round(0, a))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+        }
+        h
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for word in words {
+        h = (h ^ xxh_round(0, le64(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    if rest.len() >= 4 {
+        let mut half = [0; 4];
+        half.copy_from_slice(&rest[..4]);
+        h = (h ^ u64::from(u32::from_le_bytes(half)).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// XXH64 of `bytes` in the committed golden format:
+/// `xxh64:<16 lowercase hex digits>`.
+pub fn xxh64_digest(bytes: &[u8]) -> String {
+    format!("xxh64:{:016x}", xxh64(bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventPayload};
 
     #[test]
     fn known_fnv_vectors() {
@@ -178,6 +173,19 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn known_xxh64_vectors() {
+        // Published XXH64 vectors at seed 0. The 39-byte one takes a full
+        // 32-byte stripe and then the 4-byte and single-byte tails.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        let spam = b"Nobody inspects the spammish repetition";
+        assert_eq!(spam.len(), 39);
+        assert_eq!(xxh64(spam), 0xfbce_a83c_8a37_8bf1);
+        assert_eq!(xxh64_digest(b""), "xxh64:ef46db3751d8e999");
     }
 
     #[test]
@@ -189,52 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn paired_update_matches_two_single_updates() {
-        let (mut a, mut b) = (Fnv1a64::new(), Fnv1a64::new());
-        b.update(b"head|");
-        a.update_pair(&mut b, b"foobar");
-        assert_eq!(a.finish(), fnv1a64(b"foobar"));
-        assert_eq!(b.finish(), fnv1a64(b"head|foobar"));
-    }
-
-    #[test]
     fn digest_format_is_prefixed_lowercase_hex() {
         let d = format_digest(0xDEAD_BEEF);
         assert_eq!(d, "fnv1a64:00000000deadbeef");
         assert_eq!(d.len(), "fnv1a64:".len() + 16);
-    }
-
-    #[test]
-    fn event_digest_tracks_the_jsonl_rendering() {
-        // The folded walk's whole chain is the digest of the JSONL text.
-        fn digest(events: &[Event]) -> String {
-            let (mut text, mut whole, mut block) = (Vec::new(), Fnv1a64::new(), Fnv1a64::new());
-            for e in events {
-                crate::export::fold_event_jsonl(&mut text, e, &mut whole, &mut block);
-            }
-            assert_eq!(whole.finish(), block.finish());
-            format_digest(whole.finish())
-        }
-        let events = vec![Event {
-            seq: 0,
-            time_s: 0.0005,
-            payload: EventPayload::TransducerRezero {
-                island: 0,
-                residual_w: 0.25,
-                offset_w: 0.1,
-            },
-        }];
-        assert_eq!(
-            digest(&events),
-            digest_str(&crate::export::events_to_jsonl(&events))
-        );
-        // Any payload change moves the digest.
-        let mut other = events.clone();
-        other[0].payload = EventPayload::TransducerRezero {
-            island: 0,
-            residual_w: 0.25,
-            offset_w: 0.11,
-        };
-        assert_ne!(digest(&events), digest(&other));
     }
 }

@@ -10,19 +10,18 @@
 //! numbers in events are finite by construction; non-finite values
 //! render as `0.0` rather than producing invalid JSON.
 //!
-//! A JSONL line is written by one field walk over a table of constant
-//! text. The same walk serves plain rendering ([`write_event_jsonl`],
-//! [`events_to_jsonl`]) and rendering that folds each line into FNV-1a
-//! chains as it goes ([`fold_event_jsonl`]), where constant text costs
-//! O(1) through its precomputed FNV-1a jump (see [`crate::digest`]).
+//! A JSONL line is written by one field walk ([`write_event_jsonl`],
+//! which [`events_to_jsonl`] loops over) with its constant text as `&'static str`
+//! literals. Nothing hashes a line as it is written: the scenario
+//! harness fingerprints the finished document in one bulk pass (see
+//! [`crate::digest`]).
 
-use crate::digest::{Fnv1a64, FnvJump, FnvLiteral};
 use crate::event::{Event, EventPayload};
 use crate::fixed::{into_text, push_num, push_u64};
 use std::io::{self, Write};
 
-// Field writers with plain `&str` keys, for the Chrome and health
-// renderers, which no digest reads.
+// Field writers with a literal `, "name": ` key, shared by the JSONL,
+// Chrome and health renderers.
 
 /// Appends `key` (a literal `, "name": ` fragment) and an integer.
 pub(crate) fn int(s: &mut Vec<u8>, key: &str, v: impl Into<u64>) {
@@ -51,174 +50,27 @@ pub(crate) fn label(s: &mut Vec<u8>, key: &str, text: &str) {
     s.push(b'"');
 }
 
-/// A literal of the JSONL field table: `text` paired with its FNV-1a
-/// jump.
-macro_rules! literal {
-    ($text:expr) => {
-        FnvLiteral::new($text, &FnvJump::new($text))
-    };
-}
-
 /// The key `, "<name>": `.
 macro_rules! key {
     ($name:literal) => {
-        literal!(concat!(", \"", $name, "\": "))
+        concat!(", \"", $name, "\": ")
     };
 }
 
 /// The `kind` label merged with the key that follows it.
 macro_rules! kind {
     ($kind:literal, $key:literal) => {
-        literal!(concat!(", \"kind\": \"", $kind, "\", \"", $key, "\": "))
+        concat!(", \"kind\": \"", $kind, "\", \"", $key, "\": ")
     };
 }
 
-/// A boolean field merged with the constant text after it, indexed by
-/// the value: `[false, true]`.
-macro_rules! flag {
-    ($name:literal, $tail:literal) => {
-        [
-            literal!(concat!(", \"", $name, "\": false", $tail)),
-            literal!(concat!(", \"", $name, "\": true", $tail)),
-        ]
-    };
-}
-
-// The JSONL field table: every constant run of a line, adjacent
-// constants merged into one literal.
-static SEQ: FnvLiteral = literal!("{\"seq\": ");
-static T: FnvLiteral = key!("t");
-static END: FnvLiteral = literal!("}\n");
-static GPM_ROUND: FnvLiteral = kind!("GpmRound", "span");
-static GPM_ALLOCATION: FnvLiteral = kind!("GpmAllocation", "round");
-static PIC_DECISION: FnvLiteral = kind!("PicDecision", "span");
-static ACTUATION: FnvLiteral = kind!("Actuation", "span");
-static TRANSDUCER_REZERO: FnvLiteral = kind!("TransducerRezero", "island");
-static THERMAL_VIOLATION: FnvLiteral = kind!("ThermalViolation", "source");
-static POLICY_HOLD_REVERSAL: FnvLiteral = kind!("PolicyHoldReversal", "island");
-static WORKER_SPAN: FnvLiteral = kind!("WorkerSpan", "worker");
-static INJECTION: FnvLiteral = kind!("Injection", "label");
-static ALARM: FnvLiteral = kind!("Alarm", "monitor");
-static PARENT: FnvLiteral = key!("parent");
-static ROUND: FnvLiteral = key!("round");
-static STEP: FnvLiteral = key!("step");
-static ISLAND: FnvLiteral = key!("island");
-static ISLANDS: FnvLiteral = key!("islands");
-static BUDGET_W: FnvLiteral = key!("budget_w");
-static ACTUAL_W: FnvLiteral = key!("actual_w");
-static ALLOCATED_W: FnvLiteral = key!("allocated_w");
-static SENSED_W: FnvLiteral = key!("sensed_w");
-static UTILIZATION: FnvLiteral = key!("utilization");
-static TARGET_W: FnvLiteral = key!("target_w");
-static ERROR: FnvLiteral = key!("error");
-static P: FnvLiteral = key!("p");
-static I: FnvLiteral = key!("i");
-static D: FnvLiteral = key!("d");
-static OUTPUT: FnvLiteral = key!("output");
-static DVFS: FnvLiteral = key!("dvfs");
-static SATURATED: [FnvLiteral; 2] = flag!("saturated", "}\n");
-static FROM_DVFS: FnvLiteral = key!("from_dvfs");
-static REQUESTED_DVFS: FnvLiteral = key!("requested_dvfs");
-static TO_DVFS: FnvLiteral = key!("to_dvfs");
-static GRANTED: [FnvLiteral; 2] = flag!("granted", "}\n");
-static RESIDUAL_W: FnvLiteral = key!("residual_w");
-static OFFSET_W: FnvLiteral = key!("offset_w");
-static PARTNER: FnvLiteral = key!("partner");
-static VALUE: FnvLiteral = key!("value");
-static LIMIT: FnvLiteral = key!("limit");
-static LEVEL: FnvLiteral = key!("level");
-static EPI_NOW: FnvLiteral = key!("epi_now");
-static EPI_PREV: FnvLiteral = key!("epi_prev");
-static HOLD_INTERVALS: FnvLiteral = key!("hold_intervals");
-static LABEL: FnvLiteral = key!("label");
-static START_S: FnvLiteral = key!("start_s");
-static END_S: FnvLiteral = key!("end_s");
-static ACTIVE: [FnvLiteral; 2] = flag!("active", ", \"value\": ");
-static THRESHOLD: FnvLiteral = key!("threshold");
-
-/// Where the field walk sends a JSONL line.
-trait Line {
-    /// Appends constant text.
-    fn lit(&mut self, text: &'static FnvLiteral);
-    /// Appends an integer.
-    fn int(&mut self, v: u64);
-    /// Appends a fixed-precision number.
-    fn real(&mut self, x: f64);
-    /// Appends a quoted label (labels are static identifiers and need no
-    /// escaping).
-    fn label(&mut self, text: &str);
-}
-
-impl Line for Vec<u8> {
-    fn lit(&mut self, text: &'static FnvLiteral) {
-        self.extend_from_slice(text.text().as_bytes());
-    }
-
-    fn int(&mut self, v: u64) {
-        push_u64(self, v);
-    }
-
-    fn real(&mut self, x: f64) {
-        push_num(self, x, 6);
-    }
-
-    fn label(&mut self, text: &str) {
-        self.push(b'"');
-        self.extend_from_slice(text.as_bytes());
-        self.push(b'"');
-    }
-}
-
-/// A line appended to `out` and folded into two FNV-1a chains as it is
-/// written: constant text through its jump, values byte by byte.
-struct Folded<'a> {
-    out: &'a mut Vec<u8>,
-    whole: &'a mut Fnv1a64,
-    block: &'a mut Fnv1a64,
-}
-
-impl Folded<'_> {
-    /// Folds what was appended since `start` into both chains.
-    fn fold_from(&mut self, start: usize) {
-        self.whole.update_pair(self.block, &self.out[start..]);
-    }
-}
-
-impl Line for Folded<'_> {
-    fn lit(&mut self, text: &'static FnvLiteral) {
-        self.out.lit(text);
-        self.whole.update_literal(text);
-        self.block.update_literal(text);
-    }
-
-    fn int(&mut self, v: u64) {
-        let start = self.out.len();
-        self.out.int(v);
-        self.fold_from(start);
-    }
-
-    fn real(&mut self, x: f64) {
-        let start = self.out.len();
-        self.out.real(x);
-        self.fold_from(start);
-    }
-
-    fn label(&mut self, text: &str) {
-        let start = self.out.len();
-        self.out.label(text);
-        self.fold_from(start);
-    }
-}
-
-/// The one field walk: writes `event` as a JSONL line, newline included.
+/// Appends one event as a single JSONL line (no trailing newline) to `s`.
 ///
 /// Field order is fixed: `seq`, `t`, `kind`, then payload fields in
 /// declaration order.
-fn walk(s: &mut impl Line, event: &Event) {
-    s.lit(&SEQ);
-    s.int(event.seq);
-    s.lit(&T);
-    s.real(event.time_s);
+pub fn write_event_jsonl(s: &mut Vec<u8>, event: &Event) {
+    int(s, "{\"seq\": ", event.seq);
+    real(s, key!("t"), event.time_s);
     match event.payload {
         EventPayload::GpmRound {
             span,
@@ -227,17 +79,11 @@ fn walk(s: &mut impl Line, event: &Event) {
             actual_w,
             islands,
         } => {
-            s.lit(&GPM_ROUND);
-            s.int(span);
-            s.lit(&ROUND);
-            s.int(round);
-            s.lit(&BUDGET_W);
-            s.real(budget_w);
-            s.lit(&ACTUAL_W);
-            s.real(actual_w);
-            s.lit(&ISLANDS);
-            s.int(islands.into());
-            s.lit(&END);
+            int(s, kind!("GpmRound", "span"), span);
+            int(s, key!("round"), round);
+            real(s, key!("budget_w"), budget_w);
+            real(s, key!("actual_w"), actual_w);
+            int(s, key!("islands"), islands);
         }
         EventPayload::GpmAllocation {
             round,
@@ -246,17 +92,11 @@ fn walk(s: &mut impl Line, event: &Event) {
             actual_w,
             budget_w,
         } => {
-            s.lit(&GPM_ALLOCATION);
-            s.int(round);
-            s.lit(&ISLAND);
-            s.int(island.into());
-            s.lit(&ALLOCATED_W);
-            s.real(allocated_w);
-            s.lit(&ACTUAL_W);
-            s.real(actual_w);
-            s.lit(&BUDGET_W);
-            s.real(budget_w);
-            s.lit(&END);
+            int(s, kind!("GpmAllocation", "round"), round);
+            int(s, key!("island"), island);
+            real(s, key!("allocated_w"), allocated_w);
+            real(s, key!("actual_w"), actual_w);
+            real(s, key!("budget_w"), budget_w);
         }
         EventPayload::PicDecision {
             span,
@@ -275,35 +115,21 @@ fn walk(s: &mut impl Line, event: &Event) {
             dvfs_index,
             saturated,
         } => {
-            s.lit(&PIC_DECISION);
-            s.int(span);
-            s.lit(&PARENT);
-            s.int(parent);
-            s.lit(&ROUND);
-            s.int(round);
-            s.lit(&STEP);
-            s.int(step.into());
-            s.lit(&ISLAND);
-            s.int(island.into());
-            s.lit(&SENSED_W);
-            s.real(sensed_w);
-            s.lit(&UTILIZATION);
-            s.real(utilization);
-            s.lit(&TARGET_W);
-            s.real(target_w);
-            s.lit(&ERROR);
-            s.real(error);
-            s.lit(&P);
-            s.real(p_term);
-            s.lit(&I);
-            s.real(i_term);
-            s.lit(&D);
-            s.real(d_term);
-            s.lit(&OUTPUT);
-            s.real(output);
-            s.lit(&DVFS);
-            s.int(dvfs_index.into());
-            s.lit(&SATURATED[usize::from(saturated)]);
+            int(s, kind!("PicDecision", "span"), span);
+            int(s, key!("parent"), parent);
+            int(s, key!("round"), round);
+            int(s, key!("step"), step);
+            int(s, key!("island"), island);
+            real(s, key!("sensed_w"), sensed_w);
+            real(s, key!("utilization"), utilization);
+            real(s, key!("target_w"), target_w);
+            real(s, key!("error"), error);
+            real(s, key!("p"), p_term);
+            real(s, key!("i"), i_term);
+            real(s, key!("d"), d_term);
+            real(s, key!("output"), output);
+            int(s, key!("dvfs"), dvfs_index);
+            boolean(s, key!("saturated"), saturated);
         }
         EventPayload::Actuation {
             span,
@@ -314,32 +140,22 @@ fn walk(s: &mut impl Line, event: &Event) {
             to_dvfs,
             granted,
         } => {
-            s.lit(&ACTUATION);
-            s.int(span);
-            s.lit(&PARENT);
-            s.int(parent);
-            s.lit(&ISLAND);
-            s.int(island.into());
-            s.lit(&FROM_DVFS);
-            s.int(from_dvfs.into());
-            s.lit(&REQUESTED_DVFS);
-            s.int(requested_dvfs.into());
-            s.lit(&TO_DVFS);
-            s.int(to_dvfs.into());
-            s.lit(&GRANTED[usize::from(granted)]);
+            int(s, kind!("Actuation", "span"), span);
+            int(s, key!("parent"), parent);
+            int(s, key!("island"), island);
+            int(s, key!("from_dvfs"), from_dvfs);
+            int(s, key!("requested_dvfs"), requested_dvfs);
+            int(s, key!("to_dvfs"), to_dvfs);
+            boolean(s, key!("granted"), granted);
         }
         EventPayload::TransducerRezero {
             island,
             residual_w,
             offset_w,
         } => {
-            s.lit(&TRANSDUCER_REZERO);
-            s.int(island.into());
-            s.lit(&RESIDUAL_W);
-            s.real(residual_w);
-            s.lit(&OFFSET_W);
-            s.real(offset_w);
-            s.lit(&END);
+            int(s, kind!("TransducerRezero", "island"), island);
+            real(s, key!("residual_w"), residual_w);
+            real(s, key!("offset_w"), offset_w);
         }
         EventPayload::ThermalViolation {
             source,
@@ -348,19 +164,13 @@ fn walk(s: &mut impl Line, event: &Event) {
             value,
             limit,
         } => {
-            s.lit(&THERMAL_VIOLATION);
-            s.label(source.as_str());
-            s.lit(&ISLAND);
-            s.int(island.into());
+            label(s, kind!("ThermalViolation", "source"), source.as_str());
+            int(s, key!("island"), island);
             if partner != u32::MAX {
-                s.lit(&PARTNER);
-                s.int(partner.into());
+                int(s, key!("partner"), partner);
             }
-            s.lit(&VALUE);
-            s.real(value);
-            s.lit(&LIMIT);
-            s.real(limit);
-            s.lit(&END);
+            real(s, key!("value"), value);
+            real(s, key!("limit"), limit);
         }
         EventPayload::PolicyHoldReversal {
             island,
@@ -369,17 +179,11 @@ fn walk(s: &mut impl Line, event: &Event) {
             epi_prev,
             hold_intervals,
         } => {
-            s.lit(&POLICY_HOLD_REVERSAL);
-            s.int(island.into());
-            s.lit(&LEVEL);
-            s.real(level);
-            s.lit(&EPI_NOW);
-            s.real(epi_now);
-            s.lit(&EPI_PREV);
-            s.real(epi_prev);
-            s.lit(&HOLD_INTERVALS);
-            s.int(hold_intervals.into());
-            s.lit(&END);
+            int(s, kind!("PolicyHoldReversal", "island"), island);
+            real(s, key!("level"), level);
+            real(s, key!("epi_now"), epi_now);
+            real(s, key!("epi_prev"), epi_prev);
+            int(s, key!("hold_intervals"), hold_intervals);
         }
         EventPayload::WorkerSpan {
             worker,
@@ -387,15 +191,10 @@ fn walk(s: &mut impl Line, event: &Event) {
             start_s,
             end_s,
         } => {
-            s.lit(&WORKER_SPAN);
-            s.int(worker.into());
-            s.lit(&LABEL);
-            s.label(name);
-            s.lit(&START_S);
-            s.real(start_s);
-            s.lit(&END_S);
-            s.real(end_s);
-            s.lit(&END);
+            int(s, kind!("WorkerSpan", "worker"), worker);
+            label(s, key!("label"), name);
+            real(s, key!("start_s"), start_s);
+            real(s, key!("end_s"), end_s);
         }
         EventPayload::Injection {
             label: name,
@@ -403,15 +202,12 @@ fn walk(s: &mut impl Line, event: &Event) {
             active,
             value,
         } => {
-            s.lit(&INJECTION);
-            s.label(name);
+            label(s, kind!("Injection", "label"), name);
             if island != u32::MAX {
-                s.lit(&ISLAND);
-                s.int(island.into());
+                int(s, key!("island"), island);
             }
-            s.lit(&ACTIVE[usize::from(active)]);
-            s.real(value);
-            s.lit(&END);
+            boolean(s, key!("active"), active);
+            real(s, key!("value"), value);
         }
         EventPayload::Alarm {
             monitor,
@@ -420,48 +216,16 @@ fn walk(s: &mut impl Line, event: &Event) {
             value,
             threshold,
         } => {
-            s.lit(&ALARM);
-            s.label(monitor);
+            label(s, kind!("Alarm", "monitor"), monitor);
             if island != u32::MAX {
-                s.lit(&ISLAND);
-                s.int(island.into());
+                int(s, key!("island"), island);
             }
-            s.lit(&ROUND);
-            s.int(round);
-            s.lit(&VALUE);
-            s.real(value);
-            s.lit(&THRESHOLD);
-            s.real(threshold);
-            s.lit(&END);
+            int(s, key!("round"), round);
+            real(s, key!("value"), value);
+            real(s, key!("threshold"), threshold);
         }
     }
-}
-
-/// Appends one event as a single JSONL line (no trailing newline) to `s`.
-///
-/// Field order is fixed: `seq`, `t`, `kind`, then payload fields in
-/// declaration order.
-pub fn write_event_jsonl(s: &mut Vec<u8>, event: &Event) {
-    walk(s, event);
-    // The walk writes whole lines; this one goes without its newline.
-    s.pop();
-}
-
-/// Appends one event as a JSONL line, newline included, and folds the
-/// line into `whole` and `block` as it is written: the same text as
-/// [`events_to_jsonl`] renders for the event, and the same states as
-/// [`Fnv1a64::update`] over that text on each chain. Constant text costs
-/// O(1) per literal (see [`crate::digest`]); numbers and labels are
-/// hashed byte by byte.
-pub fn fold_event_jsonl(s: &mut Vec<u8>, event: &Event, whole: &mut Fnv1a64, block: &mut Fnv1a64) {
-    walk(
-        &mut Folded {
-            out: s,
-            whole,
-            block,
-        },
-        event,
-    );
+    s.push(b'}');
 }
 
 /// Renders a slice of events as a JSONL document (one event per line,
@@ -469,7 +233,8 @@ pub fn fold_event_jsonl(s: &mut Vec<u8>, event: &Event, whole: &mut Fnv1a64, blo
 pub fn events_to_jsonl(events: &[Event]) -> String {
     let mut s = Vec::new();
     for e in events {
-        walk(&mut s, e);
+        write_event_jsonl(&mut s, e);
+        s.push(b'\n');
     }
     into_text(s)
 }
@@ -666,71 +431,12 @@ mod tests {
         (0..n).map(|i| synthetic(i, splitmix(&mut state))).collect()
     }
 
-    /// The distinct literals a walk applies, in first-use order.
-    #[derive(Default)]
-    struct Literals(Vec<&'static FnvLiteral>);
-
-    impl Line for Literals {
-        fn lit(&mut self, text: &'static FnvLiteral) {
-            if !self.0.iter().any(|k| std::ptr::eq(*k, text)) {
-                self.0.push(text);
-            }
-        }
-
-        fn int(&mut self, _: u64) {}
-
-        fn real(&mut self, _: f64) {}
-
-        fn label(&mut self, _: &str) {}
-    }
-
     #[test]
-    fn every_literal_jumps_like_the_byte_walk() {
-        let mut lits = Literals::default();
-        for e in &synthetic_stream(40) {
-            walk(&mut lits, e);
-        }
-        // The whole field table: `{"seq": `, `, "t": ` and `}\n`, ten
-        // kind-and-key literals, 33 keys and three booleans both ways.
-        assert_eq!(lits.0.len(), 52);
-        // The table is indexed by the low byte, so all 256 of them cover
-        // it exhaustively; the high parts are seeded draws.
-        let mut state = 0xF1A7_2024u64;
-        for lit in &lits.0 {
-            for low in 0..256u64 {
-                for _ in 0..4 {
-                    let h = (splitmix(&mut state) & !0xff) | low;
-                    let (mut jump, mut bytes) = (Fnv1a64::at_state(h), Fnv1a64::at_state(h));
-                    jump.update_literal(lit);
-                    bytes.update(lit.text().as_bytes());
-                    assert_eq!(
-                        jump.finish(),
-                        bytes.finish(),
-                        "{:?} from {h:#x}",
-                        lit.text()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn folded_walk_writes_and_hashes_like_the_byte_walk() {
+    fn write_event_jsonl_lines_make_the_document() {
+        // Each line written alone, newline added, is the document's line,
+        // and its kind label names the event's kind.
         let events = synthetic_stream(600);
         let text = events_to_jsonl(&events);
-        let (mut s, mut whole, mut block) = (Vec::new(), Fnv1a64::new(), Fnv1a64::new());
-        block.update(b"head|");
-        for e in &events {
-            fold_event_jsonl(&mut s, e, &mut whole, &mut block);
-        }
-        assert!(s == text.as_bytes(), "folded walk wrote different text");
-        assert_eq!(whole.finish(), crate::fnv1a64(text.as_bytes()));
-        assert_eq!(
-            block.finish(),
-            crate::fnv1a64(format!("head|{text}").as_bytes())
-        );
-        // `write_event_jsonl` writes the same lines without newlines, and
-        // each line's merged kind literal names the event's kind.
         let mut lines = Vec::new();
         for e in &events {
             let start = lines.len();
@@ -742,7 +448,7 @@ mod tests {
         }
         assert!(
             lines == text.as_bytes(),
-            "write_event_jsonl drifted from the walk"
+            "write_event_jsonl drifted from events_to_jsonl"
         );
     }
 

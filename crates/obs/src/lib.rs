@@ -16,10 +16,10 @@
 //!   decimal rendering straight into the caller's byte buffer, shared by
 //!   every exporter. Every renderer appends bytes to one `Vec<u8>` and
 //!   checks UTF-8 once per document.
-//! * **Digests** ([`digest`]) — FNV-1a 64 fingerprints of rendered JSONL
+//! * **Digests** ([`digest`]) — XXH64 fingerprints of rendered JSONL
 //!   traces, the currency of the scenario harness's committed golden
-//!   trajectories, folded as the JSONL is written with O(1) jumps over
-//!   its constant text.
+//!   trajectories, taken in one bulk pass over the finished text; and
+//!   FNV-1a 64 for short value-by-value digests.
 //! * **Causal spans** ([`span`]) — structural [`SpanId`]s linking
 //!   `GpmRound` → `PicDecision` → `Actuation` events into a walkable
 //!   cause tree, plus the [`PhaseProfiler`] seam for wall-clock
@@ -50,9 +50,9 @@ pub mod slo;
 pub mod span;
 
 pub use chrome::{events_to_chrome, validate_chrome_trace};
-pub use digest::{digest_str, fnv1a64, format_digest, Fnv1a64};
+pub use digest::{digest_str, fnv1a64, format_digest, xxh64_digest, Fnv1a64};
 pub use event::{Event, EventKind, EventPayload, ThermalSource};
-pub use export::{events_to_jsonl, fold_event_jsonl, write_event_jsonl, CsvSeries};
+pub use export::{events_to_jsonl, write_event_jsonl, CsvSeries};
 pub use fixed::json_num;
 pub use recorder::Recorder;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};

@@ -361,7 +361,7 @@ fn decision(k: usize, reals: &[f64]) -> Event {
 }
 
 /// Reals on every path of the formatter, through the JSONL walk, the
-/// golden fold and the Chrome writer: the carry out of the sixth decimal,
+/// golden render and the Chrome writer: the carry out of the sixth decimal,
 /// negative zero and a negative value that rounds to it, a subnormal,
 /// magnitudes of 2^53 and more (the `std` fallback, written into the same
 /// byte buffer), and non-finite values. Each renders as
@@ -394,8 +394,8 @@ fn every_formatter_path_renders_like_std_in_every_renderer() {
 
     let events: Vec<Event> = (0..reals.len()).map(|k| decision(k, &reals)).collect();
     let jsonl = events_to_jsonl(&events);
-    let (folded, golden) = GoldenDoc::render_events("formatter", &events);
-    assert!(folded == jsonl, "the golden fold wrote different text");
+    let (rendered, golden) = GoldenDoc::render_events("formatter", &events);
+    assert!(rendered == jsonl, "the golden render wrote different text");
     assert_eq!(golden, GoldenDoc::from_jsonl("formatter", &jsonl));
     let chrome = events_to_chrome(&events);
     validate_chrome_trace(&chrome).expect("fixture validates");

@@ -66,7 +66,7 @@ pub struct ScenarioRun {
     pub events: usize,
     /// The rendered JSONL trajectory (newline-terminated lines).
     pub jsonl: String,
-    /// Whole-trajectory digest (`fnv1a64:%016x`).
+    /// Whole-trajectory digest (`xxh64:%016x`), the golden's.
     pub digest: String,
     /// Block-level fingerprint of the trajectory.
     pub golden: GoldenDoc,
@@ -127,7 +127,8 @@ pub fn record_scenario(
 }
 
 /// Runs one scenario deterministically: [`record_scenario`], then the
-/// golden fold, the checks and the health and Chrome renders.
+/// JSONL render and its golden fingerprint, the checks and the health
+/// and Chrome renders.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     let (outcome, events, slo_alarms) = record_scenario(scenario)?;
     let (jsonl, golden) = GoldenDoc::render_events(scenario.name, &events);

@@ -4,7 +4,7 @@
 //! A [`GoldenDoc`] pins a scenario to its rendered JSONL trajectory with
 //! three levels of detail:
 //!
-//! * one whole-stream FNV-1a 64 digest (the pass/fail gate),
+//! * one whole-stream XXH64 digest (the pass/fail gate),
 //! * per-block digests over [`BLOCK_EVENTS`]-line chunks, so a diverging
 //!   run can be localized without committing the full stream,
 //! * each block's first JSONL line, a human-readable anchor naming a
@@ -15,8 +15,13 @@
 //! failed gate plus a replay into a report that first rules out
 //! nondeterminism (two runs disagreeing with *each other*) and then
 //! anchors the behavioral change at the first diverging event.
+//!
+//! A fingerprint is taken after the text is written, in one XXH64 pass
+//! over the whole buffer and one over each block's byte range: every
+//! line ends in `\n`, so a block is one contiguous range whose start
+//! the writer records as it goes.
 
-use cpm_obs::{fold_event_jsonl, format_digest, Event, Fnv1a64};
+use cpm_obs::{write_event_jsonl, xxh64_digest, Event};
 
 /// Events per golden block. Small enough to localize a divergence to a
 /// couple of GPM rounds, large enough that goldens stay a few dozen
@@ -24,13 +29,18 @@ use cpm_obs::{fold_event_jsonl, format_digest, Event, Fnv1a64};
 pub const BLOCK_EVENTS: usize = 256;
 
 /// Magic first line of every golden file; bump the suffix on format
-/// changes.
-pub const GOLDEN_HEADER: &str = "cpm-scenario-golden v1";
+/// changes. `v1` goldens carried FNV-1a digests.
+pub const GOLDEN_HEADER: &str = "cpm-scenario-golden v2";
+
+/// The command that regenerates every committed golden.
+const UPDATE_GOLDENS: &str =
+    "cargo run --release -p cpm-bench --bin experiments -- scenarios --update-goldens";
 
 /// One [`BLOCK_EVENTS`]-line chunk of the trajectory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenBlock {
-    /// FNV-1a 64 digest of the chunk's lines (newline-terminated).
+    /// XXH64 digest of the chunk's lines (newline-terminated), as
+    /// `xxh64:%016x`.
     pub digest: String,
     /// The chunk's first JSONL line — the readable anchor.
     pub first_line: String,
@@ -43,7 +53,7 @@ pub struct GoldenDoc {
     pub scenario: String,
     /// Total event (line) count of the trajectory.
     pub events: usize,
-    /// Whole-stream digest (`fnv1a64:%016x` of the full JSONL).
+    /// Whole-stream digest (`xxh64:%016x` of the full JSONL).
     pub digest: String,
     /// Per-block fingerprints in stream order.
     pub blocks: Vec<GoldenBlock>,
@@ -64,128 +74,81 @@ pub struct Divergence {
     pub actual_first_line: String,
 }
 
-/// The one fingerprint state behind [`GoldenDoc::from_jsonl`] and
-/// [`GoldenDoc::render_events`]: the whole-stream digest, the open
-/// block's digest and the sealed blocks. A line folds into both chains
-/// in the same loop, with no per-block copy of the text.
-struct Fingerprint {
-    whole: Fnv1a64,
-    block: Fnv1a64,
+/// Fingerprints `text`, in which every line ends in `\n` and block `k`
+/// starts at byte `starts[k]`. `digest` is the whole-stream digest.
+fn fingerprint(
+    scenario: &str,
     events: usize,
-    blocks: Vec<GoldenBlock>,
-}
-
-impl Fingerprint {
-    /// A walker for a stream of `events` lines (0 when unknown). Sizing
-    /// the block list up front keeps its reallocations from interleaving
-    /// with the growth of the JSONL buffer, which measured about 100 KB
-    /// lower peak RSS on the scenario pass (DESIGN.md §3c).
-    fn new(events: usize) -> Self {
-        Self {
-            whole: Fnv1a64::new(),
-            block: Fnv1a64::new(),
-            events: 0,
-            blocks: Vec::with_capacity(events.div_ceil(BLOCK_EVENTS)),
-        }
-    }
-
-    /// Seals the open block's digest.
-    fn seal(&mut self) {
-        if let Some(b) = self.blocks.last_mut() {
-            b.digest = format_digest(self.block.finish());
-        }
-    }
-
-    /// Counts a new line. When it opens a block, seals the previous one,
-    /// restarts the block chain and returns true: the caller then
-    /// anchors the block with [`Self::anchor`].
-    fn begin_line(&mut self) -> bool {
-        let opens = self.events % BLOCK_EVENTS == 0;
-        if opens {
-            self.seal();
-            self.block = Fnv1a64::new();
-        }
-        self.events += 1;
-        opens
-    }
-
-    /// Opens a block anchored at `line`, its first line.
-    fn anchor(&mut self, line: &str) {
-        self.blocks.push(GoldenBlock {
-            digest: String::new(),
-            first_line: line.to_string(),
-        });
-    }
-
-    /// Folds one raw line of text byte by byte: its bytes as they
-    /// appear, terminator included when there is one. The whole digest
-    /// hashes those bytes. The line itself follows `str::lines` (no `\n`
-    /// or `\r\n`), and the block digest hashes it plus `\n`, also where
-    /// the text has `\r\n` or no final newline.
-    fn feed(&mut self, raw: &str) {
-        let line = match raw.strip_suffix('\n') {
-            Some(l) => l.strip_suffix('\r').unwrap_or(l),
-            None => raw,
-        };
-        if self.begin_line() {
-            self.anchor(line);
-        }
-        // `raw` is exactly `line` plus `\n`: both chains take the same bytes.
-        if raw.len() == line.len() + 1 {
-            self.whole.update_pair(&mut self.block, raw.as_bytes());
-        } else {
-            self.whole.update(raw.as_bytes());
-            self.block.update(line.as_bytes());
-            self.block.update(b"\n");
-        }
-    }
-
-    fn finish(mut self, scenario: &str) -> GoldenDoc {
-        self.seal();
-        GoldenDoc {
-            scenario: scenario.to_string(),
-            events: self.events,
-            digest: format_digest(self.whole.finish()),
-            blocks: self.blocks,
-        }
+    digest: String,
+    text: &[u8],
+    starts: &[usize],
+) -> GoldenDoc {
+    let ends = starts.iter().skip(1).copied().chain([text.len()]);
+    let blocks = starts
+        .iter()
+        .zip(ends)
+        .map(|(&start, end)| {
+            let block = &text[start..end];
+            let first_line = block.split(|&b| b == b'\n').next().unwrap_or_default();
+            GoldenBlock {
+                digest: xxh64_digest(block),
+                first_line: String::from_utf8_lossy(first_line).into_owned(),
+            }
+        })
+        .collect();
+    GoldenDoc {
+        scenario: scenario.to_string(),
+        events,
+        digest,
+        blocks,
     }
 }
 
 impl GoldenDoc {
-    /// Fingerprints a rendered JSONL trajectory, byte by byte: the path
-    /// for text read back (divergence reports, the benchmark's shadow
-    /// run, tests).
+    /// Fingerprints a rendered JSONL trajectory: the path for text read
+    /// back (divergence reports, the benchmark's shadow run, tests). The
+    /// whole digest hashes the text as it is. Lines follow `str::lines`
+    /// (split at `\n` or `\r\n`), and a block digest hashes its lines
+    /// each followed by `\n`, also where the text has `\r\n` or no final
+    /// newline.
     pub fn from_jsonl(scenario: &str, jsonl: &str) -> Self {
-        let mut fp = Fingerprint::new(0);
-        for raw in jsonl.split_inclusive('\n') {
-            fp.feed(raw);
+        let mut text = Vec::with_capacity(jsonl.len() + 1);
+        let mut starts = Vec::new();
+        let mut events = 0;
+        for line in jsonl.lines() {
+            if events % BLOCK_EVENTS == 0 {
+                starts.push(text.len());
+            }
+            events += 1;
+            text.extend_from_slice(line.as_bytes());
+            text.push(b'\n');
         }
-        fp.finish(scenario)
+        let digest = xxh64_digest(jsonl.as_bytes());
+        fingerprint(scenario, events, digest, &text, &starts)
     }
 
-    /// Renders `events` as JSONL and fingerprints each line as it is
-    /// written: `(events_to_jsonl(events), from_jsonl(scenario, ..))`
-    /// without reading the text back. The field walk appends bytes,
-    /// folds constant text through its FNV-1a jump and hashes only the
-    /// values byte by byte. The text is checked as UTF-8 once, at the
-    /// end, and each block's anchor line once when its block opens.
+    /// Renders `events` as JSONL and fingerprints it:
+    /// `(events_to_jsonl(events), from_jsonl(scenario, ..))` without
+    /// reading the text back for line ends. The writer records where
+    /// each block starts, then hashes the finished buffer once whole and
+    /// once per block.
     pub fn render_events(scenario: &str, events: &[Event]) -> (String, Self) {
         let mut jsonl = Vec::new();
-        let mut fp = Fingerprint::new(events.len());
-        for e in events {
-            let start = jsonl.len();
-            let opens = fp.begin_line();
-            fold_event_jsonl(&mut jsonl, e, &mut fp.whole, &mut fp.block);
-            if opens {
-                // The line without its newline.
-                fp.anchor(&String::from_utf8_lossy(&jsonl[start..jsonl.len() - 1]));
+        let mut starts = Vec::with_capacity(events.len().div_ceil(BLOCK_EVENTS));
+        for block in events.chunks(BLOCK_EVENTS) {
+            starts.push(jsonl.len());
+            for e in block {
+                write_event_jsonl(&mut jsonl, e);
+                jsonl.push(b'\n');
             }
         }
-        // The walk appends only ASCII and `&str` bytes, so the check
+        let digest = xxh64_digest(&jsonl);
+        let doc = fingerprint(scenario, events.len(), digest, &jsonl, &starts);
+        // The writer appends only ASCII and `&str` bytes, so the check
         // passes; the lossy fallback only keeps a broken render readable.
         let jsonl = String::from_utf8(jsonl)
             .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-        (jsonl, fp.finish(scenario))
+        (jsonl, doc)
     }
 
     /// Renders the committed text form.
@@ -207,6 +170,12 @@ impl GoldenDoc {
         let mut lines = text.lines();
         match lines.next() {
             Some(GOLDEN_HEADER) => {}
+            Some(old) if old.starts_with("cpm-scenario-golden ") => {
+                return Err(format!(
+                    "golden format {old:?} is not the current {GOLDEN_HEADER:?}; \
+                     regenerate the goldens with `{UPDATE_GOLDENS}`"
+                ))
+            }
             Some(other) => return Err(format!("bad golden header: {other:?}")),
             None => return Err("empty golden file".to_string()),
         }
@@ -376,12 +345,11 @@ pub fn differential_report(golden: &GoldenDoc, first_jsonl: &str, replay_jsonl: 
         "event counts: golden {} vs run {}\n",
         golden.events, actual.events
     ));
-    r.push_str(
+    r.push_str(&format!(
         "If this change is intended, regenerate and commit the golden with \
-         `cargo run --release -p cpm-bench --bin experiments -- scenarios \
-         --update-goldens` and explain the behavioral change in the PR \
-         description.\n",
-    );
+         `{UPDATE_GOLDENS}` and explain the behavioral change in the PR \
+         description.\n"
+    ));
     r
 }
 
@@ -397,9 +365,8 @@ mod tests {
         s
     }
 
-    /// The original definition, kept as the oracle: split with
-    /// `lines()`, copy each block into a `String`, hash it, then hash the
-    /// whole text again.
+    /// The definition, kept as the oracle: split with `lines()`, copy each
+    /// block into a `String`, hash it, then hash the whole text again.
     fn from_jsonl_oracle(scenario: &str, jsonl: &str) -> GoldenDoc {
         let lines: Vec<&str> = jsonl.lines().collect();
         let blocks = lines
@@ -411,7 +378,7 @@ mod tests {
                     body.push('\n');
                 }
                 GoldenBlock {
-                    digest: cpm_obs::digest_str(&body),
+                    digest: xxh64_digest(body.as_bytes()),
                     first_line: chunk.first().map_or(String::new(), |l| l.to_string()),
                 }
             })
@@ -419,7 +386,7 @@ mod tests {
         GoldenDoc {
             scenario: scenario.to_string(),
             events: lines.len(),
-            digest: cpm_obs::digest_str(jsonl),
+            digest: xxh64_digest(jsonl.as_bytes()),
             blocks,
         }
     }
@@ -569,12 +536,45 @@ mod tests {
             let expected = cpm_obs::events_to_jsonl(&events[..n]);
             assert!(text == expected, "render_events wrote different text");
             assert_eq!(doc, from_jsonl_oracle("s", &text));
-            assert_eq!(doc.digest, cpm_obs::digest_str(&text));
+            assert_eq!(doc.digest, xxh64_digest(text.as_bytes()));
         }
         // Event 0 carries the NaN, rendered as `0.0`.
         let (text, _) = GoldenDoc::render_events("s", &events[..1]);
         assert!(text.starts_with("{\"seq\": 0, \"t\": 0.000000, \"kind\": \"GpmRound\""));
         assert!(text.contains("\"budget_w\": 0.0, "), "{text}");
+    }
+
+    #[test]
+    fn a_flipped_value_byte_moves_only_its_block_and_the_whole_digest() {
+        let events = synthetic_stream(3 * BLOCK_EVENTS as u64 + 77);
+        let (text, doc) = GoldenDoc::render_events("s", &events);
+        for k in 0..doc.blocks.len() {
+            // The last byte of the block's first value, `seq`.
+            let line = k * BLOCK_EVENTS;
+            let at = text
+                .match_indices("{\"seq\": ")
+                .nth(line)
+                .map(|(i, m)| i + m.len() + line.to_string().len() - 1)
+                .expect("block has a first line");
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = if bytes[at] == b'9' { b'8' } else { b'9' };
+            let flipped = String::from_utf8(bytes).expect("ASCII");
+            let other = GoldenDoc::from_jsonl("s", &flipped);
+            assert_ne!(other.digest, doc.digest, "block {k}");
+            for (j, (a, b)) in doc.blocks.iter().zip(&other.blocks).enumerate() {
+                assert_eq!(a.digest == b.digest, j != k, "block {j}, flip in {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_names_the_update_command_on_an_older_format() {
+        let v1 = GoldenDoc::from_jsonl("s", &jsonl(10))
+            .render()
+            .replace(GOLDEN_HEADER, "cpm-scenario-golden v1");
+        let err = GoldenDoc::parse(&v1).expect_err("v1 is retired");
+        assert!(err.contains("\"cpm-scenario-golden v1\""), "{err}");
+        assert!(err.contains(UPDATE_GOLDENS), "{err}");
     }
 
     #[test]

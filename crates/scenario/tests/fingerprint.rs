@@ -2,7 +2,7 @@
 //! and fingerprinting the text afterwards, on every catalogue entry.
 
 use cpm_core::Coordinator;
-use cpm_obs::{append_alarm_events, digest_str, events_to_jsonl, Event, Recorder, SloPolicy};
+use cpm_obs::{append_alarm_events, events_to_jsonl, xxh64_digest, Event, Recorder, SloPolicy};
 use cpm_scenario::catalogue::RECORDER_CAPACITY;
 use cpm_scenario::{run_scenario, GoldenDoc, Scenario, CATALOGUE, SCENARIO_ROUNDS};
 
@@ -34,6 +34,6 @@ fn render_events_equals_render_then_from_jsonl_on_every_entry() {
         let run = run_scenario(s).expect("catalogue entries run");
         assert!(run.jsonl == jsonl, "{}: run_scenario JSONL differs", s.name);
         assert_eq!(run.golden, golden, "{}", s.name);
-        assert_eq!(run.digest, digest_str(&jsonl), "{}", s.name);
+        assert_eq!(run.digest, xxh64_digest(jsonl.as_bytes()), "{}", s.name);
     }
 }

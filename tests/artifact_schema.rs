@@ -103,6 +103,7 @@ fn perf_artifact_passes_its_schema_gate() {
         "cache_access",
         "calibration",
         "scenario_render_thermal",
+        "scenario_fingerprint_thermal",
     ];
     let report = PerfReport {
         entries: names

@@ -55,6 +55,15 @@ fn every_scenario_reproduces_its_committed_golden() {
                 differential_report(&golden, &run.jsonl, &replay.jsonl)
             );
         }
+        // The whole digest and event count match; the block digests and
+        // anchors must match too, byte for byte.
+        assert!(
+            text == run.golden.render(),
+            "golden {} matches the run's digest but not its blocks or anchors; \
+             regenerate it with `cargo run --release -p cpm-bench --bin experiments -- \
+             scenarios --update-goldens`",
+            path.display()
+        );
     }
 }
 

@@ -156,69 +156,75 @@ fn run_cell(
     update_goldens: bool,
 ) -> Result<ScenarioReport, String> {
     let run = run_scenario(scenario)?;
-    let stem = scenario_stem(run.name);
     let mut report = ScenarioReport {
         name: run.name,
-        stem,
-        digest: run.digest.clone(),
+        stem: scenario_stem(run.name),
+        digest: run.digest,
         golden_digest: None,
         status: ScenarioStatus::Missing,
-        checks: run.checks.clone(),
+        checks: run.checks,
         events: run.events,
         alarms: run.alarms,
-        jsonl: run.jsonl.clone(),
-        health_json: run.health_json.clone(),
-        chrome_json: run.chrome_json.clone(),
+        jsonl: run.jsonl,
+        health_json: run.health_json,
+        chrome_json: run.chrome_json,
         refreshed_golden: None,
         divergence: None,
     };
-    let golden = match golden_text {
+    let fresh = run.golden.render();
+    let golden = match golden_text.map(GoldenDoc::parse) {
         None => {
             if update_goldens {
                 report.status = ScenarioStatus::Updated;
-                report.refreshed_golden = Some(run.golden.render());
+                report.refreshed_golden = Some(fresh);
             }
             return Ok(report);
         }
-        Some(text) => match GoldenDoc::parse(text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                if update_goldens {
-                    report.status = ScenarioStatus::Updated;
-                    report.refreshed_golden = Some(run.golden.render());
-                } else {
-                    report.status = ScenarioStatus::Diverged;
-                    report.divergence = Some(format!(
-                        "scenario: {}\nverdict: CORRUPT-GOLDEN\ncommitted golden failed to \
-                         parse: {e}\nRegenerate it with `experiments scenarios \
-                         --update-goldens`.\n",
-                        run.name
-                    ));
-                }
-                return Ok(report);
+        Some(Err(e)) => {
+            if update_goldens {
+                report.status = ScenarioStatus::Updated;
+                report.refreshed_golden = Some(fresh);
+            } else {
+                report.status = ScenarioStatus::Diverged;
+                report.divergence = Some(format!(
+                    "scenario: {}\nverdict: CORRUPT-GOLDEN\ncommitted golden failed to \
+                     parse: {e}\nRegenerate it with `experiments scenarios \
+                     --update-goldens`.\n",
+                    run.name
+                ));
             }
-        },
+            return Ok(report);
+        }
+        Some(Ok(doc)) => doc,
     };
     report.golden_digest = Some(golden.digest.clone());
-    if update_goldens {
-        // Refresh any golden that is not byte-equal to a fresh render,
-        // including one whose stale blocks `matches` does not compare.
-        let fresh = run.golden.render();
-        if golden_text != Some(fresh.as_str()) {
-            report.status = ScenarioStatus::Updated;
-            report.refreshed_golden = Some(fresh);
-            return Ok(report);
-        }
-    }
-    if golden.matches(&run.golden) {
+    // The gate is byte equality with a fresh render, as in tier-1: a
+    // golden whose whole digest matches but whose block digests or
+    // anchors are stale still fails.
+    if golden_text == Some(fresh.as_str()) {
         report.status = ScenarioStatus::Match;
+        return Ok(report);
+    }
+    if update_goldens {
+        report.status = ScenarioStatus::Updated;
+        report.refreshed_golden = Some(fresh);
+        return Ok(report);
+    }
+    report.status = ScenarioStatus::Diverged;
+    if golden.matches(&run.golden) {
+        report.divergence = Some(format!(
+            "scenario: {}\nverdict: STALE-GOLDEN\nthe trajectory matches the committed \
+             digest and event count, but the golden is not byte-equal to a fresh \
+             render (stale block digests or anchors).\nRegenerate it with \
+             `experiments scenarios --update-goldens`.\n",
+            run.name
+        ));
         return Ok(report);
     }
     // Differential replay: re-run the scenario and let the report tell
     // nondeterminism apart from behavioral change.
-    report.status = ScenarioStatus::Diverged;
     let replay = run_scenario(scenario)?;
-    report.divergence = Some(differential_report(&golden, &run.jsonl, &replay.jsonl));
+    report.divergence = Some(differential_report(&golden, &report.jsonl, &replay.jsonl));
     Ok(report)
 }
 
@@ -342,6 +348,26 @@ mod tests {
         assert_eq!(report.name, s.name);
         assert_eq!(report.status, ScenarioStatus::Updated);
         assert_eq!(report.refreshed_golden, Some(fresh.render()));
+    }
+
+    #[test]
+    fn check_reports_a_golden_with_a_stale_block_digest_as_diverged() {
+        let s = &CATALOGUE[0];
+        let fresh = run_scenario(s).expect("catalogue entries run").golden;
+        let mut stale = fresh.clone();
+        stale.blocks[0].digest = "xxh64:0000000000000000".to_string();
+        assert!(stale.matches(&fresh), "the whole digest still matches");
+        let goldens = BTreeMap::from([(s.name.to_string(), stale.render())]);
+        let suite = run_scenario_suite(goldens, false).expect("suite runs");
+        let report = &suite.reports[0];
+        assert_eq!(report.name, s.name);
+        assert_eq!(report.status, ScenarioStatus::Diverged);
+        assert_eq!(report.refreshed_golden, None);
+        let divergence = report.divergence.as_deref().expect("a divergence report");
+        assert!(
+            divergence.contains("STALE-GOLDEN") && divergence.contains("--update-goldens"),
+            "{divergence}"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! conditional-clocking style).
 
 use crate::dvfs::OperatingPoint;
+use crate::Lanes;
 use cpm_units::{Ratio, Watts};
 
 /// The micro-architectural units charged by the model, mirroring Wattch's
@@ -130,18 +131,20 @@ impl DynamicPowerModel {
     }
 
     /// Lane-chunked [`Self::power_with_v2f`]: gated dynamic power for `L`
-    /// cores sharing one island's hoisted `V²·f` product, with activities
-    /// given as plain (already clamped or clampable) values.
+    /// cores, with the hoisted `V²·f` product shared by every lane or
+    /// given per lane (see [`Lanes`]), and activities given as plain
+    /// (already clamped or clampable) values.
     ///
     /// The unit loop is interchanged to the outside so each pass over the
     /// lanes is elementwise (LLVM vectorizes it), but every lane's
     /// accumulator still receives its 8 unit contributions in exactly the
     /// order [`Self::power_with_v2f`] adds them — interchange moves work
-    /// between lanes, never reassociates within one — so `out[l]` is
-    /// bit-identical to the scalar call on lane `l`.
-    pub fn power_with_v2f_lanes<const L: usize>(
+    /// between lanes, never reassociates within one — and each forms
+    /// `c · V²f` before gating, as the scalar path associates it, so
+    /// `out[l]` is bit-identical to the scalar call on lane `l`.
+    pub fn power_with_v2f_lanes<const L: usize, V: Lanes<L>>(
         &self,
-        v2f: f64,
+        v2f: V,
         activities: &[f64; L],
         out: &mut [f64; L],
     ) {
@@ -152,17 +155,13 @@ impl DynamicPowerModel {
         }
         let mut total = [0.0; L];
         for (i, c) in self.capacitance.iter().enumerate() {
-            // The unit's `c · V²f` product is lane-invariant — computed
-            // once here, exactly as the scalar path associates it.
-            let cv = c * v2f;
             if Unit::ALL[i] == Unit::ClockTree {
-                let ct = cv * g_clock;
-                for t in total.iter_mut() {
-                    *t += ct;
+                for (l, t) in total.iter_mut().enumerate() {
+                    *t += c * v2f.lane(l) * g_clock;
                 }
             } else {
                 for l in 0..L {
-                    total[l] += cv * g[l];
+                    total[l] += c * v2f.lane(l) * g[l];
                 }
             }
         }

@@ -13,6 +13,7 @@
 //! roughly doubles over a 40 °C rise — both standard figures for the
 //! technology node the paper models.
 
+use crate::Lanes;
 use cpm_math::{exp_det, exp_lanes};
 use cpm_units::{Celsius, Volts, Watts};
 
@@ -98,22 +99,26 @@ impl LeakageModel {
         self.p_nominal * (multiplier * v_term * t_term)
     }
 
-    /// Lane-chunked [`Self::power_with_v_term`]: leakage for `L` cores
-    /// sharing one island's hoisted voltage factor and variation
-    /// multiplier, with temperatures given in °C.
+    /// Lane-chunked [`Self::power_with_v_term`]: leakage for `L` cores,
+    /// with the hoisted voltage factor and the variation multiplier shared
+    /// by every lane or given per lane (see [`Lanes`]), and temperatures
+    /// given in °C.
     ///
     /// Each lane evaluates the token-identical scalar expression, so
     /// `out[l]` is bit-identical to the scalar call on lane `l` — and
-    /// with `exp` now the branch-free `cpm-math` kernel, every pass in
-    /// here vectorizes, transcendental included.
-    pub fn power_with_v_term_lanes<const L: usize>(
+    /// with `exp` the branch-free `cpm-math` kernel, every pass in here
+    /// vectorizes, transcendental included.
+    pub fn power_with_v_term_lanes<const L: usize, T: Lanes<L>>(
         &self,
-        v_term: f64,
+        v_term: T,
         temps_deg: &[f64; L],
-        multiplier: f64,
+        multiplier: T,
         out: &mut [f64; L],
     ) {
-        assert!(multiplier > 0.0, "variation multiplier must be positive");
+        assert!(
+            (0..L).all(|l| multiplier.lane(l) > 0.0),
+            "variation multiplier must be positive"
+        );
         let t_nom = self.t_nominal.value();
         let inv_tk0 = 1.0 / (t_nom + 273.15);
         let p_nom = self.p_nominal.value();
@@ -132,7 +137,7 @@ impl LeakageModel {
         exp_lanes(&e_arg, &mut e);
         for l in 0..L {
             let t_term = quad[l] * e[l];
-            out[l] = p_nom * (multiplier * v_term * t_term);
+            out[l] = p_nom * (multiplier.lane(l) * v_term.lane(l) * t_term);
         }
     }
 }

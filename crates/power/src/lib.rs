@@ -46,6 +46,29 @@ pub struct IslandPowerTerms {
     pub leak_v_term: f64,
 }
 
+/// One input of the lane kernels: a single value every lane shares (an
+/// island-constant term, which the kernels then hoist out of their lane
+/// loops) or one value per lane (a chunk whose cores sit in different
+/// islands). Either way lane `l` evaluates the same scalar expression.
+pub trait Lanes<const L: usize>: Copy {
+    /// The value of lane `l`.
+    fn lane(&self, l: usize) -> f64;
+}
+
+impl<const L: usize> Lanes<L> for f64 {
+    #[inline(always)]
+    fn lane(&self, _: usize) -> f64 {
+        *self
+    }
+}
+
+impl<const L: usize> Lanes<L> for [f64; L] {
+    #[inline(always)]
+    fn lane(&self, l: usize) -> f64 {
+        self[l]
+    }
+}
+
 /// Complete per-core power model: dynamic + leakage.
 #[derive(Debug, Clone)]
 pub struct CorePowerModel {
@@ -105,28 +128,30 @@ impl CorePowerModel {
     }
 
     /// Lane-chunked [`Self::total_power_with_terms`]: total power for `L`
-    /// cores of one island (shared hoisted terms and leakage multiplier),
-    /// with activities as plain clamped values and temperatures in °C.
+    /// cores, with the island terms and leakage multiplier shared by every
+    /// lane or given per lane (see [`Lanes`]), activities as plain clamped
+    /// values and temperatures in °C.
     ///
     /// Composes the dynamic lane pass
     /// ([`DynamicPowerModel::power_with_v2f_lanes`]) with the leakage lane
     /// pass ([`LeakageModel::power_with_v_term_lanes`]) and sums per lane
     /// in the scalar order (dynamic + leakage), so `out[l]` is
     /// bit-identical to the scalar call on lane `l`.
-    pub fn total_power_with_terms_lanes<const L: usize>(
+    pub fn total_power_with_terms_lanes<const L: usize, T: Lanes<L>>(
         &self,
-        terms: IslandPowerTerms,
+        v2f: T,
+        leak_v_term: T,
         activities: &[f64; L],
         temps_deg: &[f64; L],
-        leak_mult: f64,
+        leak_mult: T,
         out: &mut [Watts; L],
     ) {
         let mut dynamic = [0.0; L];
         self.dynamic
-            .power_with_v2f_lanes(terms.v2f, activities, &mut dynamic);
+            .power_with_v2f_lanes(v2f, activities, &mut dynamic);
         let mut leak = [0.0; L];
         self.leakage
-            .power_with_v_term_lanes(terms.leak_v_term, temps_deg, leak_mult, &mut leak);
+            .power_with_v_term_lanes(leak_v_term, temps_deg, leak_mult, &mut leak);
         for l in 0..L {
             out[l] = Watts::new(dynamic[l] + leak[l]);
         }
@@ -176,31 +201,48 @@ mod tests {
     fn lane_kernel_is_bit_identical_to_scalar_total_power() {
         // The vectorizable lane pass must reproduce the scalar path to the
         // last bit at every operating point, including out-of-range
-        // activities (the gate clamp is part of the contract).
+        // activities (the gate clamp is part of the contract), with the
+        // terms shared by every lane (a chunk inside one island) and with
+        // every lane at its own operating point and multiplier (a chunk
+        // that spans islands).
         let m = CorePowerModel::paper_default();
         let table = DvfsTable::pentium_m();
-        for idx in 0..table.len() {
-            let op = table.point(idx);
-            let terms = m.island_terms(op);
-            for leak_mult in [1.0, 1.2, 2.0] {
-                let activities = [0.0, 0.17, 0.5, 0.93, 1.0, 1.4, -0.2, 0.61];
-                let temps = [45.0, 52.5, 60.0, 71.25, 85.0, 96.0, 47.3, 64.8];
-                let mut out = [Watts::ZERO; 8];
-                m.total_power_with_terms_lanes(terms, &activities, &temps, leak_mult, &mut out);
-                for l in 0..8 {
-                    let scalar = m.total_power_with_terms(
-                        terms,
-                        Ratio::new(activities[l]),
-                        Celsius::new(temps[l]),
-                        leak_mult,
-                    );
-                    assert_eq!(
-                        out[l].value().to_bits(),
-                        scalar.value().to_bits(),
-                        "lane {l} at op {idx}, mult {leak_mult}"
-                    );
-                }
+        let activities = [0.0, 0.17, 0.5, 0.93, 1.0, 1.4, -0.2, 0.61];
+        let temps = [45.0, 52.5, 60.0, 71.25, 85.0, 96.0, 47.3, 64.8];
+        let check = |out: [Watts; 8], terms: [IslandPowerTerms; 8], leak_mult: [f64; 8]| {
+            for l in 0..8 {
+                let scalar = m.total_power_with_terms(
+                    terms[l],
+                    Ratio::new(activities[l]),
+                    Celsius::new(temps[l]),
+                    leak_mult[l],
+                );
+                assert_eq!(
+                    out[l].value().to_bits(),
+                    scalar.value().to_bits(),
+                    "lane {l}"
+                );
             }
+        };
+        for shift in 0..table.len() {
+            let terms: [IslandPowerTerms; 8] =
+                std::array::from_fn(|l| m.island_terms(table.point((l + shift) % table.len())));
+            let leak_mult: [f64; 8] =
+                std::array::from_fn(|l| [1.0, 1.2, 1.5, 2.0][(l + shift) % 4]);
+            let mut out = [Watts::ZERO; 8];
+            let (v2f, v_term) = (terms.map(|t| t.v2f), terms.map(|t| t.leak_v_term));
+            m.total_power_with_terms_lanes(v2f, v_term, &activities, &temps, leak_mult, &mut out);
+            check(out, terms, leak_mult);
+            let (t, mult) = (terms[0], leak_mult[0]);
+            m.total_power_with_terms_lanes(
+                t.v2f,
+                t.leak_v_term,
+                &activities,
+                &temps,
+                mult,
+                &mut out,
+            );
+            check(out, [t; 8], [mult; 8]);
         }
     }
 

@@ -2,13 +2,13 @@
 //! control interval at a time.
 
 use crate::config::CmpConfig;
-use crate::soa::{CoreBank, CoreView, IslandBank, IslandView, PhaseScales};
+use crate::soa::{CoreBank, CoreView, IslandBank, IslandCtx, IslandView, SegmentTotals};
 use cpm_power::variation::VariationMap;
+use cpm_power::IslandPowerTerms;
 use cpm_runtime::Pool;
 use cpm_thermal::ThermalGrid;
 use cpm_units::{Celsius, CoreId, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::WorkloadAssignment;
-use std::sync::Arc;
 
 /// Per-island observations for one interval — exactly the feedback the
 /// GPM and PICs consume.
@@ -101,6 +101,13 @@ pub struct Chip {
     /// previous interval's aggregate traffic — a one-interval lag, as a
     /// real controller's congestion feedback would have).
     mem_contention: f64,
+    /// The island power terms of each operating point, by DVFS index: a
+    /// function of the operating point alone, so computing them once here
+    /// is bit-identical to hoisting them per island per step.
+    terms: Vec<IslandPowerTerms>,
+    /// Per-step scratch: each island's lane context and totals.
+    island_ctx: Vec<IslandCtx>,
+    island_totals: Vec<SegmentTotals>,
 }
 
 impl Chip {
@@ -142,7 +149,15 @@ impl Chip {
         let islands = IslandBank::new(config.islands(), config.cores_per_island, top);
         let thermal = ThermalGrid::new(config.floorplan(), config.thermal);
         let max_power = Self::compute_max_power(&config, &variation);
+        let terms = config
+            .dvfs
+            .points()
+            .iter()
+            .map(|&op| config.power.island_terms(op))
+            .collect();
         Self {
+            island_ctx: vec![IslandCtx::default(); config.islands()],
+            island_totals: vec![SegmentTotals::default(); config.islands()],
             config,
             cores,
             islands,
@@ -151,6 +166,7 @@ impl Chip {
             time: Seconds::ZERO,
             max_power,
             mem_contention: 1.0,
+            terms,
         }
     }
 
@@ -248,175 +264,58 @@ impl Chip {
     /// steady-state stepping allocation-free after the first call. Results
     /// are bit-identical to [`Chip::step`].
     pub fn step_into(&mut self, dt: Seconds, out: &mut ChipSnapshot) {
+        let contention = self.mem_contention;
+        // One pass over all cores for the phase sequences, the islands'
+        // contexts, then one fused CPI+power lane pass over all cores.
+        self.cores.advance_phases(dt);
+        for (i, ctx) in self.island_ctx.iter_mut().enumerate() {
+            let idx = self.islands.dvfs_index(i);
+            let frozen = self.islands.take_freeze(i, &self.config.dvfs, dt);
+            *ctx = IslandCtx::new(
+                self.config.dvfs.point(idx).frequency,
+                dt,
+                frozen,
+                self.terms[idx],
+                self.variation.multiplier(IslandId(i)),
+            );
+        }
+        self.cores.step_islands(
+            0,
+            &self.island_ctx,
+            dt,
+            contention,
+            &self.config.power,
+            self.thermal.temperatures_deg(),
+            &mut self.island_totals,
+        );
         out.core_powers.clear();
+        out.core_powers.extend_from_slice(self.cores.core_powers());
+        // Fold DRAM bytes in chip core order — the exact addition order of
+        // the array-of-structs walk.
+        let mut total_dram_bytes = 0.0;
+        for &b in self.cores.dram_bytes() {
+            total_dram_bytes += b;
+        }
         out.islands.clear();
         out.islands.reserve(self.islands.len());
         let mut total_instructions = 0.0;
-        let mut total_dram_bytes = 0.0;
-        let contention = self.mem_contention;
-
-        // One pass over all cores for the phase sequences, then one fused
-        // CPI+power pass per island segment.
-        self.cores.advance_phases(dt);
-        for i in 0..self.islands.len() {
-            let op = self.config.dvfs.point(self.islands.dvfs_index(i));
-            let frozen = self.islands.take_freeze(i, &self.config.dvfs, dt);
-            let leak_mult = self.variation.multiplier(IslandId(i));
-            // V²f and the leakage voltage factor are functions of the
-            // operating point alone — compute them once per island, not
-            // once per core (bit-identical, see `IslandPowerTerms`).
-            let terms = self.config.power.island_terms(op);
-            let totals = self.cores.step_island(
-                i,
-                op.frequency,
-                dt,
-                frozen,
-                contention,
-                &self.config.power,
-                terms,
-                leak_mult,
-                self.thermal.temperatures_deg(),
-            );
-            let seg = self.cores.segment(i);
-            out.core_powers.extend_from_slice(seg.core_powers());
-            // Fold DRAM bytes in chip core order — the exact addition
-            // order of the array-of-structs walk.
-            for &b in seg.dram_bytes() {
-                total_dram_bytes += b;
-            }
+        let f_max = self.config.dvfs.max_point().frequency;
+        for (i, totals) in self.island_totals.iter().enumerate() {
             total_instructions += totals.instructions;
-            self.push_island_snapshot(out, i, totals, dt);
+            let dvfs_index = self.islands.dvfs_index(i);
+            let utilization = Ratio::new(totals.util_sum / self.islands.width() as f64);
+            let f_ratio = self.config.dvfs.point(dvfs_index).frequency / f_max;
+            out.islands.push(IslandSnapshot {
+                island: IslandId(i),
+                power: totals.power,
+                utilization,
+                capacity_utilization: Ratio::new(utilization.value() * f_ratio),
+                instructions: totals.instructions,
+                bips: totals.instructions / dt.value() / 1.0e9,
+                dvfs_index,
+            });
         }
 
-        self.finish_step(dt, out, total_instructions, total_dram_bytes, contention);
-    }
-
-    /// [`Chip::step_pic_into`] with the island segments sharded across
-    /// `pool` (see [`Chip::step_into_on`]).
-    pub fn step_pic_into_on(&mut self, out: &mut ChipSnapshot, pool: &Pool) {
-        self.step_into_on(self.config.pic_interval, out, pool);
-    }
-
-    /// Advances the chip by `dt` with the per-island work sharded across
-    /// `pool`, writing the observations into `out`.
-    ///
-    /// The whole chip's phase streams advance serially first, in the one
-    /// pass the serial step makes; then each island's segment is moved onto
-    /// the pool whole (CPI + power for its cores, reading its slices of the
-    /// phase samples and temperatures), then restored and reduced in island
-    /// order — the exact serial reduction order — so trajectories are
-    /// byte-identical to [`Chip::step_into`] at any worker count.
-    ///
-    /// Unlike the serial path this one allocates per step (boxed pool jobs
-    /// and the phase-sample and temperature snapshots); it exists for large
-    /// chips where the parallelism pays for that overhead many times over.
-    pub fn step_into_on(&mut self, dt: Seconds, out: &mut ChipSnapshot, pool: &Pool) {
-        if pool.workers() <= 1 || self.islands.len() <= 1 {
-            self.step_into(dt, out);
-            return;
-        }
-        let n_islands = self.islands.len();
-        let width = self.islands.width();
-        out.core_powers.clear();
-        out.islands.clear();
-        out.islands.reserve(n_islands);
-        let contention = self.mem_contention;
-        self.cores.advance_phases(dt);
-        // The job closure is 'static: snapshot the phase samples and the
-        // temperatures into shared slices and clone the (stack-only) power
-        // model.
-        let scales = self.cores.phase_scales();
-        let cpi_scale: Arc<[f64]> = Arc::from(scales.cpi);
-        let mem_scale: Arc<[f64]> = Arc::from(scales.mem);
-        let activity_scale: Arc<[f64]> = Arc::from(scales.activity);
-        let temps: Arc<[f64]> = Arc::from(self.thermal.temperatures_deg());
-        let power_model = self.config.power.clone();
-
-        // Serial prologue in island order: consume freezes and hoist the
-        // island-constant factors exactly as the serial walk does, then
-        // move each island's segment into its job.
-        let mut jobs = Vec::with_capacity(n_islands);
-        for i in 0..n_islands {
-            let op = self.config.dvfs.point(self.islands.dvfs_index(i));
-            let frozen = self.islands.take_freeze(i, &self.config.dvfs, dt);
-            let leak_mult = self.variation.multiplier(IslandId(i));
-            let terms = self.config.power.island_terms(op);
-            let seg = std::mem::take(&mut self.cores.segments_mut()[i]);
-            jobs.push((i, seg, op.frequency, frozen, terms, leak_mult));
-        }
-        let results = pool.parallel_map(jobs, move |(i, mut seg, freq, frozen, terms, leak)| {
-            let cores = i * width..i * width + seg.len();
-            let scales = PhaseScales {
-                cpi: &cpi_scale,
-                mem: &mem_scale,
-                activity: &activity_scale,
-            };
-            let totals = seg.step(
-                freq,
-                dt,
-                frozen,
-                contention,
-                &power_model,
-                terms,
-                leak,
-                &temps[cores.clone()],
-                scales.slice(cores),
-            );
-            (seg, totals)
-        });
-
-        // Serial epilogue in island order: restore the segments and fold
-        // totals and DRAM bytes in exactly the serial reduction order.
-        let mut total_instructions = 0.0;
-        let mut total_dram_bytes = 0.0;
-        for (i, (seg, totals)) in results.into_iter().enumerate() {
-            out.core_powers.extend_from_slice(seg.core_powers());
-            for &b in seg.dram_bytes() {
-                total_dram_bytes += b;
-            }
-            self.cores.segments_mut()[i] = seg;
-            total_instructions += totals.instructions;
-            self.push_island_snapshot(out, i, totals, dt);
-        }
-
-        self.finish_step(dt, out, total_instructions, total_dram_bytes, contention);
-    }
-
-    /// Folds one island's [`SegmentTotals`] into its `IslandSnapshot` —
-    /// shared verbatim by the serial and sharded steps so their island
-    /// arithmetic cannot drift apart.
-    fn push_island_snapshot(
-        &self,
-        out: &mut ChipSnapshot,
-        i: usize,
-        totals: crate::soa::SegmentTotals,
-        dt: Seconds,
-    ) {
-        let n = self.islands.width() as f64;
-        let op = self.config.dvfs.point(self.islands.dvfs_index(i));
-        let utilization = Ratio::new(totals.util_sum / n);
-        let f_ratio = op.frequency / self.config.dvfs.max_point().frequency;
-        out.islands.push(IslandSnapshot {
-            island: IslandId(i),
-            power: totals.power,
-            utilization,
-            capacity_utilization: Ratio::new(utilization.value() * f_ratio),
-            instructions: totals.instructions,
-            bips: totals.instructions / dt.value() / 1.0e9,
-            dvfs_index: self.islands.dvfs_index(i),
-        });
-    }
-
-    /// The shared tail of the serial and sharded steps: thermal advance,
-    /// contention feedback, and snapshot bookkeeping.
-    fn finish_step(
-        &mut self,
-        dt: Seconds,
-        out: &mut ChipSnapshot,
-        total_instructions: f64,
-        total_dram_bytes: f64,
-        contention: f64,
-    ) {
         self.thermal.step(&out.core_powers, dt);
         self.time += dt;
 
@@ -441,6 +340,20 @@ impl Chip {
         out.instructions = total_instructions;
         out.memory_demand = memory_demand;
         out.memory_contention = contention;
+    }
+
+    /// [`Chip::step_pic_into`], kept for callers that hold a pool: see
+    /// [`Chip::step_into_on`].
+    pub fn step_pic_into_on(&mut self, out: &mut ChipSnapshot, pool: &Pool) {
+        self.step_into_on(self.config.pic_interval, out, pool);
+    }
+
+    /// [`Chip::step_into`]. The pool is not used: fanning island segments
+    /// out to workers never beat the serial lane pass, even on the
+    /// 1024-core chip, so the sharded step is the serial one and its
+    /// trajectory is the serial trajectory at any worker count.
+    pub fn step_into_on(&mut self, dt: Seconds, out: &mut ChipSnapshot, _pool: &Pool) {
+        self.step_into(dt, out);
     }
 }
 
@@ -640,56 +553,115 @@ mod tests {
         }
     }
 
-    /// The sharding contract: a chip stepped with its islands fanned out
-    /// across pool workers produces the identical trajectory — snapshots,
-    /// per-core powers, temperatures, contention feedback — as the serial
-    /// walk, under wandering DVFS (so transition freezes are in play).
+    /// The chip-wide lane pass at island widths whose chunks straddle
+    /// islands and leave a padded remainder (core counts that are and are
+    /// not multiples of the lane width), under DVFS moves every few steps
+    /// and the four-island variation map, so one chunk mixes operating
+    /// points, freezes and leakage multipliers. `Chip::step_pic_into` must
+    /// agree bit for bit with a per-island `CoreBank::step_island` walk
+    /// and with the scalar `CoreModel` oracle.
     #[test]
-    fn sharded_step_matches_serial_bitwise() {
-        let cfg = CmpConfig::with_topology(32, 4);
-        let asg = WorkloadAssignment::paper_mix(Mix::Mix3, 32);
-        let mut serial = Chip::new(cfg.clone(), &asg);
-        let mut sharded = Chip::new(cfg, &asg);
-        let pool = Pool::new(4);
-        let mut a = ChipSnapshot::empty();
-        let mut b = ChipSnapshot::empty();
-        for step in 0..60 {
-            if step % 7 == 0 {
-                let island = IslandId(step % 8);
-                let idx = (step * 3) % 8;
-                serial.set_island_dvfs(island, idx);
-                sharded.set_island_dvfs(island, idx);
+    fn lane_pass_matches_island_walk_and_scalar_oracle_at_any_width() {
+        use crate::core_model::tests::CoreModel;
+        use crate::soa::CoreBank;
+        use cpm_workloads::{parsec, BenchmarkProfile};
+
+        let islands = 4;
+        for width in [1, 2, 3, 4, 5, 8, 64] {
+            let n = width * islands;
+            let cfg = CmpConfig::with_topology(n, width);
+            let profiles: Vec<BenchmarkProfile> =
+                parsec::all().into_iter().cycle().take(n).collect();
+            let variation = VariationMap::paper_four_island();
+            let asg = WorkloadAssignment::new(profiles.clone(), width);
+            let mut chip = Chip::with_variation(cfg.clone(), &asg, variation.clone());
+            let mut bank = CoreBank::new(width);
+            let mut walk_islands = IslandBank::new(islands, width, cfg.dvfs.len() - 1);
+            let mut scalars = Vec::new();
+            for (c, p) in profiles.into_iter().enumerate() {
+                bank.push(p.clone(), cfg.seed, c as u64);
+                scalars.push(CoreModel::new(p, cfg.seed, c as u64));
             }
-            serial.step_pic_into(&mut a);
-            sharded.step_pic_into_on(&mut b, &pool);
-            assert_eq!(a, b, "step {step}");
-            for (c, (x, y)) in a.core_powers.iter().zip(&b.core_powers).enumerate() {
+            let dt = cfg.pic_interval;
+            let mut snap = ChipSnapshot::empty();
+            for step in 0..30 {
+                for i in 0..islands {
+                    if (step + i) % 3 == 0 {
+                        let idx = (step * 5 + i * 3) % cfg.dvfs.len();
+                        chip.set_island_dvfs(IslandId(i), idx);
+                        walk_islands.set_dvfs_index(i, idx, &cfg.dvfs);
+                    }
+                }
+                let temps = chip.temperatures_deg().to_vec();
+                let contention = chip.memory_contention();
+                chip.step_pic_into(&mut snap);
+                bank.advance_phases(dt);
+                let mut dram = 0.0;
+                for i in 0..islands {
+                    let at = format!("width {width}, step {step}, island {i}");
+                    let op = cfg.dvfs.point(walk_islands.dvfs_index(i));
+                    let frozen = walk_islands.take_freeze(i, &cfg.dvfs, dt);
+                    let leak = variation.multiplier(IslandId(i));
+                    let terms = cfg.power.island_terms(op);
+                    let walk = bank.step_island(
+                        i,
+                        op.frequency,
+                        dt,
+                        frozen,
+                        contention,
+                        &cfg.power,
+                        terms,
+                        leak,
+                        &temps,
+                    );
+                    let mut oracle = crate::soa::SegmentTotals::default();
+                    for c in i * width..(i + 1) * width {
+                        let stats = scalars[c].step_contended(op.frequency, dt, frozen, contention);
+                        let p = cfg.power.total_power_with_terms(
+                            terms,
+                            stats.activity,
+                            Celsius::new(temps[c]),
+                            leak,
+                        );
+                        let bits = |w: Watts| w.value().to_bits();
+                        assert_eq!(bits(snap.core_powers[c]), bits(p), "core {c}, {at}");
+                        let walk_power = bank.segment(i).core_powers()[c - i * width];
+                        assert_eq!(bits(walk_power), bits(p), "core {c}, {at}");
+                        oracle.power += p;
+                        oracle.util_sum += stats.utilization.value();
+                        oracle.instructions += stats.instructions;
+                        dram += stats.dram_bytes;
+                    }
+                    assert_eq!(walk, oracle, "{at}");
+                    let s = &snap.islands[i];
+                    assert_eq!(
+                        s.power.value().to_bits(),
+                        oracle.power.value().to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        s.instructions.to_bits(),
+                        oracle.instructions.to_bits(),
+                        "{at}"
+                    );
+                    let util = Ratio::new(oracle.util_sum / width as f64);
+                    assert_eq!(
+                        s.utilization.value().to_bits(),
+                        util.value().to_bits(),
+                        "{at}"
+                    );
+                }
                 assert_eq!(
-                    x.value().to_bits(),
-                    y.value().to_bits(),
-                    "core {c} power bits, step {step}"
+                    snap.memory_demand.to_bits(),
+                    (dram / dt.value()).to_bits(),
+                    "width {width}, step {step}"
                 );
             }
-        }
-        assert_eq!(
-            serial.memory_contention().to_bits(),
-            sharded.memory_contention().to_bits()
-        );
-    }
-
-    /// A single-worker pool must take the allocation-free serial path and
-    /// still agree with the pooled result.
-    #[test]
-    fn sharded_step_on_one_worker_is_the_serial_path() {
-        let mut serial = chip();
-        let mut pooled = chip();
-        let pool = Pool::new(1);
-        let mut a = ChipSnapshot::empty();
-        let mut b = ChipSnapshot::empty();
-        for _ in 0..20 {
-            serial.step_pic_into(&mut a);
-            pooled.step_pic_into_on(&mut b, &pool);
-            assert_eq!(a, b);
+            for (c, scalar) in scalars.iter().enumerate() {
+                let core = chip.core(CoreId(c));
+                assert_eq!(core.total_instructions(), scalar.total_instructions());
+                assert_eq!(core.total_time(), scalar.total_time());
+            }
         }
     }
 }

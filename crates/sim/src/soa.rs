@@ -3,51 +3,57 @@
 //! One core and one island are the right unit of *meaning*, but a
 //! 1024-core step over a thousand per-core structs walks scattered
 //! memory. The banks here keep every hot scalar in its own contiguous
-//! `Vec<f64>` so [`crate::chip::Chip`] steps an island as one tight loop
-//! over a segment of parallel arrays, fusing the CPI model of
+//! chip-wide `Vec<f64>` so [`crate::chip::Chip`] steps the whole chip as
+//! one tight lane pass over parallel arrays, fusing the CPI model of
 //! [`crate::core_model`] with the per-island V²f/leakage power terms.
 //!
-//! A [`CoreBank`] owns the chip's phase streams — one [`PhaseBank`] in
-//! core order plus the chip-wide columns of the interval's phase samples —
-//! and a list of per-island [`CoreSegment`]s. Each segment owns its
-//! island's profile constants, lifetime accounting and the per-core
-//! power/DRAM scratch the chip folds afterwards; it reads its island's
-//! slice of the phase samples the way it reads its slice of the die
-//! temperatures. So the whole chip's phases advance in one pass (on the
-//! paper's 2-core islands a per-segment pass never fills a lane chunk),
-//! while the chip stepper can still move whole segments onto pool workers
-//! and restore them in island order — the sharded step reduces in exactly
-//! the serial order.
+//! A [`CoreBank`] owns every per-core column in core order: the phase
+//! streams (one [`PhaseBank`]) and the interval's phase samples, the
+//! profile constants and hoisted miss terms, the lifetime totals, and the
+//! per-core power/DRAM outputs the chip folds afterwards. Island `i` is
+//! the contiguous core range `i·width..(i+1)·width`; [`CoreBank::segment`]
+//! is a borrowed view of that range's outputs.
 //!
-//! Inside a segment the step runs in `LANES`-wide chunks: an elementwise
-//! CPI pass, a power pass through the lane kernels of `cpm-power`, and a
-//! serial fold, with a scalar tail for the remainder. Chunking never
-//! reassociates: the elementwise passes evaluate token-identical
-//! expressions per lane, and every accumulator (island totals, the
-//! chip-order DRAM sum) still receives its additions in the original core
-//! order. So a [`CoreBank`] stepped island-by-island is bit-identical to
-//! the same cores stepped one at a time through the scalar CPI walk, and
-//! an [`IslandBank`] has exactly the actuation semantics of one scalar
-//! island; the scalar oracles for both are test-only items of the
-//! `core_model` and `island` modules. [`CoreView`] / [`IslandView`]
-//! expose the read accessors of one core or island over the banks.
+//! The step runs in `LANES`-wide chunks of one kernel, whatever the island
+//! width: an elementwise CPI pass, a power pass through the lane kernels
+//! of `cpm-power`, and a serial fold. Each lane reads its island's
+//! context — `cycles`, `avail_frac`, `f_val`, `v2f`, `leak_v_term`,
+//! `leak_mult` — from a per-island `IslandCtx` scratch. The kernel is
+//! generic over [`cpm_power::Lanes`]: a chunk inside one island passes its
+//! context as shared scalars (the kilocore chip's 64-wide islands run the
+//! same code as before), a chunk spanning islands (the paper's 2-core and
+//! 1-core islands) gathers it per lane. The `len % LANES` remainder runs
+//! through the same kernel on a padded stack chunk that writes back only
+//! its valid lanes. The sharded chip step is the serial step (see
+//! `Chip::step_into_on`).
+//!
+//! Chunking never reassociates: the elementwise passes evaluate
+//! token-identical expressions per lane, and every accumulator (each
+//! island's totals, the chip-order DRAM sum) still receives its additions
+//! in the original core order. So a [`CoreBank`] stepped chip-wide or
+//! island-by-island is bit-identical to the same cores stepped one at a
+//! time through the scalar CPI walk, and an [`IslandBank`] has exactly the
+//! actuation semantics of one scalar island; the scalar oracles for both
+//! are test-only items of the `core_model` and `island` modules.
+//! [`CoreView`] / [`IslandView`] expose the read accessors of one core or
+//! island over the banks.
 
 use cpm_power::dvfs::DvfsTable;
-use cpm_power::{CorePowerModel, IslandPowerTerms};
-use cpm_units::{Celsius, CoreId, Hertz, IslandId, Ratio, Seconds, Watts};
+use cpm_power::{CorePowerModel, IslandPowerTerms, Lanes};
+use cpm_units::{CoreId, Hertz, IslandId, Seconds, Watts};
 use cpm_workloads::{BenchmarkProfile, PhaseBank};
 use std::ops::Range;
 
-/// Chunk width of the segment step. Eight `f64`s span two AVX2 registers
-/// (or four NEON ones); the pass bodies are elementwise over arrays of
-/// this size, which is the shape LLVM's autovectorizer recognizes.
+/// Chunk width of the step. Eight `f64`s span two AVX2 registers (or four
+/// NEON ones); the pass bodies are elementwise over arrays of this size,
+/// which is the shape LLVM's autovectorizer recognizes.
 const LANES: usize = 8;
 
-/// Island-level aggregates of one [`CoreBank::step_island`] call — the
-/// quantities `Chip::step_into` folds into an `IslandSnapshot`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Island-level aggregates of one step — the quantities `Chip::step_into`
+/// folds into an `IslandSnapshot`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SegmentTotals {
-    /// Σ core power over the segment.
+    /// Σ core power over the island.
     pub power: Watts,
     /// Σ per-core utilization (callers divide by the core count).
     pub util_sum: f64,
@@ -55,55 +61,106 @@ pub struct SegmentTotals {
     pub instructions: f64,
 }
 
-/// The island-constant inputs of one segment step, hoisted once per
-/// island. All are pure functions of island-constant arguments, so
-/// computing them up front changes nothing bit-wise.
-#[derive(Clone, Copy)]
-struct StepCtx {
-    cycles: f64,
-    avail_frac: f64,
-    f_val: f64,
-    dt_val: f64,
-    dram_latency_mult: f64,
-    terms: IslandPowerTerms,
-    leak_mult: f64,
+/// The island-constant inputs of one step, hoisted once per island (all
+/// are pure functions of island-constant arguments, so computing them up
+/// front changes nothing bit-wise) — or, as `IslandCtx<[f64; LANES]>`,
+/// those of each lane's island in a chunk that spans islands.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IslandCtx<T = f64> {
+    cycles: T,
+    avail_frac: T,
+    f_val: T,
+    v2f: T,
+    leak_v_term: T,
+    leak_mult: T,
 }
 
-/// One interval's phase samples for a run of cores, in core order: the
-/// scale columns [`CoreBank::advance_phases`] fills, borrowed whole or as
-/// one island's slice.
-#[derive(Clone, Copy)]
-pub(crate) struct PhaseScales<'a> {
-    pub(crate) cpi: &'a [f64],
-    pub(crate) mem: &'a [f64],
-    pub(crate) activity: &'a [f64],
-}
-
-impl<'a> PhaseScales<'a> {
-    /// The samples of the cores in `range`.
-    pub(crate) fn slice(self, range: Range<usize>) -> Self {
+impl IslandCtx {
+    /// The context of an island at frequency `f` whose interval `dt`
+    /// loses `frozen` to a transition, with power `terms` hoisted for its
+    /// operating point and leakage multiplier `leak_mult`.
+    pub(crate) fn new(
+        f: Hertz,
+        dt: Seconds,
+        frozen: Seconds,
+        terms: IslandPowerTerms,
+        leak_mult: f64,
+    ) -> Self {
+        assert!(f.value() > 0.0, "core clock must be positive");
+        assert!(
+            frozen.value() >= 0.0 && frozen <= dt,
+            "freeze within interval"
+        );
+        let avail = dt - frozen;
         Self {
-            cpi: &self.cpi[range.clone()],
-            mem: &self.mem[range.clone()],
-            activity: &self.activity[range],
+            cycles: f.cycles_in(avail),
+            avail_frac: avail.value() / dt.value(),
+            f_val: f.value(),
+            v2f: terms.v2f,
+            leak_v_term: terms.leak_v_term,
+            leak_mult,
         }
     }
 }
 
-/// One island's cores in structure-of-arrays form.
+impl IslandCtx<[f64; LANES]> {
+    /// Lane `l` takes `ctx[island[l]]`.
+    fn gather(ctx: &[IslandCtx], island: &[usize; LANES]) -> Self {
+        let field = |get: fn(&IslandCtx) -> f64| std::array::from_fn(|l| get(&ctx[island[l]]));
+        Self {
+            cycles: field(|c| c.cycles),
+            avail_frac: field(|c| c.avail_frac),
+            f_val: field(|c| c.f_val),
+            v2f: field(|c| c.v2f),
+            leak_v_term: field(|c| c.leak_v_term),
+            leak_mult: field(|c| c.leak_mult),
+        }
+    }
+}
+
+/// The `valid` entries of `col` from `base`, padded to a full chunk with
+/// copies of the last one (whose results are computed and dropped).
+#[inline(always)]
+fn load(col: &[f64], base: usize, valid: usize) -> [f64; LANES] {
+    let col = &col[base..base + valid];
+    std::array::from_fn(|l| col[l.min(valid - 1)])
+}
+
+/// Borrowed view of one island's step outputs inside a [`CoreBank`].
+#[derive(Debug, Clone, Copy)]
+pub struct CoreSegment<'a> {
+    core_powers: &'a [Watts],
+    dram_bytes: &'a [f64],
+}
+
+impl<'a> CoreSegment<'a> {
+    /// Per-core power of the last step, in island-core order — the
+    /// thermal model's input for this island's slice.
+    pub fn core_powers(&self) -> &'a [Watts] {
+        self.core_powers
+    }
+
+    /// Per-core DRAM traffic of the last step, in bytes. Folding these in
+    /// core order reproduces the array-of-structs DRAM sum bit-for-bit
+    /// (same addends, same addition order).
+    pub fn dram_bytes(&self) -> &'a [f64] {
+        self.dram_bytes
+    }
+}
+
+/// All cores of a chip, one column per per-core quantity in core order.
 ///
-/// Each index holds the state of one scalar core apart from its phase
-/// sequence, which lives in the owning [`CoreBank`]: the profile's hot
-/// scalars, the (possibly calibrated) miss rates and lifetime accounting.
-/// `core_powers` / `dram_bytes` are per-core step outputs the chip folds
-/// in core order afterwards.
-///
-/// The segment owns everything its step writes, and reads its phase
-/// samples and temperatures as borrowed slices, so the chip stepper can
-/// move it onto a pool worker (`std::mem::take` + restore) without any
-/// shared mutable state.
-#[derive(Debug, Clone, Default)]
-pub struct CoreSegment {
+/// Cores pushed in chip order land in `width`-sized islands: island `i`
+/// is the contiguous range `i·width..(i+1)·width` of every column. The
+/// phase sequences live in one chip-wide [`PhaseBank`], whose samples
+/// fill the three `*_scale` columns.
+#[derive(Debug, Clone)]
+pub struct CoreBank {
+    width: usize,
+    phases: PhaseBank,
+    cpi_scale: Vec<f64>,
+    mem_scale: Vec<f64>,
+    activity_scale: Vec<f64>,
     profiles: Vec<BenchmarkProfile>,
     base_cpi: Vec<f64>,
     activity: Vec<f64>,
@@ -120,9 +177,36 @@ pub struct CoreSegment {
     dram_bytes: Vec<f64>,
 }
 
-impl CoreSegment {
-    /// Appends the core running `profile`.
-    fn push(&mut self, profile: BenchmarkProfile) {
+impl CoreBank {
+    /// An empty bank whose islands hold `width` cores each.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "an island needs at least one core");
+        Self {
+            width,
+            phases: PhaseBank::new(),
+            cpi_scale: Vec::new(),
+            mem_scale: Vec::new(),
+            activity_scale: Vec::new(),
+            profiles: Vec::new(),
+            base_cpi: Vec::new(),
+            activity: Vec::new(),
+            l1_term: Vec::new(),
+            l2_dram: Vec::new(),
+            l2_bytes: Vec::new(),
+            total_instructions: Vec::new(),
+            total_time: Vec::new(),
+            core_powers: Vec::new(),
+            dram_bytes: Vec::new(),
+        }
+    }
+
+    /// Appends the core running `profile`, with phase randomness derived
+    /// from `(seed, stream)`.
+    pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
+        self.phases.push(&profile, seed, stream);
+        self.cpi_scale.push(1.0);
+        self.mem_scale.push(1.0);
+        self.activity_scale.push(1.0);
         self.base_cpi.push(profile.base_cpi);
         self.activity.push(profile.activity);
         let (l1_term, l2_dram, l2_bytes) =
@@ -137,273 +221,38 @@ impl CoreSegment {
         self.profiles.push(profile);
     }
 
-    /// Number of cores in the segment.
+    /// Number of cores in the bank.
     pub fn len(&self) -> usize {
         self.profiles.len()
     }
 
-    /// Whether the segment holds no cores.
+    /// Whether the bank holds no cores.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
     }
 
-    /// Per-core power of the last [`CoreBank::step_island`], in segment-core
-    /// order — the thermal model's input for this island's slice.
-    pub fn core_powers(&self) -> &[Watts] {
-        &self.core_powers
-    }
-
-    /// Per-core DRAM traffic of the last [`CoreBank::step_island`], in bytes.
-    /// Folding these in core order reproduces the array-of-structs DRAM
-    /// sum bit-for-bit (same addends, same addition order).
-    pub fn dram_bytes(&self) -> &[f64] {
-        &self.dram_bytes
-    }
-
-    /// Steps the segment through one interval at frequency `f`, fusing the
-    /// CPI model with the power model whose island-constant `terms` the
-    /// caller hoisted. `temps_deg` and `scales` are this segment's slices
-    /// of the die temperatures and of the interval's phase samples, one
-    /// entry per core.
-    ///
-    /// The loop runs in `LANES`-wide chunks of three passes — an
-    /// elementwise CPI pass, the `cpm-power` lane kernels, a serial fold —
-    /// with a scalar tail identical to the unchunked body. Every per-lane
-    /// expression matches the scalar CPI walk token for token and every accumulator still sees its additions in
-    /// core order, so results are bit-identical to the scalar walk.
-    // A params struct would hide the token-for-token identity with the
-    // scalar path's signature.
-    #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
-    pub(crate) fn step(
-        &mut self,
-        f: Hertz,
-        dt: Seconds,
-        frozen: Seconds,
-        dram_latency_mult: f64,
-        power_model: &CorePowerModel,
-        terms: IslandPowerTerms,
-        leak_mult: f64,
-        temps_deg: &[f64],
-        scales: PhaseScales<'_>,
-    ) -> SegmentTotals {
-        assert!(f.value() > 0.0, "core clock must be positive");
-        assert!(
-            frozen.value() >= 0.0 && frozen <= dt,
-            "freeze within interval"
-        );
-        assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
-        let n = self.len();
-        assert_eq!(temps_deg.len(), n, "one temperature per segment core");
-        assert!(
-            scales.cpi.len() == n && scales.mem.len() == n && scales.activity.len() == n,
-            "one phase sample per segment core"
-        );
-        let avail = dt - frozen;
-        let ctx = StepCtx {
-            cycles: f.cycles_in(avail),
-            avail_frac: avail.value() / dt.value(),
-            f_val: f.value(),
-            dt_val: dt.value(),
-            dram_latency_mult,
-            terms,
-            leak_mult,
-        };
-        let mut totals = SegmentTotals {
-            power: Watts::ZERO,
-            util_sum: 0.0,
-            instructions: 0.0,
-        };
-        let mut base = 0;
-        while base + LANES <= n {
-            self.step_chunk(base, ctx, power_model, temps_deg, scales, &mut totals);
-            base += LANES;
-        }
-        for i in base..n {
-            self.step_one(i, ctx, power_model, temps_deg, scales, &mut totals);
-        }
-        totals
-    }
-
-    /// One `LANES`-wide chunk of [`CoreSegment::step`], in three passes.
-    fn step_chunk(
-        &mut self,
-        base: usize,
-        ctx: StepCtx,
-        power_model: &CorePowerModel,
-        temps_deg: &[f64],
-        scales: PhaseScales<'_>,
-        totals: &mut SegmentTotals,
-    ) {
-        // Pass 1 — the CPI model, elementwise over the lanes (this is the
-        // pass LLVM vectorizes: mul/add/div and two clamps, no calls).
-        // `Ratio::new(x).clamped().value()` is `x.clamp(0.0, 1.0)` by
-        // definition, so the plain-f64 clamp is the identical operation.
-        let mut instr = [0.0; LANES];
-        let mut util = [0.0; LANES];
-        let mut act = [0.0; LANES];
-        for l in 0..LANES {
-            let i = base + l;
-            let mem = scales.mem[i];
-            let on_chip = self.base_cpi[i] * scales.cpi[i] + self.l1_term[i] * mem;
-            let dram_base = self.l2_dram[i] * mem * ctx.f_val;
-            let dram = dram_base * ctx.dram_latency_mult;
-            let cpi = on_chip + dram;
-            let inv_cpi = 1.0 / cpi;
-            let instructions = ctx.cycles * inv_cpi;
-            let busy_frac = on_chip * inv_cpi;
-            instr[l] = instructions;
-            util[l] = (busy_frac * ctx.avail_frac).clamp(0.0, 1.0);
-            act[l] = (self.activity[i] * scales.activity[i] * busy_frac * ctx.avail_frac)
-                .clamp(0.0, 1.0);
-            self.total_instructions[i] += instructions;
-            self.total_time[i] += ctx.dt_val;
-            self.dram_bytes[i] = instructions * self.l2_bytes[i] * mem;
-        }
-        // Pass 2 — per-lane power through the cpm-power lane kernels
-        // (vector dynamic pass, scalar-libm leakage pass; each lane
-        // bit-identical to the scalar power call by that crate's tests).
-        let temps: &[f64; LANES] = temps_deg[base..base + LANES]
-            .try_into()
-            .expect("chunk is LANES wide");
-        let mut power = [Watts::ZERO; LANES];
-        power_model.total_power_with_terms_lanes(ctx.terms, &act, temps, ctx.leak_mult, &mut power);
-        // Pass 3 — serial fold in core order: the island accumulators
-        // receive exactly the additions the unchunked loop performed, in
-        // the same order; no reassociation anywhere.
-        self.core_powers[base..base + LANES].copy_from_slice(&power);
-        for l in 0..LANES {
-            totals.power += power[l];
-            totals.util_sum += util[l];
-            totals.instructions += instr[l];
-        }
-    }
-
-    /// The scalar tail of [`CoreSegment::step`]: the original unchunked
-    /// per-core body, for the `len % LANES` remainder (and, degenerately,
-    /// whole sub-lane segments).
-    fn step_one(
-        &mut self,
-        i: usize,
-        ctx: StepCtx,
-        power_model: &CorePowerModel,
-        temps_deg: &[f64],
-        scales: PhaseScales<'_>,
-        totals: &mut SegmentTotals,
-    ) {
-        let mem = scales.mem[i];
-        let on_chip = self.base_cpi[i] * scales.cpi[i] + self.l1_term[i] * mem;
-        let dram_base = self.l2_dram[i] * mem * ctx.f_val;
-        let dram = dram_base * ctx.dram_latency_mult;
-        let cpi = on_chip + dram;
-        let inv_cpi = 1.0 / cpi;
-        let instructions = ctx.cycles * inv_cpi;
-        let busy_frac = on_chip * inv_cpi;
-        let utilization = Ratio::new(busy_frac * ctx.avail_frac).clamped();
-        let activity =
-            Ratio::new(self.activity[i] * scales.activity[i] * busy_frac * ctx.avail_frac)
-                .clamped();
-        self.total_instructions[i] += instructions;
-        self.total_time[i] += ctx.dt_val;
-        self.dram_bytes[i] = instructions * self.l2_bytes[i] * mem;
-        let p = power_model.total_power_with_terms(
-            ctx.terms,
-            activity,
-            Celsius::new(temps_deg[i]),
-            ctx.leak_mult,
-        );
-        self.core_powers[i] = p;
-        totals.power += p;
-        totals.util_sum += utilization.value();
-        totals.instructions += instructions;
-    }
-}
-
-/// All cores of a chip: one phase bank in core order, and the per-island
-/// segments.
-///
-/// Cores pushed in chip order land in `width`-sized [`CoreSegment`]s, so
-/// segment `i` is exactly island `i`'s contiguous core range and the chip
-/// stepper can hand whole segments to pool workers. Their phase sequences
-/// land in one chip-wide [`PhaseBank`], whose samples fill the three
-/// `*_scale` columns in core order; each segment step reads its island's
-/// slice of them.
-#[derive(Debug, Clone)]
-pub struct CoreBank {
-    width: usize,
-    segments: Vec<CoreSegment>,
-    phases: PhaseBank,
-    cpi_scale: Vec<f64>,
-    mem_scale: Vec<f64>,
-    activity_scale: Vec<f64>,
-}
-
-impl CoreBank {
-    /// An empty bank whose segments hold `width` cores each (the island
-    /// width).
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "an island needs at least one core");
-        Self {
-            width,
-            segments: Vec::new(),
-            phases: PhaseBank::new(),
-            cpi_scale: Vec::new(),
-            mem_scale: Vec::new(),
-            activity_scale: Vec::new(),
-        }
-    }
-
-    /// Appends the core running `profile`, with phase randomness derived
-    /// from `(seed, stream)`, opening a new segment at every island
-    /// boundary.
-    pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
-        if self.len() % self.width == 0 {
-            self.segments.push(CoreSegment::default());
-        }
-        self.phases.push(&profile, seed, stream);
-        self.cpi_scale.push(1.0);
-        self.mem_scale.push(1.0);
-        self.activity_scale.push(1.0);
-        let seg = self
-            .segments
-            .last_mut()
-            .expect("push opened a segment at the island boundary");
-        seg.push(profile);
-    }
-
-    /// Number of cores in the bank.
-    pub fn len(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Whether the bank holds no cores.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
-    /// Cores per segment (the island width).
+    /// Cores per island.
     pub fn width(&self) -> usize {
         self.width
     }
 
-    /// Island `i`'s segment.
-    pub fn segment(&self, i: usize) -> &CoreSegment {
-        &self.segments[i]
-    }
-
-    /// Mutable access to the segments, for the sharded chip step's
-    /// take/restore discipline.
-    pub(crate) fn segments_mut(&mut self) -> &mut [CoreSegment] {
-        &mut self.segments
-    }
-
-    /// The phase samples of the last [`CoreBank::advance_phases`], chip
-    /// core order.
-    pub(crate) fn phase_scales(&self) -> PhaseScales<'_> {
-        PhaseScales {
-            cpi: &self.cpi_scale,
-            mem: &self.mem_scale,
-            activity: &self.activity_scale,
+    /// Island `i`'s step outputs (the last island may be short).
+    pub fn segment(&self, i: usize) -> CoreSegment<'_> {
+        let cores = i * self.width..((i + 1) * self.width).min(self.len());
+        CoreSegment {
+            core_powers: &self.core_powers[cores.clone()],
+            dram_bytes: &self.dram_bytes[cores],
         }
+    }
+
+    /// Per-core power of the last step, chip core order.
+    pub(crate) fn core_powers(&self) -> &[Watts] {
+        &self.core_powers
+    }
+
+    /// Per-core DRAM traffic of the last step, chip core order.
+    pub(crate) fn dram_bytes(&self) -> &[f64] {
+        &self.dram_bytes
     }
 
     /// Advances every core's phase sequence by `dt` in one pass over the
@@ -419,11 +268,11 @@ impl CoreBank {
         );
     }
 
-    /// Steps island `island`'s segment through one interval at frequency
-    /// `f`, fusing the CPI model with the power model whose island-constant
-    /// `terms` the caller hoisted. `temps_deg` is the whole chip's
-    /// temperature array; the island's slices of it and of the phase
-    /// samples of the last [`CoreBank::advance_phases`] are carved out here.
+    /// Steps island `island` through one interval at frequency `f`, fusing
+    /// the CPI model with the power model whose island-constant `terms`
+    /// the caller hoisted. `temps_deg` is the whole chip's temperature
+    /// array; the step reads the island's slice of it and of the phase
+    /// samples of the last [`CoreBank::advance_phases`].
     #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
     pub fn step_island(
         &mut self,
@@ -437,31 +286,194 @@ impl CoreBank {
         leak_mult: f64,
         temps_deg: &[f64],
     ) -> SegmentTotals {
-        let lo = island * self.width;
-        let seg = &mut self.segments[island];
-        let cores = lo..lo + seg.len();
-        let scales = PhaseScales {
-            cpi: &self.cpi_scale,
-            mem: &self.mem_scale,
-            activity: &self.activity_scale,
-        };
-        seg.step(
-            f,
+        let ctx = [IslandCtx::new(f, dt, frozen, terms, leak_mult)];
+        let mut totals = [SegmentTotals::default()];
+        self.step_islands(
+            island,
+            &ctx,
             dt,
-            frozen,
             dram_latency_mult,
             power_model,
-            terms,
-            leak_mult,
-            &temps_deg[cores.clone()],
-            scales.slice(cores),
-        )
+            temps_deg,
+            &mut totals,
+        );
+        totals[0]
     }
 
-    /// The segment and in-segment index of chip core `index`.
-    fn locate(&self, index: usize) -> (&CoreSegment, usize) {
-        (&self.segments[index / self.width], index % self.width)
+    /// Steps islands `first..first + ctx.len()` through one interval, one
+    /// lane pass over their cores: island `first + k` runs with context
+    /// `ctx[k]` and its aggregates land in `totals[k]`. `dt` and the
+    /// contention factor are chip-wide.
+    ///
+    /// Every per-lane expression matches the scalar CPI walk token for
+    /// token and every accumulator sees its additions in core order, so
+    /// results are bit-identical to the scalar walk at any island width.
+    #[allow(clippy::too_many_arguments)] // step_island's params, per island
+    pub(crate) fn step_islands(
+        &mut self,
+        first: usize,
+        ctx: &[IslandCtx],
+        dt: Seconds,
+        dram_latency_mult: f64,
+        power_model: &CorePowerModel,
+        temps_deg: &[f64],
+        totals: &mut [SegmentTotals],
+    ) {
+        assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
+        assert_eq!(temps_deg.len(), self.len(), "one temperature per core");
+        assert_eq!(ctx.len(), totals.len(), "one total per island context");
+        totals.fill(SegmentTotals::default());
+        let start = first * self.width;
+        let end = ((first + ctx.len()) * self.width).min(self.len());
+        let step = Step {
+            ctx,
+            dt_val: dt.value(),
+            dram_latency_mult,
+            power_model,
+            temps_deg,
+        };
+        // The context index of the last core stepped, and the first core
+        // of the island after it.
+        let mut cursor = (0, start + self.width);
+        let mut base = start;
+        while base + LANES <= end {
+            self.step_chunk(base, LANES, &step, &mut cursor, totals);
+            base += LANES;
+        }
+        if base < end {
+            self.step_chunk(base, end - base, &step, &mut cursor, totals);
+        }
     }
+
+    /// One chunk of [`CoreBank::step_islands`]: the `valid ≤ LANES` cores
+    /// from `base`, each lane in its island's context.
+    #[inline(always)]
+    fn step_chunk(
+        &mut self,
+        base: usize,
+        valid: usize,
+        step: &Step<'_>,
+        cursor: &mut (usize, usize),
+        totals: &mut [SegmentTotals],
+    ) {
+        // Each lane's island context index. Lane 0 may open the next
+        // island; a chunk that ends inside that island takes its context
+        // as shared scalars, any other walks the island edges lane by lane
+        // (padded lanes keep lane 0's island, whose results are dropped).
+        if base == cursor.1 {
+            cursor.0 += 1;
+            cursor.1 += self.width;
+        }
+        let mut island = [cursor.0; LANES];
+        if base + valid <= cursor.1 {
+            self.step_lanes(base, valid, step.ctx[cursor.0], &island, step, totals);
+        } else {
+            for (l, slot) in island.iter_mut().enumerate().take(valid).skip(1) {
+                if base + l == cursor.1 {
+                    cursor.0 += 1;
+                    cursor.1 += self.width;
+                }
+                *slot = cursor.0;
+            }
+            let cx = IslandCtx::gather(step.ctx, &island);
+            self.step_lanes(base, valid, cx, &island, step, totals);
+        }
+    }
+
+    /// The kernel of [`CoreBank::step_chunk`], in three passes over a full
+    /// chunk of lanes: lane `l` runs in island context `island[l]`, whose
+    /// inputs `cx` holds shared by every lane or one per lane.
+    #[inline(always)]
+    fn step_lanes<T: Lanes<LANES>>(
+        &mut self,
+        base: usize,
+        valid: usize,
+        cx: IslandCtx<T>,
+        island: &[usize; LANES],
+        step: &Step<'_>,
+        totals: &mut [SegmentTotals],
+    ) {
+        let mem = load(&self.mem_scale, base, valid);
+        let cpi_scale = load(&self.cpi_scale, base, valid);
+        let act_scale = load(&self.activity_scale, base, valid);
+        let base_cpi = load(&self.base_cpi, base, valid);
+        let activity = load(&self.activity, base, valid);
+        let l1_term = load(&self.l1_term, base, valid);
+        let l2_dram = load(&self.l2_dram, base, valid);
+        let l2_bytes = load(&self.l2_bytes, base, valid);
+        let temps = load(step.temps_deg, base, valid);
+        // Pass 1 — the CPI model, elementwise over the lanes (this is the
+        // pass LLVM vectorizes: mul/add/div and two clamps, no calls).
+        // `Ratio::new(x).clamped().value()` is `x.clamp(0.0, 1.0)` by
+        // definition, so the plain-f64 clamp is the identical operation.
+        let mut instr = [0.0; LANES];
+        let mut util = [0.0; LANES];
+        let mut act = [0.0; LANES];
+        let mut dram_bytes = [0.0; LANES];
+        for l in 0..LANES {
+            let on_chip = base_cpi[l] * cpi_scale[l] + l1_term[l] * mem[l];
+            let dram_base = l2_dram[l] * mem[l] * cx.f_val.lane(l);
+            let dram = dram_base * step.dram_latency_mult;
+            let cpi = on_chip + dram;
+            let inv_cpi = 1.0 / cpi;
+            let instructions = cx.cycles.lane(l) * inv_cpi;
+            let busy_frac = on_chip * inv_cpi;
+            instr[l] = instructions;
+            util[l] = (busy_frac * cx.avail_frac.lane(l)).clamp(0.0, 1.0);
+            act[l] =
+                (activity[l] * act_scale[l] * busy_frac * cx.avail_frac.lane(l)).clamp(0.0, 1.0);
+            dram_bytes[l] = instructions * l2_bytes[l] * mem[l];
+        }
+        // Pass 2 — per-lane power through the cpm-power lane kernels
+        // (each lane bit-identical to the scalar power call by that
+        // crate's tests).
+        let mut power = [Watts::ZERO; LANES];
+        step.power_model.total_power_with_terms_lanes(
+            cx.v2f,
+            cx.leak_v_term,
+            &act,
+            &temps,
+            cx.leak_mult,
+            &mut power,
+        );
+        // Pass 3 — write back the valid lanes, and fold them serially in
+        // core order: each island's accumulators receive exactly the
+        // additions the scalar walk performed, in the same order.
+        let cores = base..base + valid;
+        for (t, &x) in self.total_instructions[cores.clone()]
+            .iter_mut()
+            .zip(&instr)
+        {
+            *t += x;
+        }
+        for t in &mut self.total_time[cores.clone()] {
+            *t += step.dt_val;
+        }
+        self.dram_bytes[cores.clone()].copy_from_slice(&dram_bytes[..valid]);
+        self.core_powers[cores].copy_from_slice(&power[..valid]);
+        let mut k = island[0];
+        let mut acc = totals[k];
+        for l in 0..valid {
+            if island[l] != k {
+                totals[k] = acc;
+                k = island[l];
+                acc = totals[k];
+            }
+            acc.power += power[l];
+            acc.util_sum += util[l];
+            acc.instructions += instr[l];
+        }
+        totals[k] = acc;
+    }
+}
+
+/// The chip-wide inputs of one [`CoreBank::step_islands`] call.
+struct Step<'a> {
+    ctx: &'a [IslandCtx],
+    dt_val: f64,
+    dram_latency_mult: f64,
+    power_model: &'a CorePowerModel,
+    temps_deg: &'a [f64],
 }
 
 /// All islands of a chip in structure-of-arrays form: islands own
@@ -563,20 +575,17 @@ impl<'a> CoreView<'a> {
 
     /// The benchmark this core runs.
     pub fn profile(&self) -> &'a BenchmarkProfile {
-        let (seg, i) = self.bank.locate(self.index);
-        &seg.profiles[i]
+        &self.bank.profiles[self.index]
     }
 
     /// Cumulative instructions retired.
     pub fn total_instructions(&self) -> f64 {
-        let (seg, i) = self.bank.locate(self.index);
-        seg.total_instructions[i]
+        self.bank.total_instructions[self.index]
     }
 
     /// Cumulative simulated time.
     pub fn total_time(&self) -> Seconds {
-        let (seg, i) = self.bank.locate(self.index);
-        Seconds::new(seg.total_time[i])
+        Seconds::new(self.bank.total_time[self.index])
     }
 }
 
@@ -623,13 +632,15 @@ mod tests {
     use super::*;
     use crate::core_model::tests::CoreModel;
     use crate::island::IslandState;
+    use cpm_units::Celsius;
     use cpm_workloads::parsec;
 
     /// The heart of the SoA contract, parameterized over island width: a
-    /// bank whose phases advance in one chip-wide pass and whose segments
-    /// then step island-at-a-time is bit-identical to the same cores
-    /// stepped one `CoreModel` at a time, including lifetime accounting
-    /// and the chip-order DRAM-byte sum.
+    /// bank whose phases advance in one chip-wide pass and whose islands
+    /// then step one `step_island` call at a time is bit-identical to the
+    /// same cores stepped one `CoreModel` at a time, including lifetime
+    /// accounting and the chip-order DRAM-byte sum. (The chip-wide lane
+    /// pass is checked against both in `chip::tests`.)
     fn assert_bank_matches_scalars(width: usize, islands: usize, steps: usize) {
         let n = width * islands;
         let profiles: Vec<BenchmarkProfile> = parsec::all().into_iter().cycle().take(n).collect();
@@ -735,8 +746,8 @@ mod tests {
 
     /// Tail handling is where chunked kernels break: every width that is
     /// not a multiple of the lane width — including the 1-core degenerate
-    /// segment and widths straddling one and two chunks — must still match
-    /// the scalar walk bit for bit.
+    /// island and widths straddling one and two chunks — must still match
+    /// the scalar walk bit for bit through the padded remainder chunk.
     #[test]
     fn bank_matches_scalars_at_non_lane_multiple_widths() {
         for width in [1, 3, 5, 7, 9, 13, 16] {
@@ -744,12 +755,12 @@ mod tests {
         }
     }
 
-    /// The phase pass chunks over the whole chip and the segment step over
-    /// one island, so each shape here covers a different mix of full
-    /// `LANES` chunks and scalar tails: 1 × 8 and 2 × 4 (the paper's
-    /// chips) fill one phase chunk exactly while every segment step is a
-    /// pure tail; 3 × 3 runs a phase chunk plus a tail over pure-tail
-    /// segments; 64 × 2 fills whole chunks in both.
+    /// The phase pass chunks over the whole chip and `step_island` over
+    /// one island, so each shape here covers a different mix of full and
+    /// padded `LANES` chunks: 1 × 8 and 2 × 4 (the paper's chips) fill one
+    /// phase chunk exactly while every island step is one padded chunk;
+    /// 3 × 3 runs a phase chunk plus a remainder over padded island
+    /// chunks; 64 × 2 fills whole chunks in both.
     #[test]
     fn chip_wide_bank_matches_scalars_at_chunk_and_tail_shapes() {
         for (width, islands) in [(1, 8), (2, 4), (3, 3), (64, 2)] {

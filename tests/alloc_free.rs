@@ -8,8 +8,7 @@
 //!   the provisioning policy allocates inside its own `provision`.
 //! * A registry lookup of a name already registered allocates nothing.
 //! * Building one of the paper's 8-core chips makes a pinned number of
-//!   allocations: the chip's phase streams live in one chip-wide bank, not
-//!   one bank per island segment.
+//!   allocations: every per-core column is chip-wide, not one per island.
 //!
 //! An accidental allocation on any of these paths shows up as a test
 //! failure, not a silent sweep slowdown.
@@ -97,15 +96,17 @@ fn steady_state_chip_step_is_allocation_free() {
 }
 
 /// `Chip::new` on the paper's two 8-core shapes. The counts follow the
-/// layout: each island segment holds ten per-core columns, while the phase
-/// streams and their sample columns are one chip-wide set that grows by
-/// reallocation as cores are pushed.
+/// layout: every per-core column — phase streams and samples, profile
+/// constants, lifetime totals, step outputs — is one chip-wide vector
+/// that grows by reallocation as cores are pushed, and the per-island
+/// scratch is sized once, so the count does not depend on the island
+/// width.
 #[test]
 fn building_a_paper_chip_makes_a_pinned_number_of_allocations() {
     use cpm_sim::{Chip, CmpConfig};
     use cpm_workloads::{Mix, WorkloadAssignment};
 
-    for (width, mix, want) in [(2usize, Mix::Mix1, (64, 17)), (1, Mix::Thermal, (104, 18))] {
+    for (width, mix, want) in [(2usize, Mix::Mix1, (36, 27)), (1, Mix::Thermal, (36, 27))] {
         let cfg = CmpConfig::with_topology(8, width);
         let assignment = WorkloadAssignment::paper_mix(mix, 8);
         let (allocs, reallocs, chip) = counted(|| Chip::new(cfg, &assignment));

@@ -1,16 +1,14 @@
-//! Tier-1 determinism gate for the sharded chip step.
+//! Tier-1 determinism gate for the pooled chip step.
 //!
-//! The intra-chip shard path (`Chip::step_pic_into_on`) advances the
-//! chip's phase streams in one serial pass, then fans its island segments
-//! across the pool, each reading its island's slice of the phase samples.
-//! Its contract is the same one the experiment sweep pins: worker count is
-//! a throughput knob, never a results knob. This gate steps one 1024-core,
-//! 16-wide chip (64 islands) under pools of 1, 4, and 16 workers — the
+//! `Chip::step_pic_into_on` takes a pool but runs the serial lane pass:
+//! fanning island segments out to workers never beat it. Its contract is
+//! the same one the experiment sweep pins: worker count is a throughput
+//! knob, never a results knob. This gate steps one 1024-core, 16-wide
+//! chip (64 islands) under pools of 1, 4, and 16 workers — the
 //! `CPM_WORKERS` values CI exercises — and the paper's 8-core chip at
-//! island widths 1 and 2 (where the slicing is finest) under 2 workers,
-//! each against the serial reference path, and requires the trajectories
-//! to be byte-identical: every snapshot field equal and every per-core
-//! power/temperature bit-equal.
+//! island widths 1 and 2 under 2 workers, each against the serial path,
+//! and requires the trajectories to be byte-identical: every snapshot
+//! field equal and every per-core power/temperature bit-equal.
 
 use cpm_runtime::Pool;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <id> [<id> …]   run the named experiments (table1 … fig19)
-//! experiments all             run everything in paper order, in parallel
+//! experiments all             run everything in paper order
 //! experiments trace <cell>    replay one cell with the flight recorder on
 //! experiments explain <cell> [--round R] [--island I]  walk the cause chain
 //! experiments perf [--quick]  time the hot paths, write BENCH_perf.json
@@ -12,14 +12,13 @@
 //! experiments list            list experiment ids
 //! ```
 //!
-//! `all` fans the experiments out on the shared worker pool (`CPM_WORKERS`
-//! sets the width; default: available parallelism) and reduces results in
-//! paper order, so **stdout is byte-identical for any worker count** — the
-//! CI determinism gate diffs it across `CPM_WORKERS=1` and `=4`. Progress
-//! and timing go to stderr, straight off the sweep's metrics registry; the
-//! engine telemetry (per-experiment wall-clock, per-worker utilization,
-//! the registry snapshot) lands in `BENCH_experiments.json` (override the
-//! path with `CPM_BENCH_JSON`).
+//! `all` runs the experiments one after another on the calling thread, in
+//! paper order; its stdout is pinned byte for byte by
+//! `goldens/experiments_all.txt` (tier-1 `crates/bench/tests/engine.rs`).
+//! Progress and timing go to stderr, straight off the sweep's metrics
+//! registry; the telemetry (per-experiment wall-clock, the registry
+//! snapshot) lands in `BENCH_experiments.json` (override the path with
+//! `CPM_BENCH_JSON`).
 //!
 //! `trace <cell>` replays one sweep cell — `<policy>@<budget>`, e.g.
 //! `perf@80` (alias `pid@80`), `thermal@80`, `variation@90` — with the
@@ -31,7 +30,7 @@
 //! `TRACE_<cell>_chrome.json` (Chrome `trace_event` document — load it in
 //! Perfetto / `chrome://tracing`), and `HEALTH_<cell>.json` (the SLO
 //! watchdog's verdict). Timestamps are simulated time, so the artifacts
-//! are byte-identical across runs and worker counts; the control loop's
+//! are byte-identical across runs; the control loop's
 //! wall-clock self-profile (sense/decide/actuate) goes to stderr only.
 //! Flags: `--rounds N` (default 30) and `--hotspot-c T` (die-temperature
 //! watchdog threshold, default 80).
@@ -48,7 +47,7 @@
 //!
 //! `perf` runs the regression-gated performance suite: ns/op for each hot
 //! path (chip step, PID step, MaxBIPS choose, thermal step, cache access,
-//! calibration) plus one single-worker `all` sweep, written to
+//! calibration) plus one `all` sweep, written to
 //! `BENCH_perf.json` (override with `CPM_PERF_JSON`). `--quick` cuts the
 //! time budget ~10× for the CI smoke lane.
 //!
@@ -129,9 +128,8 @@ fn run_one(id: &str) {
 }
 
 fn run_all_cmd() {
-    let workers = cpm_runtime::Pool::global().workers().max(1);
     eprintln!(
-        "[experiments] running {} experiments on {workers} worker(s) …",
+        "[experiments] running {} experiments …",
         ALL_EXPERIMENTS.len()
     );
     let sweep = run_all();
@@ -151,11 +149,7 @@ fn run_all_cmd() {
         .get("sweep.total_seconds")
         .copied()
         .unwrap_or(0.0);
-    let jobs = snap.gauges.get("pool.jobs_total").copied().unwrap_or(0.0);
-    eprintln!(
-        "[experiments] sweep total {total:.2}s ({jobs:.0} jobs across {} contexts)",
-        sweep.stats.per_context.len()
-    );
+    eprintln!("[experiments] sweep total {total:.2}s");
     let path =
         std::env::var("CPM_BENCH_JSON").unwrap_or_else(|_| "BENCH_experiments.json".to_string());
     match std::fs::write(&path, sweep_json(&sweep)) {
@@ -382,8 +376,8 @@ fn scenarios_cmd(args: &[String]) {
 
     let mut failed = false;
     for r in &suite.reports {
-        // Deterministic per-scenario summary on stdout (byte-identical
-        // across worker counts); timing stays on stderr.
+        // Deterministic per-scenario summary on stdout; timing stays on
+        // stderr.
         let checks_ok = r.checks.iter().filter(|c| c.passed).count();
         outln!(
             "scenario {} {} {} checks={}/{} alarms={}",
@@ -439,9 +433,8 @@ fn scenarios_cmd(args: &[String]) {
         std::process::exit(1);
     }
     eprintln!(
-        "[scenarios] {} scenarios on {} worker(s) in {:.2}s; artifact {json_path}",
+        "[scenarios] {} scenarios in {:.2}s; artifact {json_path}",
         suite.reports.len(),
-        suite.workers,
         suite.total_seconds
     );
     if failed {

@@ -1,13 +1,11 @@
 //! Figs. 11, 12, 14: budget curves and performance degradation.
 //!
 //! Every (budget × scheme) cell is an independent simulation — each builds
-//! its own `Coordinator` from a config, so the sweeps fan the cells out on
-//! the shared worker pool and reduce the results in budget order.
+//! its own `Coordinator` from a config — run in budget order.
 
 use crate::report::{f, heading, Table};
 use cpm_core::coordinator::run_with_baseline;
 use cpm_core::prelude::*;
-use cpm_runtime::parallel_map;
 
 const BUDGETS: &[f64] = &[50.0, 60.0, 70.0, 80.0, 90.0, 95.0, 100.0];
 const ROUNDS: usize = 30;
@@ -20,16 +18,19 @@ pub fn fig11() -> String {
         .iter()
         .flat_map(|&b| [(b, false), (b, true)])
         .collect();
-    let consumed = parallel_map(cells, |(b, maxbips)| {
-        let mut cfg = ExperimentConfig::paper_default().with_budget_percent(b);
-        if maxbips {
-            cfg = cfg.with_scheme(ManagementScheme::MaxBips);
-        }
-        Coordinator::new(cfg)
-            .expect("valid")
-            .run_for_gpm_intervals(ROUNDS)
-            .mean_chip_power_percent()
-    });
+    let consumed = cells
+        .into_iter()
+        .map(|(b, maxbips)| {
+            let mut cfg = ExperimentConfig::paper_default().with_budget_percent(b);
+            if maxbips {
+                cfg = cfg.with_scheme(ManagementScheme::MaxBips);
+            }
+            Coordinator::new(cfg)
+                .expect("valid")
+                .run_for_gpm_intervals(ROUNDS)
+                .mean_chip_power_percent()
+        })
+        .collect::<Vec<_>>();
     for (k, &b) in BUDGETS.iter().enumerate() {
         t.row(&[f(b, 0), f(consumed[2 * k], 1), f(consumed[2 * k + 1], 1)]);
     }
@@ -42,11 +43,14 @@ pub fn fig11() -> String {
 pub fn fig12() -> String {
     let mut s = heading("Fig. 12 — performance degradation vs power target");
     let mut t = Table::new(&["budget %", "degradation %"]);
-    let degs = parallel_map(BUDGETS.to_vec(), |b| {
-        let cfg = ExperimentConfig::paper_default().with_budget_percent(b);
-        let (m, base) = run_with_baseline(cfg, ROUNDS).expect("valid");
-        m.degradation_vs(&base)
-    });
+    let degs = BUDGETS
+        .iter()
+        .map(|&b| {
+            let cfg = ExperimentConfig::paper_default().with_budget_percent(b);
+            let (m, base) = run_with_baseline(cfg, ROUNDS).expect("valid");
+            m.degradation_vs(&base)
+        })
+        .collect::<Vec<_>>();
     for (&b, d) in BUDGETS.iter().zip(&degs) {
         t.row(&[f(b, 0), f(*d, 2)]);
     }

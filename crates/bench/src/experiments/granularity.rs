@@ -12,7 +12,6 @@ use crate::report::{f, heading, Table};
 use cpm_core::coordinator::run_with_baseline;
 use cpm_core::prelude::*;
 use cpm_power::dvfs::DvfsTable;
-use cpm_runtime::parallel_map;
 
 /// Runs the paper-default experiment with the V/F envelope re-sampled at
 /// several granularities.
@@ -25,17 +24,20 @@ pub fn granularity() -> String {
         "degradation %",
     ]);
     let sizes = [4usize, 8, 16, 32];
-    let rows = parallel_map(sizes.to_vec(), |n| {
-        let mut cfg = ExperimentConfig::paper_default();
-        cfg.cmp.dvfs = DvfsTable::pentium_m_envelope(n);
-        let (m, base) = run_with_baseline(cfg, 25).expect("valid");
-        let tr = m.chip_tracking_error();
-        (
-            tr.mean_abs_error_percent,
-            tr.max_overshoot_percent,
-            m.degradation_vs(&base),
-        )
-    });
+    let rows = sizes
+        .iter()
+        .map(|&n| {
+            let mut cfg = ExperimentConfig::paper_default();
+            cfg.cmp.dvfs = DvfsTable::pentium_m_envelope(n);
+            let (m, base) = run_with_baseline(cfg, 25).expect("valid");
+            let tr = m.chip_tracking_error();
+            (
+                tr.mean_abs_error_percent,
+                tr.max_overshoot_percent,
+                m.degradation_vs(&base),
+            )
+        })
+        .collect::<Vec<_>>();
     for (n, (err, over, deg)) in sizes.iter().zip(&rows) {
         t.row(&[n.to_string(), f(*err, 2), f(*over, 2), f(*deg, 2)]);
     }

@@ -2,7 +2,6 @@
 
 use crate::report::{f, heading, Table};
 use cpm_core::model;
-use cpm_runtime::parallel_map;
 use cpm_sim::{calibration, Chip, CmpConfig};
 use cpm_units::IslandId;
 use cpm_workloads::{parsec, WorkloadAssignment};
@@ -20,13 +19,11 @@ pub fn fig5() -> String {
         .collect();
     // One identification run per benchmark; each cell seeds its own noise
     // stream (1000 + k), so order of execution cannot leak into the fits.
-    let cells: Vec<(usize, _)> = suite.iter().cloned().enumerate().collect();
-    let gains = {
-        let cmp = cmp.clone();
-        parallel_map(cells, move |(k, p)| {
-            model::identify_gain(&cmp, &p, 1000 + k as u64, 40)
-        })
-    };
+    let gains: Vec<f64> = suite
+        .iter()
+        .enumerate()
+        .map(|(k, p)| model::identify_gain(&cmp, p, 1000 + k as u64, 40))
+        .collect();
     let mut sum = 0.0;
     for (p, a) in suite.iter().zip(&gains) {
         sum += a;
@@ -60,39 +57,42 @@ pub fn fig6() -> String {
         "R^2 quadratic",
     ]);
     let all = parsec::all();
-    // Each benchmark's sweep owns a private chip instance — fan them out.
-    let fits = parallel_map(all.clone(), |p| {
-        let cmp = CmpConfig::paper_default();
-        let assignment = WorkloadAssignment::new(vec![p.clone(); 8], 2);
-        let mut chip = Chip::new(cmp.clone(), &assignment);
-        let mut tr = cpm_power::UtilizationPowerTransducer::new();
-        let mut snap = cpm_sim::ChipSnapshot::empty();
-        // Warm, then sweep all levels three times observing island 0.
-        for _ in 0..200 {
-            chip.step_pic_into(&mut snap);
-        }
-        for round in 0..3 {
-            for step in 0..cmp.dvfs.len() {
-                let level = if round % 2 == 0 {
-                    cmp.dvfs.len() - 1 - step
-                } else {
-                    step
-                };
-                for i in 0..cmp.islands() {
-                    chip.set_island_dvfs(IslandId(i), level);
-                }
+    // Each benchmark's sweep owns a private chip instance.
+    let fits: Vec<_> = all
+        .iter()
+        .map(|p| {
+            let cmp = CmpConfig::paper_default();
+            let assignment = WorkloadAssignment::new(vec![p.clone(); 8], 2);
+            let mut chip = Chip::new(cmp.clone(), &assignment);
+            let mut tr = cpm_power::UtilizationPowerTransducer::new();
+            let mut snap = cpm_sim::ChipSnapshot::empty();
+            // Warm, then sweep all levels three times observing island 0.
+            for _ in 0..200 {
                 chip.step_pic_into(&mut snap);
-                for _ in 0..2 {
+            }
+            for round in 0..3 {
+                for step in 0..cmp.dvfs.len() {
+                    let level = if round % 2 == 0 {
+                        cmp.dvfs.len() - 1 - step
+                    } else {
+                        step
+                    };
+                    for i in 0..cmp.islands() {
+                        chip.set_island_dvfs(IslandId(i), level);
+                    }
                     chip.step_pic_into(&mut snap);
-                    let isl = &snap.islands[0];
-                    tr.observe(isl.capacity_utilization, isl.power);
+                    for _ in 0..2 {
+                        chip.step_pic_into(&mut snap);
+                        let isl = &snap.islands[0];
+                        tr.observe(isl.capacity_utilization, isl.power);
+                    }
                 }
             }
-        }
-        let fit = tr.fit().expect("calibrated");
-        let q = tr.quadratic_fit().expect("calibrated");
-        (fit.slope, fit.intercept, fit.r_squared, q.r_squared)
-    });
+            let fit = tr.fit().expect("calibrated");
+            let q = tr.quadratic_fit().expect("calibrated");
+            (fit.slope, fit.intercept, fit.r_squared, q.r_squared)
+        })
+        .collect();
     let mut r2_sum = 0.0;
     for (p, (slope, intercept, r2l, r2q)) in all.iter().zip(&fits) {
         r2_sum += r2l;
@@ -112,10 +112,13 @@ pub fn fig6() -> String {
     // Context: the cache-simulator calibration behind the profiles.
     out.push_str("\ncache-simulator calibration (measured MPKI):\n");
     let mut c = Table::new(&["benchmark", "L1 MPKI", "L2 MPKI"]);
-    let rates = parallel_map(all.clone(), |p| {
-        let r = calibration::calibrate(&p, &CmpConfig::paper_default().cache, 99);
-        (r.l1_mpki, r.l2_mpki)
-    });
+    let rates: Vec<_> = all
+        .iter()
+        .map(|p| {
+            let r = calibration::calibrate(p, &CmpConfig::paper_default().cache, 99);
+            (r.l1_mpki, r.l2_mpki)
+        })
+        .collect();
     for (p, (l1, l2)) in all.iter().zip(&rates) {
         c.row(&[p.short.into(), f(*l1, 1), f(*l2, 1)]);
     }

@@ -3,7 +3,6 @@
 use crate::report::{f, heading, Table};
 use cpm_core::coordinator::run_with_baseline;
 use cpm_core::prelude::*;
-use cpm_runtime::parallel_map;
 use cpm_units::Ratio;
 use cpm_workloads::WorkloadAssignment;
 
@@ -27,16 +26,19 @@ pub fn fig13() -> String {
         .iter()
         .flat_map(|&w| [(w, false), (w, true)])
         .collect();
-    let degs = parallel_map(cells, |(width, maxbips)| {
-        let mut cfg = ExperimentConfig::paper_default()
-            .with_assignment(mix1_regrouped(width))
-            .with_budget_percent(80.0);
-        if maxbips {
-            cfg = cfg.with_scheme(ManagementScheme::MaxBips);
-        }
-        let (m, base) = run_with_baseline(cfg, 30).expect("valid");
-        m.degradation_vs(&base)
-    });
+    let degs = cells
+        .into_iter()
+        .map(|(width, maxbips)| {
+            let mut cfg = ExperimentConfig::paper_default()
+                .with_assignment(mix1_regrouped(width))
+                .with_budget_percent(80.0);
+            if maxbips {
+                cfg = cfg.with_scheme(ManagementScheme::MaxBips);
+            }
+            let (m, base) = run_with_baseline(cfg, 30).expect("valid");
+            m.degradation_vs(&base)
+        })
+        .collect::<Vec<_>>();
     for (k, width) in widths.iter().enumerate() {
         t.row(&[width.to_string(), f(degs[2 * k], 2), f(degs[2 * k + 1], 2)]);
     }
@@ -59,15 +61,18 @@ pub fn fig15() -> String {
                 .flat_map(move |&b| [(c, b, false), (c, b, true)])
         })
         .collect();
-    let degs = parallel_map(cells, |(cores, budget, maxbips)| {
-        let mut cfg = ExperimentConfig::paper_default().with_mix(Mix::Mix3, cores, 4);
-        cfg.budget_fraction = Ratio::from_percent(budget);
-        if maxbips {
-            cfg = cfg.with_scheme(ManagementScheme::MaxBips);
-        }
-        let (m, base) = run_with_baseline(cfg, 25).expect("valid");
-        m.degradation_vs(&base)
-    });
+    let degs = cells
+        .into_iter()
+        .map(|(cores, budget, maxbips)| {
+            let mut cfg = ExperimentConfig::paper_default().with_mix(Mix::Mix3, cores, 4);
+            cfg.budget_fraction = Ratio::from_percent(budget);
+            if maxbips {
+                cfg = cfg.with_scheme(ManagementScheme::MaxBips);
+            }
+            let (m, base) = run_with_baseline(cfg, 25).expect("valid");
+            m.degradation_vs(&base)
+        })
+        .collect::<Vec<_>>();
     for (ci, cores) in cores_axis.iter().enumerate() {
         s.push_str(&format!("\n{cores}-core CMP:\n"));
         let mut t = Table::new(&["budget %", "CPM degradation %", "MaxBIPS degradation %"]);

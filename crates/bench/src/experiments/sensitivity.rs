@@ -4,7 +4,6 @@
 use crate::report::{f, heading, Table};
 use cpm_core::coordinator::run_with_baseline;
 use cpm_core::prelude::*;
-use cpm_runtime::parallel_map;
 use cpm_units::Seconds;
 use cpm_workloads::WorkloadAssignment;
 
@@ -18,12 +17,15 @@ pub fn fig16() -> String {
         .iter()
         .flat_map(|&b| [(b, Mix::Mix1), (b, Mix::Mix2)])
         .collect();
-    let degs = parallel_map(cells, |(budget, mix)| {
-        let mut cfg = ExperimentConfig::paper_default().with_budget_percent(budget);
-        cfg.mix = mix;
-        let (m, b) = run_with_baseline(cfg, 30).expect("valid");
-        m.degradation_vs(&b)
-    });
+    let degs = cells
+        .into_iter()
+        .map(|(budget, mix)| {
+            let mut cfg = ExperimentConfig::paper_default().with_budget_percent(budget);
+            cfg.mix = mix;
+            let (m, b) = run_with_baseline(cfg, 30).expect("valid");
+            m.degradation_vs(&b)
+        })
+        .collect::<Vec<_>>();
     for (k, &budget) in budgets.iter().enumerate() {
         t.row(&[f(budget, 0), f(degs[2 * k], 2), f(degs[2 * k + 1], 2)]);
     }
@@ -43,18 +45,21 @@ pub fn fig17() -> String {
     ]);
     let widths = [1usize, 2, 4];
     let cells: Vec<(usize, f64)> = widths.iter().flat_map(|&w| [(w, 0.5), (w, 5.0)]).collect();
-    let degs = parallel_map(cells, |(width, pic_ms)| {
-        let base_assignment = {
-            let m = WorkloadAssignment::paper_mix(Mix::Mix1, 8);
-            WorkloadAssignment::new(m.profiles().to_vec(), width)
-        };
-        let mut cfg = ExperimentConfig::paper_default()
-            .with_assignment(base_assignment)
-            .with_budget_percent(80.0);
-        cfg.cmp.pic_interval = Seconds::from_ms(pic_ms);
-        let (m, b) = run_with_baseline(cfg, 30).expect("valid");
-        m.degradation_vs(&b)
-    });
+    let degs = cells
+        .into_iter()
+        .map(|(width, pic_ms)| {
+            let base_assignment = {
+                let m = WorkloadAssignment::paper_mix(Mix::Mix1, 8);
+                WorkloadAssignment::new(m.profiles().to_vec(), width)
+            };
+            let mut cfg = ExperimentConfig::paper_default()
+                .with_assignment(base_assignment)
+                .with_budget_percent(80.0);
+            cfg.cmp.pic_interval = Seconds::from_ms(pic_ms);
+            let (m, b) = run_with_baseline(cfg, 30).expect("valid");
+            m.degradation_vs(&b)
+        })
+        .collect::<Vec<_>>();
     for (k, width) in widths.iter().enumerate() {
         t.row(&[width.to_string(), f(degs[2 * k], 2), f(degs[2 * k + 1], 2)]);
     }

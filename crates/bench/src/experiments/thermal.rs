@@ -1,11 +1,9 @@
 //! Fig. 18: the thermal-aware provisioning policy.
 
 use crate::report::{f, heading, Table};
-use cpm_core::coordinator::{run_with_baseline, Outcome, PolicyKind};
-use cpm_core::gpm::ViolationStats;
+use cpm_core::coordinator::{run_with_baseline, PolicyKind};
 use cpm_core::policies::thermal::{ConstraintTracker, ThermalConstraints};
 use cpm_core::prelude::*;
-use cpm_runtime::Pool;
 use cpm_units::{IslandId, Watts};
 
 /// Fig. 18(a–c): run the SPEC roster on 8 single-core islands under the
@@ -21,9 +19,7 @@ pub fn fig18() -> String {
     s.push_str("    core1 mesa | core2 bzip | core3 gcc | core4 sixtrack | (row repeated)\n\n");
 
     // The performance-aware run (the violating baseline) and the
-    // thermal-aware run are independent simulations — overlap them on the
-    // worker pool. Heterogeneous results ride in an enum; `run_jobs`
-    // returns them in submission order.
+    // thermal-aware run are independent simulations.
     let mut perf_cfg = ExperimentConfig::paper_default();
     perf_cfg.mix = Mix::Thermal;
     perf_cfg.cmp = CmpConfig::with_topology(8, 1);
@@ -32,34 +28,10 @@ pub fn fig18() -> String {
         .with_scheme(ManagementScheme::Cpm(PolicyKind::Thermal(
             constraints.clone(),
         )));
-
-    enum Cell {
-        Perf(Box<(Outcome, Outcome)>),
-        Thermal(Box<(Outcome, ViolationStats)>),
-    }
-    let jobs: Vec<Box<dyn FnOnce() -> Cell + Send>> = vec![
-        Box::new({
-            let cfg = perf_cfg.clone();
-            move || Cell::Perf(Box::new(run_with_baseline(cfg, rounds).expect("valid")))
-        }),
-        Box::new(move || {
-            let mut coord = Coordinator::new(thermal_cfg).expect("valid");
-            let thermal = coord.run_for_gpm_intervals(rounds);
-            let enforced = coord.thermal_stats().expect("thermal stats available");
-            Cell::Thermal(Box::new((thermal, enforced)))
-        }),
-    ];
-    let mut results = Pool::global().run_jobs(jobs).into_iter();
-    let (perf, base) = match results.next() {
-        Some(Cell::Perf(b)) => Some(*b),
-        _ => None,
-    }
-    .expect("perf cell is submitted first");
-    let (thermal, enforced) = match results.next() {
-        Some(Cell::Thermal(b)) => Some(*b),
-        _ => None,
-    }
-    .expect("thermal cell is submitted second");
+    let (perf, base) = run_with_baseline(perf_cfg, rounds).expect("valid");
+    let mut coord = Coordinator::new(thermal_cfg).expect("valid");
+    let thermal = coord.run_for_gpm_intervals(rounds);
+    let enforced = coord.thermal_stats().expect("thermal stats available");
 
     // (c): replay the performance policy's recorded GPM allocations through
     // an observe-only tracker.

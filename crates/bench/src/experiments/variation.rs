@@ -5,7 +5,6 @@ use crate::report::{f, heading, Table};
 use cpm_core::coordinator::PolicyKind;
 use cpm_core::prelude::*;
 use cpm_power::variation::VariationMap;
-use cpm_runtime::parallel_map;
 use cpm_units::IslandId;
 
 /// §IV-B: islands 1–3 leak 1.2×/1.5×/2× of island 4; compare the
@@ -23,14 +22,13 @@ pub fn fig19() -> String {
         .with_scheme(ManagementScheme::Cpm(PolicyKind::Variation));
 
     // Both policies simulate the same varied silicon independently.
-    let mut runs = parallel_map(vec![perf_cfg, var_cfg], move |cfg| {
+    let run = |cfg| {
         Coordinator::new(cfg)
             .expect("valid")
             .run_for_gpm_intervals(rounds)
-    })
-    .into_iter();
-    let perf = runs.next().expect("two cells");
-    let var = runs.next().expect("two cells");
+    };
+    let perf = run(perf_cfg);
+    let var = run(var_cfg);
 
     let mut s = heading("Fig. 19 (§IV-B) — variation-aware provisioning under leakage variation");
     s.push_str(&format!(

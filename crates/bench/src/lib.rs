@@ -54,14 +54,8 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "granularity",
 ];
 
-/// Wall-clock cost of one experiment inside a sweep.
-///
-/// Measured around the experiment's `run_experiment` call on whichever
-/// pool context executed it. A context waiting on its own fan-out helps
-/// run whatever the shared queue holds next, other experiments' cells
-/// included, so an experiment's wall-clock can exceed its pure compute
-/// time; the per-worker `busy` accounting in [`cpm_runtime::PoolStats`]
-/// is the undistorted view.
+/// Wall-clock cost of one experiment inside a sweep, measured around its
+/// `run_experiment` call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTiming {
     /// Experiment id (one of [`ALL_EXPERIMENTS`]).
@@ -73,50 +67,37 @@ pub struct ExperimentTiming {
 /// Everything one `all` sweep produces.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// `(id, report)` in paper order — byte-identical for any worker
-    /// count, so a determinism gate can diff the concatenation.
+    /// `(id, report)` in paper order. The concatenation is byte-pinned by
+    /// `goldens/experiments_all.txt`.
     pub reports: Vec<(&'static str, String)>,
     /// Per-experiment wall-clock, in the same order.
     pub timings: Vec<ExperimentTiming>,
     /// Wall-clock of the whole sweep.
     pub total_seconds: f64,
-    /// Pool utilization snapshot taken when the sweep finished.
-    pub stats: cpm_runtime::PoolStats,
     /// Sweep telemetry on the shared metrics registry: per-experiment
     /// wall-clock gauges (`sweep.<id>.seconds`), a `sweep.total_seconds`
-    /// gauge, a `sweep.experiment_seconds` histogram, and the pool's
-    /// jobs/busy gauges (see [`cpm_runtime::PoolStats::export`]).
+    /// gauge, a `sweep.experiment_seconds` histogram and the memo tables'
+    /// hit/miss counters.
     pub registry: cpm_obs::Registry,
 }
 
 /// Histogram buckets for per-experiment wall-clock, seconds.
 const EXPERIMENT_SECONDS_BUCKETS: &[f64] = &[0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0];
 
-/// Runs every experiment on the global worker pool (sized by
-/// `CPM_WORKERS`, default: available parallelism).
+/// Runs every experiment on the calling thread, in [`ALL_EXPERIMENTS`]
+/// order. Each experiment is an independent simulation, and the whole
+/// sweep takes about 0.15 s in release, too little to be worth a pool.
 pub fn run_all() -> SweepOutcome {
-    run_all_on(cpm_runtime::Pool::global())
-}
-
-/// Runs every experiment on an explicit pool.
-///
-/// Experiments are independent simulations, so the sweep fans them out as
-/// top-level cells; sweep-style experiments additionally fan their own
-/// (mix × budget × island-count) cells onto the *global* pool. Reduction
-/// is deterministic: results are collected in [`ALL_EXPERIMENTS`] order
-/// regardless of completion order or worker count.
-pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
     let sweep_start = std::time::Instant::now();
-    let cells = pool.parallel_map(ALL_EXPERIMENTS.to_vec(), |id| {
+    let mut reports = Vec::with_capacity(ALL_EXPERIMENTS.len());
+    let mut timings = Vec::with_capacity(ALL_EXPERIMENTS.len());
+    for &id in ALL_EXPERIMENTS {
         let t0 = std::time::Instant::now();
-        let report = run_experiment(id).expect("known id");
-        (report, t0.elapsed().as_secs_f64())
-    });
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut timings = Vec::with_capacity(cells.len());
-    for (id, (report, seconds)) in ALL_EXPERIMENTS.iter().zip(cells) {
-        reports.push((*id, report));
-        timings.push(ExperimentTiming { id, seconds });
+        reports.push((id, run_experiment(id).expect("known id")));
+        timings.push(ExperimentTiming {
+            id,
+            seconds: t0.elapsed().as_secs_f64(),
+        });
     }
     let total_seconds = sweep_start.elapsed().as_secs_f64();
 
@@ -134,25 +115,26 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
     registry
         .counter("sweep.experiments")
         .add(timings.len() as u64);
-    let stats = pool.stats();
-    stats.export(&registry);
-
     publish_memo_stats(&registry);
 
     SweepOutcome {
         reports,
         timings,
         total_seconds,
-        stats,
         registry,
     }
+}
+
+/// [`run_all`]; the pool argument is ignored. Kept for the benchmark
+/// package, which still names it.
+pub fn run_all_on(_pool: &cpm_runtime::Pool) -> SweepOutcome {
+    run_all()
 }
 
 /// Publishes the cumulative hits and misses of the process-wide memo
 /// tables (`memo.probe.*`, `memo.calib_sweep.*`) to `registry`, so the
 /// sweep artifact shows the caches carrying load. Absolute values depend
-/// on worker count and process history — the artifact is schema-checked,
-/// not byte-diffed.
+/// on process history — the artifact is schema-checked, not byte-diffed.
 pub fn publish_memo_stats(registry: &cpm_obs::Registry) {
     use cpm_core::coordinator::Coordinator;
     for (name, (hits, misses)) in [
@@ -165,14 +147,13 @@ pub fn publish_memo_stats(registry: &cpm_obs::Registry) {
 }
 
 /// Renders a sweep's telemetry as a JSON document (the
-/// `BENCH_experiments.json` artifact): per-experiment wall-clock plus
-/// per-worker jobs / busy-time / utilization.
+/// `BENCH_experiments.json` artifact): per-experiment wall-clock plus the
+/// registry snapshot.
 ///
 /// Hand-rolled writer — the workspace builds with zero external crates,
 /// so no serde. All emitted numbers are finite.
 pub fn sweep_json(sweep: &SweepOutcome) -> String {
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"workers\": {},\n", sweep.stats.workers));
     s.push_str(&format!(
         "  \"total_seconds\": {},\n",
         json_num(sweep.total_seconds, 6)
@@ -187,25 +168,8 @@ pub fn sweep_json(sweep: &SweepOutcome) -> String {
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"pool\": {{\n    \"elapsed_seconds\": {},\n    \"total_jobs\": {},\n    \"contexts\": [\n",
-        json_num(sweep.stats.elapsed.as_secs_f64(), 6),
-        sweep.stats.total_jobs()
-    ));
-    let n = sweep.stats.per_context.len();
-    for (k, c) in sweep.stats.per_context.iter().enumerate() {
-        let role = if k + 1 == n { "caller" } else { "worker" };
-        let sep = if k + 1 < n { "," } else { "" };
-        s.push_str(&format!(
-            "      {{\"context\": {k}, \"role\": \"{role}\", \"jobs\": {}, \"busy_seconds\": {}, \"utilization\": {}}}{sep}\n",
-            c.jobs,
-            json_num(c.busy.as_secs_f64(), 6),
-            json_num(sweep.stats.utilization(k), 6)
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    // Additive key (schema stays backward-compatible): the full metrics
-    // snapshot, re-indented to nest under the artifact object.
+    // The full metrics snapshot, re-indented to nest under the artifact
+    // object.
     let snap = sweep.registry.snapshot().to_json();
     let mut nested = String::new();
     for (k, line) in snap.trim_end().lines().enumerate() {
@@ -251,7 +215,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn sweep_json_has_the_artifact_shape() {
@@ -262,35 +225,15 @@ mod tests {
                 seconds: 0.25,
             }],
             total_seconds: 0.3,
-            stats: cpm_runtime::PoolStats {
-                workers: 2,
-                elapsed: Duration::from_millis(400),
-                per_context: vec![
-                    cpm_runtime::WorkerSnapshot {
-                        jobs: 3,
-                        busy: Duration::from_millis(200),
-                    };
-                    3
-                ],
-            },
             registry: cpm_obs::Registry::new(),
         };
         sweep.registry.gauge("sweep.total_seconds").set(0.3);
         let json = sweep_json(&sweep);
-        // The pre-registry schema must survive unchanged (consumers parse
-        // these keys); `metrics` is the only addition.
         for needle in [
-            "\"workers\": 2",
             "\"total_seconds\": 0.300000",
             "\"experiments\": [",
             "\"id\": \"table1\"",
             "\"seconds\": 0.250000",
-            "\"pool\": {",
-            "\"elapsed_seconds\": 0.400000",
-            "\"total_jobs\": 9",
-            "\"contexts\": [",
-            "\"role\": \"caller\"",
-            "\"utilization\": 0.500000",
             "\"metrics\": {",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");

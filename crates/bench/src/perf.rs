@@ -42,15 +42,14 @@ pub struct PerfEntry {
 pub struct PerfReport {
     /// Per-target ns/op, in suite order.
     pub entries: Vec<PerfEntry>,
-    /// Wall-clock of one in-process `experiments all` sweep on a
-    /// single-worker pool (the configuration the ≥ 2× acceptance gate is
-    /// quoted in).
+    /// Wall-clock of one in-process `experiments all` sweep (the
+    /// configuration the ≥ 2× acceptance gate is quoted in).
     pub sweep_seconds: f64,
     /// Whether the quick (smoke) protocol was used.
     pub quick: bool,
 }
 
-/// The pre-optimization single-worker sweep wall-clock on the reference
+/// The pre-optimization serial sweep wall-clock on the reference
 /// machine (seed of PR 3), kept in the artifact so the speedup that
 /// gated the PR stays visible next to the current number.
 pub const SWEEP_BASELINE_SECONDS: f64 = 0.26;
@@ -104,32 +103,6 @@ pub fn run_perf(quick: bool) -> PerfReport {
         "chip_step_1024",
         measure(quick, chip_step_kilocore_target(1024, 64)),
     );
-
-    {
-        // The same kilocore chip with its island segments fanned out
-        // across a 4-worker pool — the throughput figure the fleet tier
-        // (ROADMAP item 1) builds on. On a single-CPU host this mostly
-        // prices the fan-out overhead; the trajectory is byte-identical
-        // to the serial target either way.
-        let profiles: Vec<_> = WorkloadAssignment::paper_mix(Mix::Mix3, 32)
-            .profiles()
-            .iter()
-            .cloned()
-            .cycle()
-            .take(1024)
-            .collect();
-        let cfg = CmpConfig::with_topology(1024, 64);
-        let assignment = WorkloadAssignment::new(profiles, 64);
-        let mut chip = Chip::new(cfg, &assignment);
-        let mut snap = ChipSnapshot::empty();
-        let pool = cpm_runtime::Pool::new(4);
-        push(
-            "chip_step_1024_sharded",
-            measure(quick, move || {
-                chip.step_pic_into_on(black_box(&mut snap), &pool)
-            }),
-        );
-    }
 
     {
         // The deterministic cpm-math lane kernels at the kilocore column
@@ -291,16 +264,15 @@ pub fn run_perf(quick: bool) -> PerfReport {
         );
     }
 
-    // One full sweep, single worker — the acceptance gate's configuration.
-    // Memo caches may already be warm in this process; that is the same
-    // steady state `experiments all` itself reaches, and the number is
-    // reported alongside the per-target ns/op, not in place of them.
-    let pool = cpm_runtime::Pool::new(1);
+    // One full sweep — the acceptance gate's configuration. Memo caches
+    // may already be warm in this process; that is the same steady state
+    // `experiments all` itself reaches, and the number is reported
+    // alongside the per-target ns/op, not in place of them.
     let t0 = std::time::Instant::now();
-    let sweep = crate::run_all_on(&pool);
+    let sweep = crate::run_all();
     let sweep_seconds = t0.elapsed().as_secs_f64();
     black_box(sweep.reports.len());
-    eprintln!("[perf] sweep_all (1 worker)        {sweep_seconds:.3} s  (pre-PR3 baseline {SWEEP_BASELINE_SECONDS:.2} s)");
+    eprintln!("[perf] sweep_all                   {sweep_seconds:.3} s  (pre-optimization baseline {SWEEP_BASELINE_SECONDS:.2} s)");
 
     PerfReport {
         entries,
@@ -332,7 +304,7 @@ pub fn perf_json(report: &PerfReport) -> String {
     s.push_str("  ],\n");
     s.push_str("  \"sweep\": {\n");
     s.push_str(&format!(
-        "    \"workers\": 1,\n    \"seconds\": {},\n    \"baseline_seconds\": {},\n    \"speedup\": {}\n",
+        "    \"seconds\": {},\n    \"baseline_seconds\": {},\n    \"speedup\": {}\n",
         json_num(report.sweep_seconds, 3),
         json_num(SWEEP_BASELINE_SECONDS, 3),
         json_num(SWEEP_BASELINE_SECONDS / report.sweep_seconds.max(1e-9), 3)

@@ -1,6 +1,6 @@
 //! The scenario suite runner behind `experiments scenarios`.
 //!
-//! Fans the [`cpm_scenario::CATALOGUE`] out on the shared worker pool,
+//! Runs the [`cpm_scenario::CATALOGUE`] in order on the calling thread,
 //! compares each trajectory against its committed golden, and — on
 //! divergence — performs the differential replay: the scenario is re-run
 //! from scratch and the two trajectories are compared with each other
@@ -11,12 +11,8 @@
 //! The module is IO-free: the binary reads golden files into the input
 //! map and writes the returned artifacts (`SCENARIO_<stem>.jsonl`,
 //! `DIVERGENCE_<stem>.txt`, refreshed goldens, `BENCH_scenarios.json`).
-//! Reduction is in catalogue order, so the per-scenario summary lines
-//! and every trajectory artifact are byte-identical for any worker
-//! count.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use cpm_scenario::{differential_report, run_scenario, GoldenDoc, ScenarioCheck, CATALOGUE};
 
@@ -95,8 +91,6 @@ pub struct ScenarioSuite {
     pub reports: Vec<ScenarioReport>,
     /// Wall-clock of the whole suite, seconds.
     pub total_seconds: f64,
-    /// Worker count the suite fanned out on.
-    pub workers: usize,
 }
 
 /// Filesystem-safe artifact stem for a scenario name:
@@ -126,26 +120,19 @@ pub fn run_scenario_suite(
     update_goldens: bool,
 ) -> Result<ScenarioSuite, String> {
     let t0 = std::time::Instant::now();
-    let pool = cpm_runtime::Pool::global();
-    let goldens = Arc::new(goldens);
-    let cells = {
-        let goldens = Arc::clone(&goldens);
-        pool.parallel_map(CATALOGUE.to_vec(), move |scenario| {
+    let reports = CATALOGUE
+        .iter()
+        .map(|scenario| {
             run_cell(
-                &scenario,
+                scenario,
                 goldens.get(scenario.name).map(String::as_str),
                 update_goldens,
             )
         })
-    };
-    let mut reports = Vec::with_capacity(cells.len());
-    for cell in cells {
-        reports.push(cell?);
-    }
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(ScenarioSuite {
         reports,
         total_seconds: t0.elapsed().as_secs_f64(),
-        workers: pool.workers().max(1),
     })
 }
 
@@ -248,13 +235,12 @@ fn esc(s: &str) -> String {
 ///
 /// Hand-rolled writer — the workspace builds with zero external crates.
 /// The artifact is schema-checked (see [`crate::schema`]), not
-/// byte-diffed: `workers` and `total_seconds` vary by machine. The
+/// byte-diffed: `total_seconds` varies by machine. The
 /// trajectories themselves (`SCENARIO_<stem>.jsonl`) carry the
 /// byte-determinism gate.
 pub fn scenarios_json(suite: &ScenarioSuite) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"cpm-scenarios-v1\",\n");
-    s.push_str(&format!("  \"workers\": {},\n", suite.workers));
     s.push_str(&format!(
         "  \"total_seconds\": {:.6},\n",
         if suite.total_seconds.is_finite() {
@@ -384,7 +370,6 @@ mod tests {
                 fake_report("stuck-knob@maxbips", ScenarioStatus::Diverged),
             ],
             total_seconds: 1.5,
-            workers: 4,
         };
         let json = scenarios_json(&suite);
         for needle in [

@@ -70,12 +70,8 @@ impl ArtifactKind {
     pub fn required_keys(self) -> &'static [&'static str] {
         match self {
             ArtifactKind::Experiments => &[
-                "\"workers\"",
                 "\"total_seconds\"",
                 "\"experiments\"",
-                "\"pool\"",
-                "\"contexts\"",
-                "\"utilization\"",
                 "\"metrics\"",
                 "\"memo.probe.hits\"",
                 "\"memo.probe.misses\"",
@@ -88,7 +84,6 @@ impl ArtifactKind {
                 "\"chip_step_8x1\"",
                 "\"chip_step_32\"",
                 "\"chip_step_1024\"",
-                "\"chip_step_1024_sharded\"",
                 "\"math_sin_lane\"",
                 "\"math_exp_lane\"",
                 "\"pid_step\"",
@@ -213,10 +208,10 @@ mod tests {
 
     #[test]
     fn missing_keys_are_reported_individually() {
-        let problems = check_schema(ArtifactKind::Experiments, "{\"workers\": 1}");
-        assert!(problems.iter().any(|p| p.contains("\"pool\"")));
+        let problems = check_schema(ArtifactKind::Experiments, "{\"total_seconds\": 1}");
+        assert!(problems.iter().any(|p| p.contains("\"experiments\"")));
         assert!(problems.iter().any(|p| p.contains("\"metrics\"")));
-        assert!(!problems.iter().any(|p| p.contains("\"workers\"")));
+        assert!(!problems.iter().any(|p| p.contains("\"total_seconds\"")));
     }
 
     #[test]

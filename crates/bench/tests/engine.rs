@@ -1,49 +1,49 @@
-//! Determinism contract of the parallel experiment engine: for any worker
-//! count, the same experiment cells reduce to byte-identical reports in
-//! the same order. The full sweep is compared across 1 and 2 workers
-//! here, a cheap experiment subset at 4; CI also diffs `experiments all`
-//! stdout across `CPM_WORKERS=1` and `CPM_WORKERS=4`.
+//! The experiment sweep's byte contract: `experiments all` stdout is the
+//! concatenation of [`run_all`]'s reports, and it must equal the committed
+//! `goldens/experiments_all.txt` byte for byte. Regenerate that file with
+//! `experiments all > goldens/experiments_all.txt` (see CONTRIBUTING.md)
+//! only for an intended change to a reported number.
 
-use cpm_bench::{run_all_on, run_experiment, ALL_EXPERIMENTS};
-use cpm_runtime::Pool;
+use cpm_bench::{run_all, run_experiment, ALL_EXPERIMENTS};
 
 /// Cheap, pure-computation experiments (control analysis + static
-/// tables) — enough to exercise the fan-out/reduce path without paying
-/// for full coordinator sweeps in a unit test.
+/// tables) — enough to catch run-to-run nondeterminism without paying
+/// for full coordinator sweeps.
 const SMALL_GRID: &[&str] = &["table1", "table2", "table3", "poles", "margin"];
 
-fn sweep_on(pool: &Pool) -> Vec<String> {
-    pool.parallel_map(SMALL_GRID.to_vec(), |id| {
-        run_experiment(id).expect("known id")
-    })
-}
-
-#[test]
-fn serial_and_parallel_sweeps_are_byte_identical() {
-    let serial = sweep_on(&Pool::new(1));
-    let parallel = sweep_on(&Pool::new(4));
-    assert_eq!(serial.len(), SMALL_GRID.len());
-    for ((s, p), id) in serial.iter().zip(&parallel).zip(SMALL_GRID) {
-        assert_eq!(s, p, "report for {id} differs between 1 and 4 workers");
-    }
+fn small_sweep() -> Vec<String> {
+    SMALL_GRID
+        .iter()
+        .map(|id| run_experiment(id).expect("known id"))
+        .collect()
 }
 
 #[test]
 fn repeated_parallel_sweeps_are_stable() {
-    // Same pool width, two passes: flushes out any run-to-run
+    // Two passes in one process: flushes out any run-to-run
     // nondeterminism (stray global state, time-dependent seeding).
-    let a = sweep_on(&Pool::new(4));
-    let b = sweep_on(&Pool::new(4));
-    assert_eq!(a, b);
+    assert_eq!(small_sweep(), small_sweep());
 }
 
 #[test]
-fn full_sweep_is_byte_identical_across_worker_counts() {
-    let serial = run_all_on(&Pool::new(1)).reports;
-    let parallel = run_all_on(&Pool::new(2)).reports;
-    assert_eq!(serial.len(), parallel.len());
-    for ((id, s), (_, p)) in serial.iter().zip(&parallel) {
-        assert_eq!(s, p, "report for {id} differs between 1 and 2 workers");
+fn full_sweep_matches_the_committed_golden() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens/experiments_all.txt");
+    let golden = std::fs::read_to_string(&path).expect("goldens/experiments_all.txt must exist");
+    let sweep: String = run_all().reports.into_iter().map(|(_, r)| r).collect();
+    if sweep != golden {
+        let line = sweep
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| sweep.lines().count().min(golden.lines().count()));
+        panic!(
+            "`experiments all` stdout differs from goldens/experiments_all.txt at line {}:\n  \
+             sweep:  {:?}\n  golden: {:?}",
+            line + 1,
+            sweep.lines().nth(line),
+            golden.lines().nth(line)
+        );
     }
 }
 

@@ -23,9 +23,9 @@ pub enum RuleId {
     HashIteration,
     /// `Instant::now` / `SystemTime` outside the timing crates.
     Timing,
-    /// `std::env` reads outside the worker-count / harness plumbing.
+    /// `std::env` reads outside the experiment harness.
     EnvRead,
-    /// Thread creation outside `cpm-runtime`.
+    /// Thread creation in non-test code.
     ThreadSpawn,
     /// RNG construction in non-test code outside the crates that own a
     /// seed-derivation contract.
@@ -190,10 +190,10 @@ pub struct Violation {
 
 /// Crates whose whole purpose is timing/benchmarking: `Instant::now` and
 /// `SystemTime` are their trade.
-const TIMING_CRATES: [&str; 2] = ["cpm-bench", "cpm-runtime"];
-/// Crates allowed to read the environment: the pool's `CPM_WORKERS`
-/// plumbing and the experiment harness's artifact paths.
-const ENV_CRATES: [&str; 2] = ["cpm-bench", "cpm-runtime"];
+const TIMING_CRATES: [&str; 1] = ["cpm-bench"];
+/// Crates allowed to read the environment: the experiment harness's
+/// artifact paths.
+const ENV_CRATES: [&str; 1] = ["cpm-bench"];
 /// The complete set of files allowed to contain `unsafe`. Everything
 /// here exists to implement a test-only `GlobalAlloc` counting
 /// allocator; production code is 100 % safe Rust.

@@ -21,9 +21,8 @@ const OUTPUT_CRATES: [&str; 1] = ["cpm-bench"];
 
 /// Crates that own an effect the root `clippy.toml` bans, and the rule
 /// whose entries their own `clippy.toml` omits.
-const EXEMPT: [(&str, &str); 6] = [
+const EXEMPT: [(&str, &str); 5] = [
     ("math", "math-scope"),
-    ("runtime", "thread-spawn"),
     ("rng", "rng-scope"),
     ("workloads", "rng-scope"),
     ("control", "rng-scope"),

@@ -86,13 +86,12 @@ fn clean_fixtures_are_fully_clean() {
 
 #[test]
 fn exempt_crates_do_not_fire_determinism_rules() {
-    // The same timing/env sources are legal inside their home crates:
-    // cpm-bench and cpm-runtime own wall-clock and env reads.
+    // The same timing/env sources are legal inside their home crate:
+    // cpm-bench owns wall-clock and env reads.
     assert!(firings("timing_fire.rs", "crates/bench/src/fx.rs", RuleId::Timing).is_empty());
-    assert!(firings("timing_fire.rs", "crates/runtime/src/fx.rs", RuleId::Timing).is_empty());
     assert!(firings(
         "env_read_fire.rs",
-        "crates/runtime/src/fx.rs",
+        "crates/bench/src/fx.rs",
         RuleId::EnvRead
     )
     .is_empty());

@@ -1,4 +1,4 @@
-//! Mutation corpus: 27 realistic determinism, safety and dimension bugs,
+//! Mutation corpus: 29 realistic determinism, safety and dimension bugs,
 //! each checked by both checkers of the catalogue. The in-tree analyzer
 //! lints every mutant in memory under its virtual workspace path; clippy
 //! compiles every mutant once, as a module of a throwaway library crate
@@ -30,7 +30,7 @@ struct Mutant {
     fires: &'static [&'static str],
 }
 
-const MUTANTS: [Mutant; 26] = [
+const MUTANTS: [Mutant; 28] = [
     // --- timing -------------------------------------------------------
     Mutant {
         name: "timing: direct Instant::now",
@@ -54,6 +54,12 @@ const MUTANTS: [Mutant; 26] = [
               impl GoldenDoc {\n\
               \x20   pub fn render(&self) -> String { format!(\"{}\", stamp()) }\n\
               }\n",
+        fires: &["timing"],
+    },
+    Mutant {
+        name: "timing: Instant::now in cpm-runtime",
+        path: "crates/runtime/src/mutant.rs",
+        src: "pub fn stamp() -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n",
         fires: &["timing"],
     },
     Mutant {
@@ -157,7 +163,13 @@ const MUTANTS: [Mutant; 26] = [
         fires: &["env-read"],
     },
     Mutant {
-        name: "thread-spawn: ambient thread outside cpm-runtime",
+        name: "env-read: std::env::var in cpm-runtime",
+        path: "crates/runtime/src/mutant.rs",
+        src: "pub fn workers() -> usize { std::env::var(\"N\").map_or(1, |s| s.len()) }\n",
+        fires: &["env-read"],
+    },
+    Mutant {
+        name: "thread-spawn: ambient thread in library code",
         path: "crates/core/src/mutant.rs",
         src: "pub fn background() { std::thread::spawn(|| {}); }\n",
         fires: &["thread-spawn"],

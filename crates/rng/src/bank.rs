@@ -38,6 +38,16 @@ impl XoshiroBank {
         Self::default()
     }
 
+    /// An empty bank with room for `n` streams.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            s0: Vec::with_capacity(n),
+            s1: Vec::with_capacity(n),
+            s2: Vec::with_capacity(n),
+            s3: Vec::with_capacity(n),
+        }
+    }
+
     /// Number of streams in the bank.
     pub fn len(&self) -> usize {
         self.s0.len()

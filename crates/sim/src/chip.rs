@@ -5,7 +5,6 @@ use crate::config::CmpConfig;
 use crate::soa::{CoreBank, CoreView, IslandBank, IslandCtx, IslandView, SegmentTotals};
 use cpm_power::variation::VariationMap;
 use cpm_power::IslandPowerTerms;
-use cpm_runtime::Pool;
 use cpm_thermal::ThermalGrid;
 use cpm_units::{Celsius, CoreId, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::WorkloadAssignment;
@@ -140,7 +139,7 @@ impl Chip {
             config.islands(),
             "variation map must cover every island"
         );
-        let mut cores = CoreBank::new(config.cores_per_island);
+        let mut cores = CoreBank::with_capacity(config.cores_per_island, config.cores);
         for c in 0..config.cores {
             cores.push(assignment.profile(CoreId(c)).clone(), config.seed, c as u64);
         }
@@ -342,18 +341,10 @@ impl Chip {
         out.memory_contention = contention;
     }
 
-    /// [`Chip::step_pic_into`], kept for callers that hold a pool: see
-    /// [`Chip::step_into_on`].
-    pub fn step_pic_into_on(&mut self, out: &mut ChipSnapshot, pool: &Pool) {
-        self.step_into_on(self.config.pic_interval, out, pool);
-    }
-
-    /// [`Chip::step_into`]. The pool is not used: fanning island segments
-    /// out to workers never beat the serial lane pass, even on the
-    /// 1024-core chip, so the sharded step is the serial one and its
-    /// trajectory is the serial trajectory at any worker count.
-    pub fn step_into_on(&mut self, dt: Seconds, out: &mut ChipSnapshot, _pool: &Pool) {
-        self.step_into(dt, out);
+    /// [`Chip::step_pic_into`]; the pool argument is ignored. Kept for
+    /// the benchmark package, which still names it.
+    pub fn step_pic_into_on(&mut self, out: &mut ChipSnapshot, _pool: &cpm_runtime::Pool) {
+        self.step_pic_into(out);
     }
 }
 

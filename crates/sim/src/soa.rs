@@ -24,8 +24,7 @@
 //! same code as before), a chunk spanning islands (the paper's 2-core and
 //! 1-core islands) gathers it per lane. The `len % LANES` remainder runs
 //! through the same kernel on a padded stack chunk that writes back only
-//! its valid lanes. The sharded chip step is the serial step (see
-//! `Chip::step_into_on`).
+//! its valid lanes.
 //!
 //! Chunking never reassociates: the elementwise passes evaluate
 //! token-identical expressions per lane, and every accumulator (each
@@ -180,23 +179,29 @@ pub struct CoreBank {
 impl CoreBank {
     /// An empty bank whose islands hold `width` cores each.
     pub fn new(width: usize) -> Self {
+        Self::with_capacity(width, 0)
+    }
+
+    /// An empty bank whose islands hold `width` cores each, with every
+    /// column sized for `cores` pushes.
+    pub(crate) fn with_capacity(width: usize, cores: usize) -> Self {
         assert!(width > 0, "an island needs at least one core");
         Self {
             width,
-            phases: PhaseBank::new(),
-            cpi_scale: Vec::new(),
-            mem_scale: Vec::new(),
-            activity_scale: Vec::new(),
-            profiles: Vec::new(),
-            base_cpi: Vec::new(),
-            activity: Vec::new(),
-            l1_term: Vec::new(),
-            l2_dram: Vec::new(),
-            l2_bytes: Vec::new(),
-            total_instructions: Vec::new(),
-            total_time: Vec::new(),
-            core_powers: Vec::new(),
-            dram_bytes: Vec::new(),
+            phases: PhaseBank::with_capacity(cores),
+            cpi_scale: Vec::with_capacity(cores),
+            mem_scale: Vec::with_capacity(cores),
+            activity_scale: Vec::with_capacity(cores),
+            profiles: Vec::with_capacity(cores),
+            base_cpi: Vec::with_capacity(cores),
+            activity: Vec::with_capacity(cores),
+            l1_term: Vec::with_capacity(cores),
+            l2_dram: Vec::with_capacity(cores),
+            l2_bytes: Vec::with_capacity(cores),
+            total_instructions: Vec::with_capacity(cores),
+            total_time: Vec::with_capacity(cores),
+            core_powers: Vec::with_capacity(cores),
+            dram_bytes: Vec::with_capacity(cores),
         }
     }
 

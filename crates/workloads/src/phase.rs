@@ -203,6 +203,25 @@ impl PhaseBank {
         Self::default()
     }
 
+    /// An empty bank with room for `n` sequences in every column.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            rng: XoshiroBank::with_capacity(n),
+            tau_over_period: Vec::with_capacity(n),
+            variability: Vec::with_capacity(n),
+            phase_offset: Vec::with_capacity(n),
+            level_intensity: Vec::with_capacity(n),
+            inv_mean_dwell: Vec::with_capacity(n),
+            elapsed: Vec::with_capacity(n),
+            scratch: PhaseScratch {
+                p_switch: Vec::with_capacity(n),
+                draw: Vec::with_capacity(n),
+                arg: Vec::with_capacity(n),
+                per: Vec::with_capacity(n),
+            },
+        }
+    }
+
     /// Number of per-core sequences in the bank.
     pub fn len(&self) -> usize {
         self.rng.len()

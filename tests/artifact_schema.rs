@@ -6,7 +6,6 @@
 //! here, not in a post-merge CI surprise.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use cpm_bench::microbench::Measurement;
 use cpm_bench::perf::{perf_json, PerfEntry, PerfReport};
@@ -66,17 +65,6 @@ fn experiments_artifact_passes_its_schema_gate() {
             seconds: 0.25,
         }],
         total_seconds: 0.3,
-        stats: cpm_runtime::PoolStats {
-            workers: 2,
-            elapsed: Duration::from_millis(400),
-            per_context: vec![
-                cpm_runtime::WorkerSnapshot {
-                    jobs: 3,
-                    busy: Duration::from_millis(200),
-                };
-                3
-            ],
-        },
         registry,
     };
     assert_clean(ArtifactKind::Experiments, &sweep_json(&sweep));
@@ -91,7 +79,6 @@ fn perf_artifact_passes_its_schema_gate() {
         "chip_step_8x1",
         "chip_step_32",
         "chip_step_1024",
-        "chip_step_1024_sharded",
         "math_sin_lane",
         "math_exp_lane",
         "pid_step",

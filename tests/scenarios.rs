@@ -101,28 +101,6 @@ fn replaying_every_scenario_is_byte_identical() {
 }
 
 #[test]
-fn trajectories_are_identical_across_worker_counts() {
-    // Serial reference: every scenario on the calling thread.
-    let serial: Vec<(&str, String)> = CATALOGUE
-        .iter()
-        .map(|s| (s.name, run_scenario(s).expect("serial run").jsonl))
-        .collect();
-    // Fan the same catalogue out on a 4-worker pool; results reduce in
-    // input order, and each trajectory must be byte-identical to the
-    // serial one regardless of which worker produced it.
-    let pool = cpm_runtime::Pool::new(4);
-    let parallel = pool.parallel_map(CATALOGUE.to_vec(), |s| {
-        run_scenario(&s).expect("parallel run").jsonl
-    });
-    for ((name, serial_jsonl), parallel_jsonl) in serial.iter().zip(&parallel) {
-        assert_eq!(
-            serial_jsonl, parallel_jsonl,
-            "scenario {name} trajectory differs between 1-worker and 4-worker execution"
-        );
-    }
-}
-
-#[test]
 fn a_perturbed_run_produces_a_divergence_report_naming_the_first_event() {
     // Golden from the committed catalogue entry…
     let scenario = cpm_scenario::find("stuck-knob@pid").expect("catalogue entry");

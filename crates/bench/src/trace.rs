@@ -174,16 +174,6 @@ pub struct TraceArtifacts {
 /// Replays one cell with recording enabled.
 pub fn run_trace(spec: &str, opts: &TraceOptions) -> Result<TraceArtifacts, String> {
     let cell = TraceCell::parse(spec)?;
-    // Warm the process-wide probe/calibration memo caches with a throwaway
-    // coordinator before tracing. The traced run then reports `memo.*.hits`
-    // deterministically — replaying the same cell twice yields byte-
-    // identical metrics regardless of what ran earlier in the process —
-    // and the cached values are bit-identical to recomputation, so the
-    // trace itself is unchanged.
-    {
-        let mut warmup = Coordinator::new(cell.config()).map_err(|e| e.to_string())?;
-        warmup.calibrate();
-    }
     let mut coord = Coordinator::new(cell.config()).map_err(|e| e.to_string())?;
     let recorder = Recorder::enabled(opts.capacity);
     let registry = Registry::new();

@@ -385,9 +385,9 @@ pub struct Coordinator {
     /// Flight-recorder handle shared with the GPM, PICs, policies, and the
     /// hotspot tracker (disabled by default).
     recorder: Recorder,
-    /// Metrics registry (always present — instruments are only touched at
-    /// interval granularity, never per PIC step).
-    registry: Registry,
+    /// Metrics registry the caller attached, if any (instruments are only
+    /// touched at interval granularity, never per PIC step).
+    registry: Option<Registry>,
     /// Optional die-temperature watchdog observed every PIC interval.
     hotspot: Option<HotspotTracker>,
     /// Optional fault-injection seam (scenario harness): consulted at the
@@ -398,13 +398,6 @@ pub struct Coordinator {
     /// Memo key shared by the probe and calibration-sweep caches: the exact
     /// `Debug` rendering of the chip's construction inputs.
     memo_key: String,
-    /// Whether this coordinator's reference-power probe hit the memo cache
-    /// (published once to the registry as a `memo.probe.*` counter).
-    probe_cache_hit: bool,
-    /// Whether this coordinator's calibration sweep hit the memo cache
-    /// (`None` until a transducer calibration actually runs).
-    calib_sweep_hit: Option<bool>,
-    memo_published: bool,
     /// Recorder drop count at the last publish, so repeated measurements
     /// add deltas, not running totals.
     dropped_baseline: u64,
@@ -441,7 +434,7 @@ impl Coordinator {
         };
         let chip = Chip::with_variation(cfg.cmp.clone(), &assignment, variation);
         let memo_key = format!("{:?}|{assignment:?}|{:?}", chip.config(), chip.variation());
-        let (reference_power, probe_cache_hit) =
+        let (reference_power, _) =
             PROBE_MEMO.get_or_compute(&memo_key, || Self::probe_reference_power(&chip));
         let budget = cfg.budget_fraction * reference_power;
         Self::check_budget(&chip, budget)?;
@@ -495,13 +488,10 @@ impl Coordinator {
             alloc: vec![budget / islands as f64; islands],
             calibrated: false,
             recorder: Recorder::disabled(),
-            registry: Registry::new(),
+            registry: None,
             hotspot: None,
             injection: None,
             memo_key,
-            probe_cache_hit,
-            calib_sweep_hit: None,
-            memo_published: false,
             dropped_baseline: 0,
             prov_round: 0,
             scratch: RoundScratch::new(),
@@ -527,16 +517,11 @@ impl Coordinator {
         self.recorder = recorder;
     }
 
-    /// Shares a metrics registry with the coordinator (replacing its
-    /// private one). Run-level instruments — GPM/PIC invocation counts,
-    /// thermal statistics — are published here after each measurement.
+    /// Attaches a metrics registry. Run-level instruments — GPM/PIC
+    /// invocation counts, thermal statistics — are published here after
+    /// each measurement; without one, nothing is published.
     pub fn set_registry(&mut self, registry: Registry) {
-        self.registry = registry;
-    }
-
-    /// The coordinator's metrics registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.registry = Some(registry);
     }
 
     /// Attaches a die-temperature watchdog: every PIC interval the chip's
@@ -733,7 +718,6 @@ impl Coordinator {
             let chip = chip.clone();
             Arc::new(CalibSweep { chip, rows })
         });
-        self.calib_sweep_hit = Some(hit);
         if hit {
             self.chip = sweep.chip.clone();
         }
@@ -1152,27 +1136,15 @@ impl Coordinator {
     /// Publishes run-level instruments to the registry (called once per
     /// measurement, never on the hot path).
     fn publish_metrics(&mut self, out: &Outcome, rounds: u64, gpm_before: u64, pic_before: u64) {
-        // Memoization instruments: this coordinator's probe and
-        // calibration-sweep outcomes (once).
-        if !self.memo_published {
-            self.memo_published = true;
-            let (h, m) = if self.probe_cache_hit { (1, 0) } else { (0, 1) };
-            self.registry.counter("memo.probe.hits").add(h);
-            self.registry.counter("memo.probe.misses").add(m);
-            if let Some(hit) = self.calib_sweep_hit {
-                let (h, m) = if hit { (1, 0) } else { (0, 1) };
-                self.registry.counter("memo.calib_sweep.hits").add(h);
-                self.registry.counter("memo.calib_sweep.misses").add(m);
-            }
-        }
+        let Some(r) = &self.registry else {
+            return;
+        };
         // Recorder overflow surfaces as a counter so truncated histories
         // are visible in every metrics snapshot (delta since last publish).
         let dropped = self.recorder.dropped();
-        self.registry
-            .counter("recorder.dropped_events")
+        r.counter("recorder.dropped_events")
             .add(dropped.saturating_sub(self.dropped_baseline));
         self.dropped_baseline = dropped;
-        let r = &self.registry;
         r.counter("coordinator.gpm_rounds").add(rounds);
         if let Manager::Cpm { gpm, pics } = &self.manager {
             r.counter("gpm.invocations")

@@ -15,11 +15,12 @@
 //!   binary and example target with those lints forbidden ([`clippy`]);
 //! * **the in-tree analyzer**, for the rules clippy cannot express: it
 //!   tokenizes every `.rs` file in the workspace (comment/string/raw-
-//!   string aware — see [`tokenizer`]), runs the token rules of
+//!   string aware — see [`tokenizer`]) and runs the token rules of
 //!   [`rules`], which resolve `use … as` renames so a source fires on the
-//!   line where it is written, the AST rule of [`ast_rules`], and the
-//!   workspace dimension pass of [`dims`]; `tests/workspace.rs` fails on
-//!   any firing.
+//!   line where it is written; `tests/workspace.rs` fails on any firing.
+//!
+//! Physical dimensions are not checked here: `cpm-units` makes mixing two
+//! quantities a compile error, so rustc checks them (DESIGN.md §3k).
 //!
 //! There is no waiver file. An exemption is a crate-level `clippy.toml`
 //! that omits the entries the crate owns, or a justified site
@@ -29,11 +30,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ast;
-pub mod ast_rules;
 pub mod clippy;
-pub mod dims;
-pub mod parser;
 pub mod rules;
 pub mod tokenizer;
 
@@ -84,39 +81,14 @@ impl Report {
     }
 }
 
-/// Lints one file with every per-file rule (token and AST forms) and
-/// hands back its parse for the workspace-wide dimension pass.
-fn lint_file(ctx: &FileContext, source: &str) -> (Vec<Violation>, ast::ParsedFile) {
-    let toks = tokenizer::tokenize(source);
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let mut found = rules::check_file(ctx, &toks, &raw_lines);
-    let parsed = parser::parse_file(ctx, &toks);
-    found.extend(ast_rules::check(&parsed));
-    (found, parsed)
-}
-
 /// Lints one in-memory source file under an explicit [`FileContext`]
-/// with every per-file rule. Only the dimension pass, whose struct-field
-/// table spans the whole file set, needs [`lint_sources`]. This is the
-/// unit most of the fixture corpus drives directly.
+/// with every in-tree rule. [`lint_workspace`] runs it on each file of the
+/// real tree; the fixture and mutation corpora drive it directly.
 pub fn lint_source(ctx: &FileContext, source: &str) -> Vec<Violation> {
-    lint_file(ctx, source).0
-}
-
-/// Lints a set of in-memory source files as one workspace: the per-file
-/// rules, then the dimension pass. This is what [`lint_workspace`] runs
-/// on the real tree and what the mutation corpus drives directly.
-pub fn lint_sources(files: &[(FileContext, String)]) -> Vec<Violation> {
-    let mut all = Vec::new();
-    let mut parsed = Vec::new();
-    for (ctx, source) in files {
-        let (found, p) = lint_file(ctx, source);
-        all.extend(found);
-        parsed.push(p);
-    }
-    all.extend(dims::check(&parsed));
-    all.sort_by(|a, b| (&a.path, a.line, a.rule.name()).cmp(&(&b.path, b.line, b.rule.name())));
-    all
+    let raw_lines: Vec<&str> = source.lines().collect();
+    let mut found = rules::check_file(ctx, &tokenizer::tokenize(source), &raw_lines);
+    found.sort_by_key(|v| v.line);
+    found
 }
 
 /// Recursively collects every `.rs` file under `root`, skipping
@@ -165,12 +137,15 @@ pub fn read_workspace(root: &Path) -> Result<Vec<(FileContext, String)>, String>
 }
 
 /// Runs the in-tree half of the catalogue over the whole workspace at
-/// `root`: per-file rules, then the dimension pass. Purely local and
-/// offline: reads only files under `root`.
+/// `root`, file by file. Purely local and offline: reads only files under
+/// `root`.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let inputs = read_workspace(root)?;
     Ok(Report {
-        active: lint_sources(&inputs),
+        active: inputs
+            .iter()
+            .flat_map(|(ctx, source)| lint_source(ctx, source))
+            .collect(),
         files_scanned: inputs.len(),
     })
 }

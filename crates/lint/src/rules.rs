@@ -1,7 +1,6 @@
 //! The invariant catalogue: every rule of DESIGN.md §3f, which checker
 //! enforces it, and the token-pattern checks of the rules `cpm-lint`
-//! keeps in-tree (all but `lock-unwrap`, in [`crate::ast_rules`], and
-//! `dim-consistency`, in [`crate::dims`]).
+//! keeps in-tree.
 //!
 //! Rules whose scope is non-test code are checked by clippy, driven by
 //! the root `clippy.toml` and the tier-1 gate in `tests/clippy_gate.rs`
@@ -9,7 +8,8 @@
 //! cannot express: `timing` and `env-read` also apply to test code and to
 //! the benchmark package, which a per-package `clippy.toml` cannot scope;
 //! the others need an allow-list of one file, the same-line comment of an
-//! attribute, an import clippy does not flag, or expression structure.
+//! attribute, an import clippy does not flag, or a narrower target than
+//! `unwrap_used`/`expect_used` (a `.lock()` result only).
 //! The token rules see through `use … as` renames, so a source fires on
 //! the line where it is written whatever it is called there.
 
@@ -51,16 +51,10 @@ pub enum RuleId {
     /// UFCS `f64::exp(x)`) in non-test code outside `cpm-math`: their bits
     /// differ per platform, which would fork the golden trajectories.
     MathScope,
-    /// Physical-dimension consistency: `+`/`-`/comparison between
-    /// quantities of different dimensions (W vs Hz, J vs s, …) or a
-    /// suspicious `*`/`/` result (°C², |exponent| ≥ 3) in the modeling
-    /// crates. Dimensions come from cpm-units types, unit-typed struct
-    /// fields, and conservative naming conventions.
-    DimConsistency,
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [RuleId; 13] = [
+pub const ALL_RULES: [RuleId; 12] = [
     RuleId::HashIteration,
     RuleId::Timing,
     RuleId::EnvRead,
@@ -73,7 +67,6 @@ pub const ALL_RULES: [RuleId; 13] = [
     RuleId::AllowJustify,
     RuleId::SimdStable,
     RuleId::MathScope,
-    RuleId::DimConsistency,
 ];
 
 impl RuleId {
@@ -93,7 +86,6 @@ impl RuleId {
             RuleId::AllowJustify => "allow-justify",
             RuleId::SimdStable => "simd-stable",
             RuleId::MathScope => "math-scope",
-            RuleId::DimConsistency => "dim-consistency",
         }
     }
 
@@ -277,6 +269,123 @@ const ENV_READS: [&str; 8] = [
     "remove_var",
 ];
 
+/// Marks the tokens of every item under a `#[cfg(test)]` or `#[test]`
+/// attribute: the attribute, then the item up to its first `;` outside
+/// brackets or the `}` that closes its body.
+fn test_items(toks: &[Tok<'_>]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !seq_is(toks, i, &["#", "[", "cfg", "(", "test"])
+            && !seq_is(toks, i, &["#", "[", "test", "]"])
+        {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut j = i + 1;
+        while j < toks.len() {
+            match toks[j].text {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "}" if depth <= 1 => break,
+                "}" => depth -= 1,
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+            j += 1;
+        }
+        let end = (j + 1).min(toks.len());
+        mask[i..end].fill(true);
+        i = end;
+    }
+    mask
+}
+
+/// Index of the `;` that ends the statement containing token `from`, or
+/// of the `}` that closes its block if none comes first.
+fn statement_end(toks: &[Tok<'_>], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.text {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return j,
+            ")" | "]" | "}" => depth -= 1,
+            ";" if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// The `lock-unwrap` firings of one library file, as `(line, message)`:
+/// `.lock()` followed (through an optional `?`) by `.unwrap(`/`.expect(`,
+/// or a name bound by a `let` whose initializer ends in `.lock()` that is
+/// unwrapped or expected later. A guard stays live until a `let` rebinds
+/// its name — the sanctioned `let g = g.unwrap_or_else(…)` does — or the
+/// next `fn` starts. Items under `#[cfg(test)]`/`#[test]` are skipped.
+fn lock_unwraps(toks: &[Tok<'_>]) -> Vec<(usize, String)> {
+    let in_test = test_items(toks);
+    // True when the tokens just before `end` are `.lock()`, or `.lock()?`.
+    let ends_in_lock = |end: usize| {
+        let end = end - usize::from(end > 0 && toks[end - 1].is("?"));
+        end >= 4 && seq_is(toks, end - 4, &[".", "lock", "(", ")"])
+    };
+    let mut guards: Vec<&str> = Vec::new();
+    // `let` bindings that take effect at their `;`: (its index, the
+    // bound name, whether the initializer ends in `.lock()`).
+    let mut pending: Vec<(usize, &str, bool)> = Vec::new();
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        pending.retain(|&(end, name, guard)| {
+            if end == i {
+                guards.retain(|g| *g != name);
+                if guard {
+                    guards.push(name);
+                }
+            }
+            end != i
+        });
+        if in_test[i] {
+            continue;
+        }
+        if t.is("fn") {
+            guards.clear();
+        }
+        if t.is("let") {
+            let at = i + 1 + usize::from(seq_is(toks, i + 1, &["mut"]));
+            let typed_or_init = seq_is(toks, at + 1, &[":"]) || seq_is(toks, at + 1, &["="]);
+            if let Some(name) = toks
+                .get(at)
+                .filter(|n| n.kind == TokKind::Ident && typed_or_init)
+            {
+                let end = statement_end(toks, at);
+                pending.push((end, name.text, ends_in_lock(end)));
+            }
+        }
+        let method = toks.get(i + 1).map_or("", |m| m.text);
+        if !(t.is(".") && (method == "unwrap" || method == "expect") && seq_is(toks, i + 2, &["("]))
+        {
+            continue;
+        }
+        let recv = &toks[i.saturating_sub(1)];
+        let path_tail = i > 1 && (toks[i - 2].is(".") || toks[i - 2].is(":"));
+        let what = if ends_in_lock(i) {
+            "a `.lock()` result".to_string()
+        } else if i > 0 && !path_tail && guards.contains(&recv.text) {
+            format!("`{}`, a `.lock()` result bound above", recv.text)
+        } else {
+            continue;
+        };
+        let message = format!(
+            "`.{method}()` on {what} in library code wedges every later caller after one \
+             panic; recover with `.unwrap_or_else(PoisonError::into_inner)`"
+        );
+        out.push((toks[i + 1].line, message));
+    }
+    out
+}
+
 /// Runs the in-tree token rules over one tokenized file. `raw_lines` is
 /// the unprocessed source split by line, used only for the same-line
 /// justification-comment check of `allow-justify`.
@@ -387,6 +496,13 @@ pub fn check_file(ctx: &FileContext, toks: &[Tok<'_>], raw_lines: &[&str]) -> Ve
             }
         }
     }
+
+    // safety: a poisoned lock must not wedge every later caller.
+    if ctx.role == Role::Library {
+        for (line, message) in lock_unwraps(toks) {
+            push(RuleId::LockUnwrap, line, message);
+        }
+    }
     out
 }
 
@@ -395,12 +511,16 @@ mod tests {
     use super::*;
     use crate::tokenizer::tokenize;
 
-    fn fired(src: &str) -> Vec<(RuleId, usize)> {
+    fn fired_at(rel_path: &str, src: &str) -> Vec<(RuleId, usize)> {
         let lines: Vec<&str> = src.lines().collect();
-        check_file(&classify("crates/sim/src/x.rs"), &tokenize(src), &lines)
+        check_file(&classify(rel_path), &tokenize(src), &lines)
             .into_iter()
             .map(|v| (v.rule, v.line))
             .collect()
+    }
+
+    fn fired(src: &str) -> Vec<(RuleId, usize)> {
+        fired_at("crates/sim/src/x.rs", src)
     }
 
     #[test]
@@ -433,5 +553,65 @@ mod tests {
         let src = "use std::time::Instant as Clock;\n\
                    fn f(s: &S) -> u8 { s.Clock + cfg::Clock::now() }\n";
         assert_eq!(fired(src), vec![]);
+    }
+
+    #[test]
+    fn direct_lock_chain_fires() {
+        let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n\
+                   \x20   if *m.lock().expect(\"held\") > 1 { return 0; }\n\
+                   \x20   *m.lock().unwrap()\n\
+                   }\n";
+        assert_eq!(
+            fired(src),
+            vec![(RuleId::LockUnwrap, 2), (RuleId::LockUnwrap, 3)]
+        );
+    }
+
+    #[test]
+    fn lock_unwrap_through_alias_fires() {
+        let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n\
+                   \x20   let guard = m.lock();\n\
+                   \x20   *guard.unwrap()\n\
+                   }\n";
+        assert_eq!(fired(src), vec![(RuleId::LockUnwrap, 3)]);
+    }
+
+    #[test]
+    fn sanctioned_recovery_rebind_does_not_fire() {
+        let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n\
+                   \x20   let g = m.lock();\n\
+                   \x20   let g = g.unwrap_or_else(std::sync::PoisonError::into_inner);\n\
+                   \x20   let g = g;\n\
+                   \x20   g.expect(\"no longer a lock result\")\n\
+                   }\n";
+        assert_eq!(fired(src), vec![]);
+    }
+
+    #[test]
+    fn alias_expect_fires_and_tests_are_exempt() {
+        let fire = "fn f(m: &std::sync::Mutex<u8>) { let g = m.lock(); g.expect(\"held\"); }";
+        assert_eq!(fired(fire), vec![(RuleId::LockUnwrap, 1)]);
+        let in_test =
+            "#[cfg(test)]\nmod tests {\n fn f(m: &M) { let g = m.lock(); g.unwrap(); }\n}\n";
+        assert_eq!(fired(in_test), vec![]);
+        // A library item after the test module is checked again.
+        let after = format!("{in_test}{fire}\n");
+        assert_eq!(fired(&after), vec![(RuleId::LockUnwrap, 5)]);
+        // Binaries and tests are out of scope entirely.
+        assert_eq!(fired_at("crates/sim/tests/t.rs", fire), vec![]);
+    }
+
+    #[test]
+    fn unrelated_unwraps_do_not_fire() {
+        let src = "fn f(o: Option<u8>, m: &std::sync::Mutex<u8>) -> u8 {\n\
+                   \x20   let v = o.unwrap();\n\
+                   \x20   let not_a_guard = v + 1;\n\
+                   \x20   not_a_guard.unwrap()\n\
+                   }\n\
+                   fn g(guard: Option<u8>, s: &S) -> u8 { s.guard.unwrap() + guard.unwrap() }\n";
+        // A guard bound in one function is not the parameter of the next,
+        // and a field is never the local of the same name.
+        let src = format!("fn h(m: &M) {{ let guard = m.lock(); }}\n{src}");
+        assert_eq!(fired(&src), vec![]);
     }
 }

@@ -6,8 +6,8 @@
 //! scan) and are linted under a synthetic [`FileContext`] so each case
 //! lands in the crate/role the rule targets.
 
+use cpm_lint::lint_source;
 use cpm_lint::rules::{classify, RuleId};
-use cpm_lint::{lint_source, lint_sources};
 use std::path::Path;
 
 /// Reads a fixture file from the corpus.
@@ -109,62 +109,11 @@ fn exempt_crates_do_not_fire_determinism_rules() {
 
 #[test]
 fn test_role_files_skip_library_only_rules() {
-    // Integration tests may unwrap locks; the dimension pass reads
-    // library code only.
+    // Integration tests may unwrap locks.
     assert!(firings(
         "lock_unwrap_fire.rs",
         "crates/sim/tests/fx.rs",
         RuleId::LockUnwrap
     )
     .is_empty());
-    assert!(workspace_firings(
-        &[("dim_consistency_fire.rs", "crates/thermal/tests/fx.rs")],
-        RuleId::DimConsistency,
-    )
-    .is_empty());
-}
-
-/// Lints a set of fixtures as one mini-workspace (the dimension pass
-/// needs the whole file set) and filters to one rule's firings.
-fn workspace_firings(files: &[(&str, &str)], rule: RuleId) -> Vec<(String, usize)> {
-    let inputs: Vec<_> = files
-        .iter()
-        .map(|(fx, rel)| (classify(rel), fixture(fx)))
-        .collect();
-    lint_sources(&inputs)
-        .into_iter()
-        .filter(|v| v.rule == rule)
-        .map(|v| (v.path, v.line))
-        .collect()
-}
-
-#[test]
-fn dim_consistency_fires_on_mixed_dimensions() {
-    let hits = workspace_firings(
-        &[("dim_consistency_fire.rs", "crates/thermal/src/fx.rs")],
-        RuleId::DimConsistency,
-    );
-    assert!(
-        hits.len() >= 4,
-        "expected the 4 seeded dimension errors, got {hits:?}"
-    );
-}
-
-#[test]
-fn dim_consistency_stays_quiet_on_the_consistent_twin() {
-    let hits = workspace_firings(
-        &[("dim_consistency_clean.rs", "crates/thermal/src/fx.rs")],
-        RuleId::DimConsistency,
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-#[test]
-fn dim_consistency_is_scoped_to_the_physics_crates() {
-    // The same mixed-dimension code in a non-physics crate stays quiet.
-    let hits = workspace_firings(
-        &[("dim_consistency_fire.rs", "crates/obs/src/fx.rs")],
-        RuleId::DimConsistency,
-    );
-    assert!(hits.is_empty(), "{hits:?}");
 }

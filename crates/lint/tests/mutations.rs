@@ -1,5 +1,5 @@
-//! Mutation corpus: 29 realistic determinism, safety and dimension bugs,
-//! each checked by both checkers of the catalogue. The in-tree analyzer
+//! Mutation corpus: 26 realistic determinism and safety bugs, each
+//! checked by both checkers of the catalogue. The in-tree analyzer
 //! lints every mutant in memory under its virtual workspace path; clippy
 //! compiles every mutant once, as a module of a throwaway library crate
 //! under `target/clippy-gate/mutants/`, at the clippy gate's lint levels
@@ -18,7 +18,7 @@
 //! ```
 
 use cpm_lint::rules::{classify, ALL_RULES};
-use cpm_lint::{clippy, lint_sources};
+use cpm_lint::{clippy, lint_source};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -30,7 +30,7 @@ struct Mutant {
     fires: &'static [&'static str],
 }
 
-const MUTANTS: [Mutant; 28] = [
+const MUTANTS: [Mutant; 25] = [
     // --- timing -------------------------------------------------------
     Mutant {
         name: "timing: direct Instant::now",
@@ -124,6 +124,15 @@ const MUTANTS: [Mutant; 28] = [
               }\n",
         fires: &["lock-unwrap"],
     },
+    Mutant {
+        name: "lock-unwrap: guard bound, then expected",
+        path: "crates/sim/src/mutant.rs",
+        src: "pub fn read(m: &std::sync::Mutex<u8>) -> u8 {\n\
+              \x20   let guard = m.lock();\n\
+              \x20   *guard.expect(\"never poisoned\")\n\
+              }\n",
+        fires: &["lock-unwrap"],
+    },
     // --- panic-bare ---------------------------------------------------
     Mutant {
         name: "panic-bare: panic!",
@@ -200,34 +209,6 @@ const MUTANTS: [Mutant; 28] = [
               use core::arch::x86_64::_mm_setzero_pd;\n",
         fires: &["simd-stable"],
     },
-    // --- dim-consistency ----------------------------------------------
-    Mutant {
-        name: "dim-consistency: W + V",
-        path: "crates/power/src/mutant.rs",
-        src: "use cpm_units::{Volts, Watts};\n\
-              pub fn headroom(p: Watts, v: Volts) -> f64 { p.value() + v.value() }\n",
-        fires: &["dim-consistency"],
-    },
-    Mutant {
-        name: "dim-consistency: W > V",
-        path: "crates/power/src/mutant.rs",
-        src: "use cpm_units::{Volts, Watts};\n\
-              pub fn over(p: Watts, v: Volts) -> bool { p.value() > v.value() }\n",
-        fires: &["dim-consistency"],
-    },
-    Mutant {
-        name: "dim-consistency: p_watts - f_hertz",
-        path: "crates/sim/src/mutant.rs",
-        src: "pub fn slack(p_watts: f64, f_hertz: f64) -> f64 { p_watts - f_hertz }\n",
-        fires: &["dim-consistency"],
-    },
-    Mutant {
-        name: "dim-consistency: °C²·W",
-        path: "crates/thermal/src/mutant.rs",
-        src: "use cpm_units::{Celsius, Watts};\n\
-              pub fn heat(t: Celsius, p: Watts) -> f64 { t.value() * t.value() * p.value() }\n",
-        fires: &["dim-consistency"],
-    },
 ];
 
 /// A site allow of a forbidden determinism lint. Rustc rejects the
@@ -258,8 +239,7 @@ fn write_if_changed(path: &Path, text: &str) {
 fn clippy_firings(root: &Path) -> Vec<BTreeSet<String>> {
     let dir = root.join("target/clippy-gate/mutants");
     let deps = format!(
-        "[dependencies]\ncpm-rng = {{ path = '{0}/crates/rng' }}\n\
-         cpm-units = {{ path = '{0}/crates/units' }}\n",
+        "[dependencies]\ncpm-rng = {{ path = '{}/crates/rng' }}\n",
         root.display()
     );
     write_if_changed(
@@ -311,7 +291,7 @@ fn every_mutant_fires_exactly_its_pinned_rules() {
     for (m, from_clippy) in mutants.iter().zip(by_clippy) {
         let mut got = from_clippy;
         got.extend(
-            lint_sources(&[(classify(m.path), m.src.to_string())])
+            lint_source(&classify(m.path), m.src)
                 .iter()
                 .map(|v| v.rule.name().to_string()),
         );

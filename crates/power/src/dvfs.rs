@@ -102,10 +102,7 @@ impl DvfsTable {
         let points = (0..n)
             .map(|k| {
                 let t = k as f64 / (n - 1) as f64;
-                OperatingPoint::new(
-                    Volts::new(v_min.value() + t * (v_max.value() - v_min.value())),
-                    Hertz::new(f_min.value() + t * (f_max.value() - f_min.value())),
-                )
+                OperatingPoint::new(v_min + t * (v_max - v_min), f_min + t * (f_max - f_min))
             })
             .collect();
         Self::new(points, Self::PAPER_TRANSITION_OVERHEAD)
@@ -178,14 +175,11 @@ impl DvfsTable {
         // unclamped ∞ is ∞) and changes no finite request's answer. `NaN`
         // stays `NaN`, no distance compares below the first, and the
         // lowest point is kept.
-        let f = f.value().clamp(
-            self.min_point().frequency.value(),
-            self.max_point().frequency.value(),
-        );
+        let f = f.clamp(self.min_point().frequency, self.max_point().frequency);
         let mut best = 0;
-        let mut best_d = f64::INFINITY;
+        let mut best_d = Hertz::new(f64::INFINITY);
         for (i, p) in self.points.iter().enumerate() {
-            let d = (p.frequency.value() - f).abs();
+            let d = (p.frequency - f).abs();
             if d < best_d {
                 best_d = d;
                 best = i;

@@ -82,8 +82,8 @@ impl LeakageModel {
     /// to `power(v, …)`.
     #[inline]
     pub fn v_term(&self, v: Volts) -> f64 {
-        let vr = v.value() / self.v_nominal.value();
-        vr * exp_det((v.value() - self.v_nominal.value()) * self.beta_v)
+        let vr = v / self.v_nominal;
+        vr * exp_det((v - self.v_nominal).value() * self.beta_v)
     }
 
     /// Leakage power with the voltage factor precomputed by [`Self::v_term`].
@@ -94,8 +94,7 @@ impl LeakageModel {
         // lane twin — multiplies instead of divides.
         let tk = t.value() + 273.15;
         let inv_tk0 = 1.0 / (self.t_nominal.value() + 273.15);
-        let t_term =
-            (tk * inv_tk0).powi(2) * exp_det((t.value() - self.t_nominal.value()) * self.beta_t);
+        let t_term = (tk * inv_tk0).powi(2) * exp_det((t - self.t_nominal).value() * self.beta_t);
         self.p_nominal * (multiplier * v_term * t_term)
     }
 

@@ -110,7 +110,7 @@ impl CmpConfig {
             self.gpm_interval >= self.pic_interval,
             "the GPM must run at a coarser interval than the PIC (Fig. 4)"
         );
-        let ratio = self.gpm_interval.value() / self.pic_interval.value();
+        let ratio = self.gpm_interval / self.pic_interval;
         assert!(
             (ratio - ratio.round()).abs() < 1e-9,
             "GPM interval must be an integer multiple of the PIC interval"
@@ -124,7 +124,7 @@ impl CmpConfig {
 
     /// PIC invocations per GPM invocation (10 at paper defaults).
     pub fn pics_per_gpm(&self) -> usize {
-        (self.gpm_interval.value() / self.pic_interval.value()).round() as usize
+        (self.gpm_interval / self.pic_interval).round() as usize
     }
 
     /// The thermal floorplan implied by the core count.

@@ -93,7 +93,7 @@ impl IslandCtx {
         let avail = dt - frozen;
         Self {
             cycles: f.cycles_in(avail),
-            avail_frac: avail.value() / dt.value(),
+            avail_frac: avail / dt,
             f_val: f.value(),
             v2f: terms.v2f,
             leak_v_term: terms.leak_v_term,

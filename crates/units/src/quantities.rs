@@ -15,6 +15,29 @@
 //! // Cycles elapsed in one millisecond at 2 GHz.
 //! assert_eq!(Hertz::from_ghz(2.0).cycles_in(Seconds::from_ms(1.0)), 2.0e6);
 //! ```
+//!
+//! Mixing dimensions is a compile error, so no separate pass checks it.
+//! Adding a voltage to a power:
+//!
+//! ```compile_fail
+//! use cpm_units::{Volts, Watts};
+//! let _ = Watts::new(10.0) + Volts::new(1.1);
+//! ```
+//!
+//! comparing a power with a voltage:
+//!
+//! ```compile_fail
+//! use cpm_units::{Volts, Watts};
+//! let _ = Watts::new(10.0) > Volts::new(1.1);
+//! ```
+//!
+//! and squaring a temperature (°C² is no quantity):
+//!
+//! ```compile_fail
+//! use cpm_units::Celsius;
+//! let t = Celsius::new(80.0);
+//! let _ = t * t;
+//! ```
 
 use std::fmt;
 use std::iter::Sum;

@@ -1,10 +1,12 @@
 //! Deterministic, autovectorizable `sin`/`exp` kernels.
 //!
-//! The kilocore chip step spends its floor in libm: one `sin` per core
-//! (the workload phase term) and one `exp` per core (leakage), serial
-//! calls that LLVM cannot vectorize and whose bit patterns depend on the
-//! host's libm version — which is exactly what the scenario goldens pin.
-//! This crate replaces both with repo-owned kernels that are
+//! Every chip step evaluates one `sin` per core (the workload phase term,
+//! in `PhaseBank::advance_into`'s chunk pass) and one `exp` per core
+//! (leakage, in the `cpm-power` lane kernels). Through libm those would
+//! be serial calls that LLVM cannot vectorize, with bit patterns that
+//! depend on the host's libm version — which is exactly what the
+//! scenario goldens pin. This crate supplies both as repo-owned kernels
+//! that are:
 //!
 //! * **deterministic across platforms**: pure f64 arithmetic (every
 //!   operation IEEE-754-exactly specified, no FMA contraction in Rust),
@@ -57,9 +59,12 @@
 //! the same evaluation order, over `[f64; L]` stack arrays. Since every
 //! f64 operation is exactly specified and lanes never interact, the lane
 //! result is bit-identical to `L` scalar calls — structurally, not by
-//! testing luck (the tests pin it anyway). The slice drivers
-//! [`sin_into`]/[`exp_into`] chunk a column through the lane kernels with
-//! a scalar tail, preserving the same guarantee at any length.
+//! testing luck (the tests pin it anyway). The hot paths call the lane
+//! forms on their own `LANES`-wide stack chunks; the slice drivers
+//! [`sin_into`]/[`exp_into`] chunk a whole column through the lane
+//! kernels with a scalar tail, preserving the same guarantee at any
+//! length (the `experiments perf` kernel rows and the accuracy sweeps
+//! use them).
 //!
 //! # What this crate is *not*
 //!
@@ -75,9 +80,10 @@
 
 pub mod reference;
 
-/// Lane width of the chunked drivers ([`sin_into`]/[`exp_into`]): eight
-/// f64 lanes = two 4-wide (AVX2) or four 2-wide (SSE2/NEON) vectors —
-/// the same width as every other lane kernel in the workspace.
+/// Lane width of the chunked drivers ([`sin_into`]/[`exp_into`]) and of
+/// `PhaseBank::advance_into`'s chunk pass: eight f64 lanes = two 4-wide
+/// (AVX2) or four 2-wide (SSE2/NEON) vectors — the same width as every
+/// other lane kernel in the workspace.
 pub const LANES: usize = 8;
 
 /// `1.5·2^52`: adding then subtracting this rounds to the nearest

@@ -278,7 +278,9 @@ impl Chip {
                 self.variation.multiplier(IslandId(i)),
             );
         }
-        self.cores.step_islands(
+        // The lane pass also folds DRAM bytes in chip core order — the
+        // exact addition order of the array-of-structs walk.
+        let total_dram_bytes = self.cores.step_islands(
             0,
             &self.island_ctx,
             dt,
@@ -289,12 +291,6 @@ impl Chip {
         );
         out.core_powers.clear();
         out.core_powers.extend_from_slice(self.cores.core_powers());
-        // Fold DRAM bytes in chip core order — the exact addition order of
-        // the array-of-structs walk.
-        let mut total_dram_bytes = 0.0;
-        for &b in self.cores.dram_bytes() {
-            total_dram_bytes += b;
-        }
         out.islands.clear();
         out.islands.reserve(self.islands.len());
         let mut total_instructions = 0.0;

@@ -8,15 +8,17 @@
 //! [`crate::core_model`] with the per-island V²f/leakage power terms.
 //!
 //! A [`CoreBank`] owns every per-core column in core order: the phase
-//! streams (one [`PhaseBank`]) and the interval's phase samples, the
-//! profile constants and hoisted miss terms, the lifetime totals, and the
-//! per-core power/DRAM outputs the chip folds afterwards. Island `i` is
+//! streams (one [`PhaseBank`], whose own chunk pass fills the interval's
+//! phase samples), the profile constants and hoisted miss terms, the
+//! lifetime totals, and the per-core power/DRAM outputs. Island `i` is
 //! the contiguous core range `i·width..(i+1)·width`; [`CoreBank::segment`]
 //! is a borrowed view of that range's outputs.
 //!
 //! The step runs in `LANES`-wide chunks of one kernel, whatever the island
 //! width: an elementwise CPI pass, a power pass through the lane kernels
-//! of `cpm-power`, and a serial fold. Each lane reads its island's
+//! of `cpm-power`, and a serial fold into each island's totals and the
+//! chip-wide DRAM-byte sum, which the chip reads off the pass instead of
+//! re-walking the DRAM column. Each lane reads its island's
 //! context — `cycles`, `avail_frac`, `f_val`, `v2f`, `leak_v_term`,
 //! `leak_mult` — from a per-island `IslandCtx` scratch. The kernel is
 //! generic over [`cpm_power::Lanes`]: a chunk inside one island passes its
@@ -255,11 +257,6 @@ impl CoreBank {
         &self.core_powers
     }
 
-    /// Per-core DRAM traffic of the last step, chip core order.
-    pub(crate) fn dram_bytes(&self) -> &[f64] {
-        &self.dram_bytes
-    }
-
     /// Advances every core's phase sequence by `dt` in one pass over the
     /// chip, leaving the interval's samples in the scale columns. Per-core
     /// phase streams are independent, so this draws exactly the numbers
@@ -308,7 +305,8 @@ impl CoreBank {
     /// Steps islands `first..first + ctx.len()` through one interval, one
     /// lane pass over their cores: island `first + k` runs with context
     /// `ctx[k]` and its aggregates land in `totals[k]`. `dt` and the
-    /// contention factor are chip-wide.
+    /// contention factor are chip-wide. Returns the sum of the stepped
+    /// cores' DRAM bytes, added in core order.
     ///
     /// Every per-lane expression matches the scalar CPI walk token for
     /// token and every accumulator sees its additions in core order, so
@@ -323,7 +321,7 @@ impl CoreBank {
         power_model: &CorePowerModel,
         temps_deg: &[f64],
         totals: &mut [SegmentTotals],
-    ) {
+    ) -> f64 {
         assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
         assert_eq!(temps_deg.len(), self.len(), "one temperature per core");
         assert_eq!(ctx.len(), totals.len(), "one total per island context");
@@ -340,14 +338,16 @@ impl CoreBank {
         // The context index of the last core stepped, and the first core
         // of the island after it.
         let mut cursor = (0, start + self.width);
+        let mut dram = 0.0;
         let mut base = start;
         while base + LANES <= end {
-            self.step_chunk(base, LANES, &step, &mut cursor, totals);
+            self.step_chunk(base, LANES, &step, &mut cursor, totals, &mut dram);
             base += LANES;
         }
         if base < end {
-            self.step_chunk(base, end - base, &step, &mut cursor, totals);
+            self.step_chunk(base, end - base, &step, &mut cursor, totals, &mut dram);
         }
+        dram
     }
 
     /// One chunk of [`CoreBank::step_islands`]: the `valid ≤ LANES` cores
@@ -360,6 +360,7 @@ impl CoreBank {
         step: &Step<'_>,
         cursor: &mut (usize, usize),
         totals: &mut [SegmentTotals],
+        dram: &mut f64,
     ) {
         // Each lane's island context index. Lane 0 may open the next
         // island; a chunk that ends inside that island takes its context
@@ -371,7 +372,7 @@ impl CoreBank {
         }
         let mut island = [cursor.0; LANES];
         if base + valid <= cursor.1 {
-            self.step_lanes(base, valid, step.ctx[cursor.0], &island, step, totals);
+            self.step_lanes(base, valid, step.ctx[cursor.0], &island, step, totals, dram);
         } else {
             for (l, slot) in island.iter_mut().enumerate().take(valid).skip(1) {
                 if base + l == cursor.1 {
@@ -381,13 +382,15 @@ impl CoreBank {
                 *slot = cursor.0;
             }
             let cx = IslandCtx::gather(step.ctx, &island);
-            self.step_lanes(base, valid, cx, &island, step, totals);
+            self.step_lanes(base, valid, cx, &island, step, totals, dram);
         }
     }
 
     /// The kernel of [`CoreBank::step_chunk`], in three passes over a full
     /// chunk of lanes: lane `l` runs in island context `island[l]`, whose
-    /// inputs `cx` holds shared by every lane or one per lane.
+    /// inputs `cx` holds shared by every lane or one per lane; the lanes'
+    /// DRAM bytes add onto `dram`.
+    #[allow(clippy::too_many_arguments)] // step_chunk's params, split context
     #[inline(always)]
     fn step_lanes<T: Lanes<LANES>>(
         &mut self,
@@ -397,6 +400,7 @@ impl CoreBank {
         island: &[usize; LANES],
         step: &Step<'_>,
         totals: &mut [SegmentTotals],
+        dram: &mut f64,
     ) {
         let mem = load(&self.mem_scale, base, valid);
         let cpi_scale = load(&self.cpi_scale, base, valid);
@@ -442,8 +446,9 @@ impl CoreBank {
             &mut power,
         );
         // Pass 3 — write back the valid lanes, and fold them serially in
-        // core order: each island's accumulators receive exactly the
-        // additions the scalar walk performed, in the same order.
+        // core order: each island's accumulators and the chip-wide DRAM
+        // sum receive exactly the additions the scalar walk performed, in
+        // the same order.
         let cores = base..base + valid;
         for (t, &x) in self.total_instructions[cores.clone()]
             .iter_mut()
@@ -458,6 +463,7 @@ impl CoreBank {
         self.core_powers[cores].copy_from_slice(&power[..valid]);
         let mut k = island[0];
         let mut acc = totals[k];
+        let mut dram_acc = *dram;
         for l in 0..valid {
             if island[l] != k {
                 totals[k] = acc;
@@ -467,8 +473,10 @@ impl CoreBank {
             acc.power += power[l];
             acc.util_sum += util[l];
             acc.instructions += instr[l];
+            dram_acc += dram_bytes[l];
         }
         totals[k] = acc;
+        *dram = dram_acc;
     }
 }
 

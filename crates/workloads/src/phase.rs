@@ -15,7 +15,7 @@
 //! sequence; the simulator gives every core its own stream id.
 
 use crate::profile::BenchmarkProfile;
-use cpm_math::{sin_det, sin_into};
+use cpm_math::{sin_det, sin_lanes, LANES};
 use cpm_rng::{Xoshiro256pp, XoshiroBank};
 use cpm_units::Seconds;
 
@@ -159,12 +159,13 @@ impl PhaseGenerator {
 /// level is stored directly as its intensity, which `Level::intensity`
 /// maps 1:1; the RNG streams live in a column-wise [`XoshiroBank`]), and
 /// [`PhaseBank::advance_into`] evaluates the exact expressions of
-/// [`PhaseGenerator::advance`] — as whole-column elementwise passes,
-/// which preserves bit-identity because no pass has a cross-lane
-/// reduction to reassociate and each lane's RNG draw order (switch draw
-/// → optional level redraw → jitter draw) is untouched. So a bank built
-/// by pushing `(profile, seed, stream)` triples is bit-identical to a
-/// `Vec<PhaseGenerator>` built from the same triples, at any length.
+/// [`PhaseGenerator::advance`]: the draws as whole-column batches, then
+/// everything after them as one pass of `LANES`-wide chunks. That
+/// preserves bit-identity because no lane reads another lane and each
+/// lane's RNG draw order (switch draw → optional level redraw → jitter
+/// draw) is untouched. So a bank built by pushing `(profile, seed,
+/// stream)` triples is bit-identical to a `Vec<PhaseGenerator>` built
+/// from the same triples, at any length.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseBank {
     rng: XoshiroBank,
@@ -178,23 +179,18 @@ pub struct PhaseBank {
     level_intensity: Vec<f64>,
     inv_mean_dwell: Vec<f64>,
     elapsed: Vec<f64>,
-    scratch: PhaseScratch,
+    /// RNG draw column of [`PhaseBank::advance_into`] — the switch draws,
+    /// then the jitter draws — sized at push time so the steady-state
+    /// step allocates nothing.
+    draw: Vec<f64>,
 }
 
-/// Persistent whole-column temporaries of [`PhaseBank::advance_into`],
-/// sized at push time so the steady-state step allocates nothing. Taken
-/// out of the bank for the duration of a step (`std::mem::take`, O(1))
-/// so the passes can read state columns while writing scratch columns.
-#[derive(Debug, Clone, Default)]
-struct PhaseScratch {
-    /// Per-entry Markov switch probability this step.
-    p_switch: Vec<f64>,
-    /// RNG draw column — the switch draws, then reused for the jitter.
-    draw: Vec<f64>,
-    /// Argument column of the periodic term.
-    arg: Vec<f64>,
-    /// `sin` of the argument column.
-    per: Vec<f64>,
+/// The `valid` entries of `col` from `base`, padded to a full chunk with
+/// copies of the last one (whose results are computed and dropped).
+#[inline(always)]
+fn load(col: &[f64], base: usize, valid: usize) -> [f64; LANES] {
+    let col = &col[base..base + valid];
+    std::array::from_fn(|l| col[l.min(valid - 1)])
 }
 
 impl PhaseBank {
@@ -213,12 +209,7 @@ impl PhaseBank {
             level_intensity: Vec::with_capacity(n),
             inv_mean_dwell: Vec::with_capacity(n),
             elapsed: Vec::with_capacity(n),
-            scratch: PhaseScratch {
-                p_switch: Vec::with_capacity(n),
-                draw: Vec::with_capacity(n),
-                arg: Vec::with_capacity(n),
-                per: Vec::with_capacity(n),
-            },
+            draw: Vec::with_capacity(n),
         }
     }
 
@@ -254,23 +245,22 @@ impl PhaseBank {
         self.inv_mean_dwell
             .push(1.0 / (profile.phase_period * 2.0).max(0.01));
         self.elapsed.push(0.0);
-        self.scratch.p_switch.push(0.0);
-        self.scratch.draw.push(0.0);
-        self.scratch.arg.push(0.0);
-        self.scratch.per.push(0.0);
+        self.draw.push(0.0);
     }
 
     /// Advances every sequence by `dt`, writing the governing samples into
     /// the three scale slices (core order). Entry `i` is bit-identical to
     /// `PhaseGenerator::advance` on generator `i`.
     ///
-    /// The step is a handful of whole-column elementwise passes (no chunking, no
-    /// tail path): the arithmetic passes autovectorize over the full
-    /// column, the RNG draws batch through the column-wise bank, and the
-    /// periodic term goes through the deterministic `cpm-math` sin kernel
-    /// — itself branch-free and vectorized. The only remaining scalar
-    /// work is the conditional Markov redraw, whose draw must stay
-    /// per-lane-conditional to keep non-switching streams in sync.
+    /// The draws run first, column by column: the switch draw and the
+    /// jitter draw batch through the column-wise RNG bank, and between
+    /// them the conditional Markov redraw stays scalar, since its draw must
+    /// stay per-lane-conditional to keep non-switching streams in sync.
+    /// Everything after the draws — the elapsed update, the periodic
+    /// argument, the deterministic `cpm-math` sin kernel and the blend —
+    /// is one pass of `LANES`-wide chunks over stack arrays, the last one
+    /// padded by `load`. No draw reads the elapsed time, so updating it
+    /// after them changes no bit.
     pub fn advance_into(
         &mut self,
         dt: Seconds,
@@ -285,47 +275,20 @@ impl PhaseBank {
         );
         let dt = dt.value();
         assert!(dt >= 0.0, "time cannot run backwards");
-        let mut s = std::mem::take(&mut self.scratch);
 
-        // Columns are bound as length-`n` slices up front so every pass
-        // below is a bounds-check-free loop over equal-length slices —
-        // the shape LLVM's autovectorizer recognizes.
-        let elapsed = &mut self.elapsed[..n];
+        // The switch draw — every lane's first draw of this step.
+        self.rng.fill_next_f64(0, &mut self.draw);
+
+        // Markov level redraw on switching lanes only — the draw is
+        // conditional, so batching it would desynchronize non-switching
+        // lanes' streams.
+        let draw = &self.draw[..n];
         let inv_mean_dwell = &self.inv_mean_dwell[..n];
-        let tau_over_period = &self.tau_over_period[..n];
-        let phase_offset = &self.phase_offset[..n];
-        let variability = &self.variability[..n];
-
-        // Pass 1 (vector): elapsed update, switch probability, and the
-        // periodic-term argument. The argument only depends on the
-        // updated elapsed time — not on any draw — so it can be computed
-        // here and handed to the sin kernel later without perturbing the
-        // RNG call order. Entries with no periodic term have
-        // tau_over_period = 0, so their arg collapses to the offset and
-        // stays finite; the gate is applied as a select in the blend
-        // pass. Evaluating the argument into a column is the same
-        // rounding sequence as the fused scalar expression, so the
-        // kernel result is bit-identical to the scalar `sin_det` call.
-        {
-            let p_switch = &mut s.p_switch[..n];
-            let arg = &mut s.arg[..n];
-            for i in 0..n {
-                elapsed[i] += dt;
-                p_switch[i] = (dt * inv_mean_dwell[i]).min(1.0);
-                arg[i] = elapsed[i] * tau_over_period[i] + phase_offset[i];
-            }
-        }
-
-        // Pass 2 (vector): the switch draw — every lane's first draw of
-        // this step, batched through the column-wise RNG bank.
-        self.rng.fill_next_f64(0, &mut s.draw);
-
-        // Pass 3 (scalar): Markov level redraw on switching lanes only —
-        // the draw is conditional, so batching it would desynchronize
-        // non-switching lanes' streams.
+        let level_intensity = &mut self.level_intensity[..n];
         for i in 0..n {
-            if s.draw[i] < s.p_switch[i] {
-                self.level_intensity[i] = match self.rng.below_at(i, 3) {
+            let p_switch = (dt * inv_mean_dwell[i]).min(1.0);
+            if draw[i] < p_switch {
+                level_intensity[i] = match self.rng.below_at(i, 3) {
                     0 => Level::Low.intensity(),
                     1 => Level::Nominal.intensity(),
                     _ => Level::High.intensity(),
@@ -333,41 +296,75 @@ impl PhaseBank {
             }
         }
 
-        // Pass 4 (vector): the jitter draw — batched through the
-        // column-wise bank; the signed_unit map is fused into the blend.
-        self.rng.fill_next_f64(0, &mut s.draw);
+        // The jitter draw; its signed_unit map is fused into the blend.
+        self.rng.fill_next_f64(0, &mut self.draw);
 
-        // Pass 5 (vector): the periodic term over the whole column,
-        // unconditionally, through the deterministic sin kernel.
-        sin_into(&s.arg, &mut s.per);
-
-        // Pass 6 (vector): blend — periodic 50 %, Markov 35 %, jitter
-        // 15 %, scaled to the profile's variability. The jitter term
-        // applies the signed_unit map `lo + f·(hi−lo)` with (lo, hi) =
-        // (−1, 1) constant-folded — exactly the ops `signed_unit() *
-        // 0.15` performs.
-        {
-            let per_col = &s.per[..n];
-            let draw = &s.draw[..n];
-            let level_intensity = &self.level_intensity[..n];
-            let cpi_scale = &mut cpi_scale[..n];
-            let mem_scale = &mut mem_scale[..n];
-            let activity_scale = &mut activity_scale[..n];
-            for i in 0..n {
-                let per = if tau_over_period[i] > 0.0 {
-                    per_col[i]
-                } else {
-                    0.0
-                };
-                let jitter = (-1.0 + draw[i] * 2.0) * 0.15;
-                let x = (0.50 * per + 0.35 * level_intensity[i] + jitter) * variability[i];
-                cpi_scale[i] = (1.0 - 0.6 * x).max(0.2);
-                mem_scale[i] = (1.0 + x).max(0.05);
-                activity_scale[i] = (1.0 + 0.5 * x).clamp(0.2, 1.25);
-            }
+        let mut base = 0;
+        while base + LANES <= n {
+            self.phase_chunk(base, LANES, dt, cpi_scale, mem_scale, activity_scale);
+            base += LANES;
         }
+        if base < n {
+            self.phase_chunk(base, n - base, dt, cpi_scale, mem_scale, activity_scale);
+        }
+    }
 
-        self.scratch = s;
+    /// One chunk of [`PhaseBank::advance_into`] after the draws: the
+    /// `valid ≤ LANES` entries from `base`, through elementwise passes
+    /// over stack arrays, written back for the valid lanes only.
+    #[inline(always)]
+    fn phase_chunk(
+        &mut self,
+        base: usize,
+        valid: usize,
+        dt: f64,
+        cpi_scale: &mut [f64],
+        mem_scale: &mut [f64],
+        activity_scale: &mut [f64],
+    ) {
+        let tau_over_period = load(&self.tau_over_period, base, valid);
+        let phase_offset = load(&self.phase_offset, base, valid);
+        let variability = load(&self.variability, base, valid);
+        let level_intensity = load(&self.level_intensity, base, valid);
+        let draw = load(&self.draw, base, valid);
+        let mut elapsed = load(&self.elapsed, base, valid);
+        // The periodic-term argument. Entries with no periodic term have
+        // tau_over_period = 0, so their arg collapses to the offset and
+        // stays finite; the gate is applied as a select in the blend.
+        // Evaluating the argument into an array is the same rounding
+        // sequence as the fused scalar expression, so the kernel result
+        // is bit-identical to the scalar `sin_det` call.
+        let mut arg = [0.0; LANES];
+        for l in 0..LANES {
+            elapsed[l] += dt;
+            arg[l] = elapsed[l] * tau_over_period[l] + phase_offset[l];
+        }
+        let mut periodic = [0.0; LANES];
+        sin_lanes(&arg, &mut periodic);
+        // Blend — periodic 50 %, Markov 35 %, jitter 15 %, scaled to the
+        // profile's variability. The jitter term applies the signed_unit
+        // map `lo + f·(hi−lo)` with (lo, hi) = (−1, 1) constant-folded —
+        // exactly the ops `signed_unit() * 0.15` performs.
+        let mut cpi = [0.0; LANES];
+        let mut mem = [0.0; LANES];
+        let mut act = [0.0; LANES];
+        for l in 0..LANES {
+            let per = if tau_over_period[l] > 0.0 {
+                periodic[l]
+            } else {
+                0.0
+            };
+            let jitter = (-1.0 + draw[l] * 2.0) * 0.15;
+            let x = (0.50 * per + 0.35 * level_intensity[l] + jitter) * variability[l];
+            cpi[l] = (1.0 - 0.6 * x).max(0.2);
+            mem[l] = (1.0 + x).max(0.05);
+            act[l] = (1.0 + 0.5 * x).clamp(0.2, 1.25);
+        }
+        let lanes = base..base + valid;
+        self.elapsed[lanes.clone()].copy_from_slice(&elapsed[..valid]);
+        cpi_scale[lanes.clone()].copy_from_slice(&cpi[..valid]);
+        mem_scale[lanes.clone()].copy_from_slice(&mem[..valid]);
+        activity_scale[lanes].copy_from_slice(&act[..valid]);
     }
 
     /// Total simulated time sequence `i` has covered.
@@ -449,11 +446,19 @@ mod tests {
     }
 
     fn assert_bank_matches_generators(cores: usize, steps: usize) {
-        let profiles = parsec::all();
+        let profiles: Vec<BenchmarkProfile> =
+            parsec::all().into_iter().cycle().take(cores).collect();
+        assert_bank_matches(&profiles, steps);
+    }
+
+    /// One bank entry and one scalar generator per profile, stepped side
+    /// by side: every sample and elapsed time must agree bit for bit.
+    fn assert_bank_matches(profiles: &[BenchmarkProfile], steps: usize) {
+        let cores = profiles.len();
         let seed = 0xC0FFEE;
         let mut generators: Vec<PhaseGenerator> = Vec::new();
         let mut bank = PhaseBank::new();
-        for (stream, p) in profiles.iter().cycle().take(cores).enumerate() {
+        for (stream, p) in profiles.iter().enumerate() {
             generators.push(PhaseGenerator::new(p, seed, stream as u64));
             bank.push(p, seed, stream as u64);
         }
@@ -488,10 +493,27 @@ mod tests {
     fn bank_is_bit_identical_at_non_lane_multiple_sizes() {
         // Tail handling is where chunked kernels break: exercise sizes
         // below, at, just past, and far past the lane width — including
-        // the 1-core degenerate where *only* the scalar tail runs.
-        for cores in [1usize, 5, 7, 8, 9, 13, 16, 33] {
+        // the 1-core degenerate where *only* the padded tail chunk runs.
+        for cores in [1usize, 5, 7, 8, 9, 13, 16, 33, 63, 64, 65, 1024] {
             assert_bank_matches_generators(cores, 120);
         }
+    }
+
+    #[test]
+    fn bank_is_bit_identical_with_zero_period_profiles() {
+        // No PARSEC or SPEC profile disables the periodic term, so the
+        // `tau_over_period > 0` gate and the dwell floor of
+        // `inv_mean_dwell` run only here: one zero-period entry sits in
+        // the middle of the full chunk, one in the padded tail chunk.
+        let flat = BenchmarkProfile {
+            phase_period: 0.0,
+            ..parsec::x264()
+        };
+        let mut profiles: Vec<BenchmarkProfile> =
+            parsec::all().into_iter().cycle().take(13).collect();
+        profiles[3] = flat.clone();
+        profiles[10] = flat;
+        assert_bank_matches(&profiles, 300);
     }
 
     #[test]
